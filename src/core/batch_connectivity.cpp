@@ -53,7 +53,7 @@ void dedupe(std::vector<edge>& es) { sort_unique(es); }
 batch_dynamic_connectivity::batch_dynamic_connectivity(vertex_id n,
                                                        options opts)
     : opts_(opts),
-      ls_(n, opts.seed, opts.substrate, opts.policy, opts.dispatch),
+      ls_(n, opts.seed, opts.substrate, opts.policy),
       top_forest_(&ls_.forest(ls_.top())) {
   if (opts_.concurrent_reads) {
     service_ = std::make_unique<service_state>();
@@ -79,7 +79,6 @@ std::string config_label(const options& opts) {
     label += to_string(opts.policy.low);
     label += "<" + std::to_string(opts.policy.threshold);
   }
-  if (opts.dispatch == dispatch::virtual_bridge) label += "!virtual";
   if (opts.concurrent_reads) {
     label += "+serve";
     if (opts.publish == publish_mode::full) label += "!fullpub";

@@ -69,10 +69,6 @@ struct options {
   /// (threshold 0) is uniform; a policy whose low substrate equals
   /// `substrate` is normalized to uniform at construction.
   level_policy policy;
-  /// How forests route substrate calls: the devirtualized std::variant
-  /// fast path (default) or the ett_substrate virtual bridge (escape
-  /// hatch / A-B baseline). See src/ett/ett_forest.hpp.
-  bdc::dispatch dispatch = bdc::dispatch::static_variant;
   /// Enables the epoch-snapshot read service: snapshot_query() becomes
   /// available and may run from any thread CONCURRENTLY with
   /// batch_insert/batch_delete. Each update batch publishes an immutable
@@ -89,8 +85,7 @@ struct options {
 /// Canonical human-readable label of an options configuration for A/B
 /// reports (stream_runner, benchmarks): "<substrate>", plus
 /// "+<low><<threshold>" when a (normalized) mixed policy is active, plus
-/// "!virtual" when the virtual-bridge dispatch escape hatch is forced,
-/// plus "+serve" when the epoch-snapshot read service is enabled (with
+/// "+serve" when the epoch-snapshot read service is enabled (with
 /// "!fullpub" appended when the incremental publisher is disabled).
 /// Applies the same policy normalization as construction, so a nominally
 /// mixed configuration that is actually uniform is labelled uniform.
@@ -223,7 +218,7 @@ class batch_dynamic_connectivity {
   }
 
  private:
-  using rep = ett_substrate::rep;
+  using rep = ett_rep;
 
   /// Immutable per-batch connectivity snapshot. labels[v] is the smallest
   /// vertex id of v's component; sizes[l] the component size stored at

@@ -9,10 +9,8 @@
 namespace bdc {
 
 level_structure::level_structure(vertex_id n, uint64_t seed,
-                                 bdc::substrate sub, level_policy policy,
-                                 bdc::dispatch disp)
-    : n_(n), seed_(seed), substrate_(sub), policy_(policy), dispatch_(disp),
-      dict_(256) {
+                                 bdc::substrate sub, level_policy policy)
+    : n_(n), seed_(seed), substrate_(sub), policy_(policy), dict_(256) {
   // A "mixed" policy whose low substrate equals the primary one is
   // uniform in everything but name; normalize it away so policy().mixed()
   // and the configuration labels built from it cannot lie in A/B reports.
@@ -28,8 +26,7 @@ ett_forest& level_structure::forest(int level) {
   auto& slot = levels_[static_cast<size_t>(level)].forest;
   if (!slot) {
     slot.emplace(substrate_at(level), n_,
-                 hash_combine(seed_, 0x10000u + static_cast<uint64_t>(level)),
-                 dispatch_);
+                 hash_combine(seed_, 0x10000u + static_cast<uint64_t>(level)));
   }
   return *slot;
 }
@@ -94,7 +91,7 @@ void level_structure::apply_adjacency(int level, std::span<const edge> es,
   }
 
   // Counter deltas on F_level: one entry per touched vertex.
-  std::vector<ett_substrate::count_delta> deltas(groups.num_groups());
+  std::vector<count_delta> deltas(groups.num_groups());
   parallel_for(0, groups.num_groups(), [&](size_t g) {
     int32_t tree = 0, nontree = 0;
     for (uint32_t i = groups.group_starts[g]; i < groups.group_starts[g + 1];

@@ -47,8 +47,7 @@ class level_structure {
  public:
   level_structure(vertex_id n, uint64_t seed,
                   bdc::substrate sub = substrate::skiplist,
-                  level_policy policy = {},
-                  bdc::dispatch disp = dispatch::static_variant);
+                  level_policy policy = {});
 
   [[nodiscard]] vertex_id num_vertices() const { return n_; }
   [[nodiscard]] int num_levels() const {
@@ -69,9 +68,6 @@ class level_structure {
     return level < policy_.threshold ? policy_.low : substrate_;
   }
   [[nodiscard]] const level_policy& policy() const { return policy_; }
-  /// How every materialized forest routes substrate calls (static variant
-  /// fast path vs the virtual bridge; see ett_forest).
-  [[nodiscard]] bdc::dispatch dispatch_kind() const { return dispatch_; }
 
   /// Aggregated node-pool counters across every materialized forest.
   [[nodiscard]] node_pool::stats_snapshot pool_stats() const;
@@ -182,7 +178,6 @@ class level_structure {
   uint64_t seed_;
   bdc::substrate substrate_;
   level_policy policy_;
-  bdc::dispatch dispatch_;
   std::vector<level_state> levels_;
   edge_dict dict_;
 };

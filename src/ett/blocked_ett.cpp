@@ -14,21 +14,6 @@
 
 namespace bdc {
 
-/// One packed segment of a tour: up to kBlockCap contiguous entries plus
-/// the aggregate counters of the sentinels it holds. Blocks of one tour
-/// form a circular doubly-linked list. `owner` is the one field the
-/// concurrent-read probe dereferences, so it is atomic: writers relabel
-/// it with release stores, readers load it acquire, and the exclusive
-/// mutation phase itself reads it relaxed.
-struct blocked_ett::block {
-  block* prev = nullptr;
-  block* next = nullptr;
-  std::atomic<tour*> owner{nullptr};
-  uint32_t count = 0;
-  ett_counts agg;  // sum of slot->own over sentinel entries in this block
-  uint64_t tags[kBlockCap];
-};
-
 /// Per-splice seam bookkeeping: rebalance candidates and merge-freed
 /// blocks. One splice touches at most ~6 seam blocks, and rebalancing a
 /// candidate absorbs sub-floor seam blocks plus at most one
@@ -51,18 +36,8 @@ struct blocked_ett::seam_blocks {
   }
 };
 
-/// Per-component descriptor; its address is the component representative.
-struct blocked_ett::tour {
-  block* head = nullptr;  // some block of the cycle (iteration start)
-  ett_counts agg;         // component-wide sums
-  uint64_t nentries = 0;  // 3k - 2 for a k-vertex tree
-  uint32_t nblocks = 0;
-};
-
 blocked_ett::blocked_ett(vertex_id n, uint64_t /*seed*/)
     : n_(n), arcs_(64), dir_(n, pool_) {}
-
-blocked_ett::~blocked_ett() = default;  // block storage is pool-owned
 
 blocked_ett::block* blocked_ett::new_block(tour* owner) {
   static_assert(sizeof(block) <= node_pool::kMaxBytes);
@@ -655,12 +630,12 @@ void blocked_ett::batch_add_counts(std::span<const count_delta> deltas) {
 // Queries.
 // ---------------------------------------------------------------------
 
-ett_substrate::rep blocked_ett::find_rep(vertex_id v) const {
+ett_rep blocked_ett::find_rep(vertex_id v) const {
   vslot* s = slot(v);
   block* b = s == nullptr ? nullptr : s->vloc.load(std::memory_order_relaxed);
   return b == nullptr
              ? singleton_rep(v)
-             : static_cast<rep>(b->owner.load(std::memory_order_relaxed));
+             : static_cast<ett_rep>(b->owner.load(std::memory_order_relaxed));
 }
 
 bool blocked_ett::connected(vertex_id u, vertex_id v) const {
@@ -678,13 +653,13 @@ std::optional<bool> blocked_ett::connected_relaxed(vertex_id u,
   // mapped by the epoch limbo for as long as the caller's guard is
   // pinned; a vertex whose slot is absent or tourless reps as the tagged
   // singleton value, which no directory transition ever changes.
-  auto probe = [this](vertex_id x) -> rep {
+  auto probe = [this](vertex_id x) -> ett_rep {
     const vslot* s = dir_.find(x);
     const block* b =
         s == nullptr ? nullptr : s->vloc.load(std::memory_order_acquire);
     return b == nullptr
                ? singleton_rep(x)
-               : static_cast<rep>(b->owner.load(std::memory_order_acquire));
+               : static_cast<ett_rep>(b->owner.load(std::memory_order_acquire));
   };
   return probe(u) == probe(v);
 }
@@ -698,9 +673,9 @@ std::vector<bool> blocked_ett::batch_connected(
   return std::vector<bool>(bits.begin(), bits.end());
 }
 
-std::vector<ett_substrate::rep> blocked_ett::batch_find_rep(
+std::vector<ett_rep> blocked_ett::batch_find_rep(
     std::span<const vertex_id> vs) const {
-  std::vector<rep> out(vs.size());
+  std::vector<ett_rep> out(vs.size());
   parallel_for(0, vs.size(), [&](size_t i) { out[i] = find_rep(vs[i]); });
   return out;
 }
@@ -780,26 +755,6 @@ std::vector<vertex_id> blocked_ett::component_vertices(vertex_id v) const {
     if (cur == start) break;
   }
   return out;
-}
-
-void blocked_ett::for_each_tour_vertex(rep r, void (*fn)(void*, vertex_id),
-                                       void* ctx) const {
-  // A tourless vertex reps as the tagged singleton value; decode it.
-  // Every other representative is a tour descriptor: stream its packed
-  // block chain.
-  if (is_singleton_rep(r)) {
-    fn(ctx, singleton_rep_vertex(r));
-    return;
-  }
-  const tour* t = static_cast<const tour*>(r);
-  const block* start = t->head;
-  for (const block* cur = start;;) {
-    for (uint32_t i = 0; i < cur->count; ++i)
-      if (!is_arc_tag(cur->tags[i]))
-        fn(ctx, static_cast<vertex_id>(cur->tags[i]));
-    cur = cur->next;
-    if (cur == start) break;
-  }
 }
 
 // ---------------------------------------------------------------------

@@ -1,18 +1,12 @@
-// Devirtualized substrate dispatch (ROADMAP "static dispatch variant").
+// One level's Euler-tour forest: a `std::variant` owning one model of the
+// `ett_substrate` concept (ett_substrate.hpp), chosen at runtime
+// (options::substrate).
 //
-// `ett_substrate` is a virtual bridge, which costs an indirect call per
-// forest operation — measurable exactly on the hot query paths the paper
-// makes cheap (the blocked substrate answers `connected`/`find_rep` with
-// O(1) pointer reads, so an indirect call is a large relative overhead).
-// `ett_forest` is the value type the level structure actually holds: it
-// owns the substrate through the base-class pointer but additionally pins
-// a `std::variant` view of the CONCRETE type at materialization time.
 // Every forwarder dispatches with `std::visit`, and because all three
-// substrates are `final`, the calls inside each visit arm are direct
-// (devirtualized, inlinable) member calls.
-//
-// Callers with per-element loops should hoist the dispatch once around
-// the whole loop instead of paying it per element:
+// substrates are concrete `final` classes, the calls inside each visit
+// arm are direct (inlinable) member calls. Callers with per-element loops
+// should hoist the dispatch once around the whole loop instead of paying
+// it per element:
 //
 //   forest.visit([&](auto& f) {            // one dispatch...
 //     parallel_for(0, k, [&](size_t i) {
@@ -20,12 +14,9 @@
 //     });
 //   });
 //
-// The virtual bridge stays available two ways: `bridge()` exposes the
-// `ett_substrate&` for cold paths and generic tooling, and constructing
-// with `dispatch::virtual_bridge` pins the variant to the base-class
-// alternative — every forwarder then degenerates to the old virtual call,
-// which is what the A/B benchmarks (`BM_Dispatch*` in bench_substrates)
-// and the dispatch-parameterized test suites run against.
+// The alternatives are `unique_ptr`s rather than values: an `ett_forest`
+// stays cheaply movable, while the substrate itself keeps a stable
+// address — epoch binding and relaxed readers hold on to it.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +24,7 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -49,57 +40,34 @@
 
 namespace bdc {
 
-/// How an `ett_forest` routes its calls: through the concrete-type
-/// variant (default; devirtualized) or through the `ett_substrate`
-/// virtual bridge (escape hatch; also the A/B baseline).
-enum class dispatch : uint8_t {
-  static_variant,
-  virtual_bridge,
-};
-
-[[nodiscard]] const char* to_string(dispatch d);
-[[nodiscard]] std::optional<dispatch> dispatch_from_string(
-    std::string_view name);
-
 class ett_forest {
  public:
-  using rep = ett_substrate::rep;
-  using count_delta = ett_substrate::count_delta;
+  /// Materializes an empty n-vertex forest over substrate `s`.
+  ett_forest(bdc::substrate s, vertex_id n, uint64_t seed)
+      : impl_(make(s, n, seed)) {}
 
-  /// Materializes an empty n-vertex forest over substrate `s`, pinning
-  /// the dispatch mode for the forest's lifetime.
-  ett_forest(bdc::substrate s, vertex_id n, uint64_t seed,
-             bdc::dispatch d = dispatch::static_variant);
+  /// The alternatives are ordered like `enum class substrate`.
+  [[nodiscard]] bdc::substrate substrate_kind() const {
+    return static_cast<bdc::substrate>(impl_.index());
+  }
 
-  ett_forest(ett_forest&&) noexcept = default;
-  ett_forest& operator=(ett_forest&&) noexcept = default;
-  ett_forest(const ett_forest&) = delete;
-  ett_forest& operator=(const ett_forest&) = delete;
-
-  [[nodiscard]] bdc::substrate substrate_kind() const { return kind_; }
-  [[nodiscard]] bdc::dispatch dispatch_kind() const { return dispatch_; }
-
-  /// The type-erased view, for cold paths and generic tooling.
-  [[nodiscard]] ett_substrate& bridge() { return *owner_; }
-  [[nodiscard]] const ett_substrate& bridge() const { return *owner_; }
-
-  /// One dispatch, then `fn` runs on the concrete substrate reference
-  /// (or on `ett_substrate&` under dispatch::virtual_bridge). Use this
-  /// to hoist the dispatch out of per-element loops.
+  /// One dispatch, then `fn` runs on the concrete substrate reference. Use
+  /// this to hoist the dispatch out of per-element loops.
   template <typename F>
   decltype(auto) visit(F&& fn) {
-    return std::visit([&](auto* f) -> decltype(auto) { return fn(*f); },
-                      view_);
+    return std::visit([&](auto& p) -> decltype(auto) { return fn(*p); },
+                      impl_);
   }
   template <typename F>
   decltype(auto) visit(F&& fn) const {
     return std::visit(
-        [&](auto* f) -> decltype(auto) { return fn(std::as_const(*f)); },
-        view_);
+        [&](const auto& p) -> decltype(auto) { return fn(std::as_const(*p)); },
+        impl_);
   }
 
   // ------------------------------------------------------------------
-  // Forwarders: the full ett_substrate surface, one visit per call.
+  // Forwarders: the ett_substrate surface, one visit per call. Tour
+  // enumeration (for_each_tour_vertex) has none: call it inside visit.
   // ------------------------------------------------------------------
 
   [[nodiscard]] size_t num_vertices() const {
@@ -142,10 +110,10 @@ class ett_forest {
     return visit([&](auto& f) { return f.batch_connected(queries); });
   }
 
-  [[nodiscard]] rep find_rep(vertex_id v) const {
+  [[nodiscard]] ett_rep find_rep(vertex_id v) const {
     return visit([&](auto& f) { return f.find_rep(v); });
   }
-  [[nodiscard]] std::vector<rep> batch_find_rep(
+  [[nodiscard]] std::vector<ett_rep> batch_find_rep(
       std::span<const vertex_id> vs) const {
     return visit([&](auto& f) { return f.batch_find_rep(vs); });
   }
@@ -174,59 +142,74 @@ class ett_forest {
     return visit([&](auto& f) { return f.component_vertices(v); });
   }
 
-  /// Enumerates the component with representative `r` in tour order; see
-  /// ett_substrate::for_each_tour_vertex. Hoist the dispatch yourself
-  /// (visit + the substrate's overload) when enumerating many components.
-  template <typename F>
-  void for_each_tour_vertex(rep r, F&& f) const {
-    visit([&](auto& fc) { fc.for_each_tour_vertex(r, f); });
-  }
-
   [[nodiscard]] std::string check_consistency() const {
     return visit([](auto& f) { return f.check_consistency(); });
   }
 
   [[nodiscard]] node_pool::stats_snapshot pool_stats() const {
-    return owner_->pool_stats();
+    return visit([](auto& f) { return f.pool_stats(); });
   }
   size_t trim_pool(size_t keep_bytes = 0) {
-    return owner_->trim_pool(keep_bytes);
+    return visit([&](auto& f) { return f.trim_pool(keep_bytes); });
   }
   /// Vertices currently holding a sparse-directory slot in this forest.
   [[nodiscard]] uint64_t active_vertices() const {
-    return owner_->active_vertices();
+    return visit([](auto& f) { return f.active_vertices(); });
   }
   /// Bytes retained by this forest's per-vertex directory.
   [[nodiscard]] size_t directory_bytes() const {
-    return owner_->directory_bytes();
+    return visit([](auto& f) { return f.directory_bytes(); });
   }
 
-  // Read-side snapshot contract (see ett_substrate). connected_relaxed
-  // goes through the pinned dispatch view like every other hot-path
-  // query, so the concurrent probe is devirtualized under
-  // dispatch::static_variant and still works — as a plain virtual call —
-  // under dispatch::virtual_bridge.
+  // Read-side snapshot contract (see ett_substrate.hpp). Only blocked_ett
+  // answers relaxed reads and defers frees through an epoch limbo; the
+  // other substrates return nullopt / ignore the epoch calls, and their
+  // concurrent readers are served from the published snapshot instead.
   [[nodiscard]] bool supports_relaxed_reads() const {
-    return owner_->supports_relaxed_reads();
+    return visit([](auto& f) { return relaxed_reads<decltype(f)>; });
   }
   [[nodiscard]] std::optional<bool> connected_relaxed(vertex_id u,
                                                       vertex_id v) const {
-    return visit([&](auto& f) { return f.connected_relaxed(u, v); });
+    return visit([&](auto& f) -> std::optional<bool> {
+      if constexpr (relaxed_reads<decltype(f)>)
+        return f.connected_relaxed(u, v);
+      return std::nullopt;
+    });
   }
-  void bind_read_epochs(epoch_manager* em) { owner_->bind_read_epochs(em); }
-  size_t drain_limbo() { return owner_->drain_limbo(); }
+  void bind_read_epochs(epoch_manager* em) {
+    visit([&](auto& f) {
+      if constexpr (relaxed_reads<decltype(f)>) f.bind_read_epochs(em);
+    });
+  }
+  size_t drain_limbo() {
+    return visit([](auto& f) -> size_t {
+      if constexpr (relaxed_reads<decltype(f)>) return f.drain_limbo();
+      return 0;
+    });
+  }
 
  private:
-  // Ownership always flows through the base pointer; the variant is a
-  // non-owning concrete-type view of the same object (or the base view
-  // under dispatch::virtual_bridge).
-  using view = std::variant<euler_tour_forest*, treap_ett*, blocked_ett*,
-                            ett_substrate*>;
+  using impl = std::variant<std::unique_ptr<euler_tour_forest>,
+                            std::unique_ptr<treap_ett>,
+                            std::unique_ptr<blocked_ett>>;
 
-  std::unique_ptr<ett_substrate> owner_;
-  view view_;
-  bdc::substrate kind_;
-  bdc::dispatch dispatch_;
+  template <typename F>
+  static constexpr bool relaxed_reads =
+      std::is_same_v<std::remove_cvref_t<F>, blocked_ett>;
+
+  static impl make(bdc::substrate s, vertex_id n, uint64_t seed) {
+    switch (s) {
+      case substrate::treap:
+        return std::make_unique<treap_ett>(n, seed);
+      case substrate::blocked:
+        return std::make_unique<blocked_ett>(n, seed);
+      case substrate::skiplist:
+        break;
+    }
+    return std::make_unique<euler_tour_forest>(n, seed);
+  }
+
+  impl impl_;
 };
 
 }  // namespace bdc

@@ -4,8 +4,10 @@
 // Euler tours are represented; only a small forest-level contract matters:
 // batch link/cut of tree edges, per-vertex counter maintenance with
 // component-wide sums, representative and connectivity queries, and the
-// first-ℓ fetch primitives of Appendix 9. `ett_substrate` captures exactly
-// that contract as a thin virtual bridge so the level structure and
+// first-ℓ fetch primitives of Appendix 9. `ett_substrate` names exactly
+// that contract as a C++20 concept, checked at compile time by one
+// static_assert after each model; `ett_forest` (ett_forest.hpp) holds one
+// model in a std::variant so the level structure and
 // `batch_dynamic_connectivity` can select the tour representation at
 // runtime (options::substrate), and so substrates can be benchmarked
 // head-to-head on identical workloads (bench_substrates).
@@ -24,7 +26,7 @@
 //     Man et al. 2024), and the low-level half of the per-level substrate
 //     policy (options::policy).
 //
-// Phase contract (both substrates): a batch mutation call is one exclusive
+// Phase contract (every substrate): a batch mutation call is one exclusive
 // phase; read-only queries (connected / find_rep / counts / fetch) may run
 // concurrently with each other but never with a mutation. A mutation batch
 // may itself fan work out across the scheduler's workers, so it must be
@@ -32,15 +34,32 @@
 // below (distinct edges, acyclic link batches, present distinct cuts) are
 // load-bearing for that internal parallelism — a substrate may partition
 // the batch by the tours it touches and mutate those tours concurrently.
+//
+// Read-side snapshot contract (epoch-based concurrent serving). A
+// substrate that supports relaxed reads — only `blocked_ett`, whose read
+// path is two acquire loads with no multi-hop walk — additionally offers
+// bind_read_epochs(em), after which it must (a) route every free of
+// reader-reachable memory through the epoch limbo (node_pool::reclaim,
+// drained by drain_limbo()) and (b) publish reader-visible pointer
+// updates with release stores so a pinned reader never follows a torn
+// path. It answers connected_relaxed with plain acquire loads WHILE a
+// mutation batch runs; such an answer is only meaningful after the caller
+// revalidates a version/seqlock it brackets around the read (the
+// batch_dynamic_connectivity service layer does exactly that and discards
+// answers that overlapped a batch). For the other substrates concurrent
+// readers are served from the service's published immutable snapshot
+// instead — a raw concurrent find_rep walk on a pointer structure can
+// resolve u via a stale path and v via a fresh one to the same
+// representative, producing an answer matching NEITHER the pre- nor the
+// post-batch state.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -62,191 +81,99 @@ enum class substrate : uint8_t {
 [[nodiscard]] std::optional<substrate> substrate_from_string(
     std::string_view name);
 
-class ett_substrate {
- public:
-  /// Opaque component representative: rep(u) == rep(v) iff u and v are in
-  /// the same tree. Invalidated by any subsequent batch_link/batch_cut.
-  using rep = const void*;
+/// Opaque component representative: rep(u) == rep(v) iff u and v are in
+/// the same tree. Invalidated by any subsequent batch_link/batch_cut.
+using ett_rep = const void*;
 
-  // ------------------------------------------------------------------
-  // Tagged singleton representatives. A vertex with no incident tree arc
-  // at this level (its tour is a lone sentinel) reps as the odd value
-  // (v << 1) | 1 — never a valid node address — in EVERY substrate. This
-  // makes the rep independent of whether the vertex currently holds a
-  // directory slot: activation/deactivation (which batch_add_counts may
-  // perform) never changes any rep, preserving the contract above that
-  // only batch_link/batch_cut invalidate representatives.
-  // ------------------------------------------------------------------
+// Tagged singleton representatives. A vertex with no incident tree arc at
+// this level (its tour is a lone sentinel) reps as the odd value
+// (v << 1) | 1 — never a valid node address — in EVERY substrate. This
+// makes the rep independent of whether the vertex currently holds a
+// directory slot: activation/deactivation (which batch_add_counts may
+// perform) never changes any rep, preserving the contract above that only
+// batch_link/batch_cut invalidate representatives.
+[[nodiscard]] inline ett_rep singleton_rep(vertex_id v) {
+  return reinterpret_cast<ett_rep>((static_cast<uintptr_t>(v) << 1) | 1u);
+}
+[[nodiscard]] inline bool is_singleton_rep(ett_rep r) {
+  return (reinterpret_cast<uintptr_t>(r) & 1u) != 0;
+}
+[[nodiscard]] inline vertex_id singleton_rep_vertex(ett_rep r) {
+  return static_cast<vertex_id>(reinterpret_cast<uintptr_t>(r) >> 1);
+}
 
-  [[nodiscard]] static rep singleton_rep(vertex_id v) {
-    return reinterpret_cast<rep>((static_cast<uintptr_t>(v) << 1) | 1u);
-  }
-  [[nodiscard]] static bool is_singleton_rep(rep r) {
-    return (reinterpret_cast<uintptr_t>(r) & 1u) != 0;
-  }
-  [[nodiscard]] static vertex_id singleton_rep_vertex(rep r) {
-    return static_cast<vertex_id>(reinterpret_cast<uintptr_t>(r) >> 1);
-  }
-
-  /// Adds (tree_delta, nontree_delta) to a vertex's incident-edge counters.
-  struct count_delta {
-    vertex_id v;
-    int32_t tree_delta;
-    int32_t nontree_delta;
-  };
-
-  virtual ~ett_substrate() = default;
-
-  [[nodiscard]] virtual size_t num_vertices() const = 0;
-  [[nodiscard]] virtual size_t num_edges() const = 0;
-
-  // ------------------------------------------------------------------
-  // Updates (each call is one exclusive mutation phase)
-  // ------------------------------------------------------------------
-
-  /// Adds `links` to the forest. Preconditions: no self loops, edges
-  /// distinct (as undirected pairs), not already present, and the batch
-  /// keeps the graph acyclic (the caller runs a spanning-forest pass
-  /// first; Algorithms 2, 4, 5 all guarantee this).
-  virtual void batch_link(std::span<const edge> links) = 0;
-  void link(edge e) { batch_link({&e, 1}); }
-
-  /// Removes `cuts`, which must all be present tree edges (distinct).
-  virtual void batch_cut(std::span<const edge> cuts) = 0;
-  void cut(edge e) { batch_cut({&e, 1}); }
-
-  /// Applies counter deltas (one entry per vertex at most) and repairs the
-  /// component-wide augmentation.
-  virtual void batch_add_counts(std::span<const count_delta> deltas) = 0;
-
-  // ------------------------------------------------------------------
-  // Queries (read-only phases)
-  // ------------------------------------------------------------------
-
-  [[nodiscard]] virtual bool has_edge(edge e) const = 0;
-  [[nodiscard]] virtual bool connected(vertex_id u, vertex_id v) const = 0;
-  [[nodiscard]] virtual std::vector<bool> batch_connected(
-      std::span<const std::pair<vertex_id, vertex_id>> queries) const = 0;
-
-  [[nodiscard]] virtual rep find_rep(vertex_id v) const = 0;
-  [[nodiscard]] virtual std::vector<rep> batch_find_rep(
-      std::span<const vertex_id> vs) const = 0;
-
-  /// Component-wide augmented sums for v's tree.
-  [[nodiscard]] virtual ett_counts component_counts(vertex_id v) const = 0;
-  [[nodiscard]] uint32_t component_size(vertex_id v) const {
-    return component_counts(v).vertices;
-  }
-  /// The per-vertex stored counters (not component sums). For validation.
-  [[nodiscard]] virtual ett_counts vertex_counts(vertex_id v) const = 0;
-
-  /// Fetches, in tour order, vertices covering the first `want` incident
-  /// non-tree (resp. tree) edge slots of v's component. Each result entry
-  /// (x, c) means "take c edges from x's level-i non-tree (tree) adjacency
-  /// list". Sum of takes == min(want, component total). (Appendix 9.)
-  [[nodiscard]] virtual std::vector<std::pair<vertex_id, uint32_t>>
-  fetch_nontree(vertex_id v, uint64_t want) const = 0;
-  [[nodiscard]] virtual std::vector<std::pair<vertex_id, uint32_t>>
-  fetch_tree(vertex_id v, uint64_t want) const = 0;
-
-  /// All vertices of v's component, in tour order (diagnostics / tests).
-  [[nodiscard]] virtual std::vector<vertex_id> component_vertices(
-      vertex_id v) const = 0;
-
-  /// Invokes `fn(ctx, v)` once per vertex of the component whose
-  /// representative is `r` (obtained from find_rep / batch_find_rep in the
-  /// same read phase), in tour order. O(component size) with
-  /// substrate-specific constants: the blocked substrate streams its
-  /// packed 512-byte block chain (one block scan per kBlockCap entries),
-  /// the treap and skip list walk their tours node by node. This is the
-  /// enumeration primitive behind incremental snapshot publishing — a
-  /// touched component can be relabelled without a global O(n) scan.
-  virtual void for_each_tour_vertex(rep r, void (*fn)(void* ctx, vertex_id v),
-                                    void* ctx) const = 0;
-
-  /// Lambda-friendly adapter for the raw for_each_tour_vertex above.
-  template <typename F>
-  void for_each_tour_vertex(rep r, F&& f) const {
-    using fn_t = std::remove_reference_t<F>;
-    for_each_tour_vertex(
-        r, [](void* ctx, vertex_id v) { (*static_cast<fn_t*>(ctx))(v); },
-        static_cast<void*>(std::addressof(f)));
-  }
-
-  /// Deep structural validation (tests). Empty string if healthy.
-  [[nodiscard]] virtual std::string check_consistency() const = 0;
-
-  // ------------------------------------------------------------------
-  // Memory accounting (ROADMAP "pool sizing / trimming"). Both calls
-  // require the substrate to be quiescent (no phase in flight).
-  // ------------------------------------------------------------------
-
-  /// Counters of the substrate's node pool (zeroes for substrates that
-  /// do not pool).
-  [[nodiscard]] virtual node_pool::stats_snapshot pool_stats() const {
-    return {};
-  }
-  /// Vertices currently holding a slot in this forest's sparse vertex
-  /// directory (activated by an edge touch at this level and not yet
-  /// reclaimed). Safe anytime (atomic counter).
-  [[nodiscard]] virtual uint64_t active_vertices() const = 0;
-  /// Bytes retained by the per-vertex directory (root table + chunks);
-  /// excludes tour nodes, which pool_stats() accounts for. Safe anytime.
-  [[nodiscard]] virtual size_t directory_bytes() const = 0;
-  /// Releases retained pool memory where safe (see node_pool::trim),
-  /// keeping up to `keep_bytes` of blocks as spares for the next burst;
-  /// returns the number of bytes returned to the OS.
-  virtual size_t trim_pool(size_t keep_bytes = 0) {
-    (void)keep_bytes;
-    return 0;
-  }
-
-  // ------------------------------------------------------------------
-  // Read-side snapshot contract (epoch-based concurrent serving).
-  //
-  // With an epoch_manager bound via bind_read_epochs, the substrate must
-  // (a) route every free of reader-reachable memory through the epoch
-  // limbo (node_pool::reclaim), and (b) publish reader-visible pointer
-  // updates with release stores so a pinned reader never follows a torn
-  // path. A substrate that additionally supports_relaxed_reads answers
-  // connected_relaxed with plain acquire loads WHILE a mutation batch
-  // runs; such an answer is only meaningful after the caller revalidates
-  // a version/seqlock it brackets around the read (the batch_dynamic_
-  // connectivity service layer does exactly that and discards answers
-  // that overlapped a batch). Substrates without relaxed-read support
-  // return nullopt and concurrent readers are served from the service's
-  // published immutable snapshot instead — a raw concurrent find_rep
-  // walk on a pointer structure can resolve u via a stale path and v via
-  // a fresh one to the same representative, producing an answer matching
-  // NEITHER the pre- nor the post-batch state.
-  // ------------------------------------------------------------------
-
-  /// True if connected_relaxed returns answers (only blocked_ett: its
-  /// read path is two acquire loads, no multi-hop walk).
-  [[nodiscard]] virtual bool supports_relaxed_reads() const { return false; }
-
-  /// Concurrent-read connectivity probe; see the contract above. Returns
-  /// nullopt when the substrate cannot answer without a quiescent phase.
-  [[nodiscard]] virtual std::optional<bool> connected_relaxed(
-      vertex_id u, vertex_id v) const {
-    (void)u;
-    (void)v;
-    return std::nullopt;
-  }
-
-  /// Routes future frees of reader-reachable nodes through `em`'s limbo
-  /// (nullptr restores immediate frees once drained). Default: no-op for
-  /// substrates that are never read concurrently.
-  virtual void bind_read_epochs(epoch_manager* em) { (void)em; }
-
-  /// Frees limbo nodes no pinned reader can observe (mutation-quiescent
-  /// callers only). Returns the number reclaimed.
-  virtual size_t drain_limbo() { return 0; }
+/// Adds (tree_delta, nontree_delta) to a vertex's incident-edge counters.
+struct count_delta {
+  vertex_id v;
+  int32_t tree_delta;
+  int32_t nontree_delta;
 };
 
-/// Constructs an empty n-vertex forest over the chosen substrate.
-[[nodiscard]] std::unique_ptr<ett_substrate> make_ett(substrate s,
-                                                      vertex_id n,
-                                                      uint64_t seed);
+/// The forest-level contract every Euler-tour substrate models.
+template <typename F>
+concept ett_substrate =
+    std::constructible_from<F, vertex_id, uint64_t> &&
+    requires(F f, const F cf, edge e, vertex_id v, uint64_t want,
+             size_t keep_bytes, ett_rep r, std::span<const edge> es,
+             std::span<const count_delta> deltas,
+             std::span<const std::pair<vertex_id, vertex_id>> queries,
+             std::span<const vertex_id> vs) {
+      { cf.num_vertices() } -> std::same_as<size_t>;
+      { cf.num_edges() } -> std::same_as<size_t>;
+
+      // Updates (each call is one exclusive mutation phase). batch_link's
+      // edges are non-self-loop, distinct as undirected pairs, absent, and
+      // keep the forest acyclic (the caller runs a spanning-forest pass
+      // first; Algorithms 2, 4, 5 all guarantee this). batch_cut's edges
+      // are distinct present tree edges. batch_add_counts takes at most one
+      // delta per vertex and repairs the component-wide augmentation.
+      f.batch_link(es);
+      f.batch_cut(es);
+      f.batch_add_counts(deltas);
+
+      // Queries (read-only phases).
+      { cf.has_edge(e) } -> std::same_as<bool>;
+      { cf.connected(v, v) } -> std::same_as<bool>;
+      { cf.batch_connected(queries) } -> std::same_as<std::vector<bool>>;
+      { cf.find_rep(v) } -> std::same_as<ett_rep>;
+      { cf.batch_find_rep(vs) } -> std::same_as<std::vector<ett_rep>>;
+      // Component-wide augmented sums for v's tree, and v's own stored
+      // counters (validation).
+      { cf.component_counts(v) } -> std::same_as<ett_counts>;
+      { cf.vertex_counts(v) } -> std::same_as<ett_counts>;
+      // Fetches, in tour order, vertices covering the first `want` incident
+      // non-tree (resp. tree) edge slots of v's component. Each result
+      // entry (x, c) means "take c edges from x's level-i non-tree (tree)
+      // adjacency list". Sum of takes == min(want, component total).
+      // (Appendix 9.)
+      {
+        cf.fetch_nontree(v, want)
+      } -> std::same_as<std::vector<std::pair<vertex_id, uint32_t>>>;
+      {
+        cf.fetch_tree(v, want)
+      } -> std::same_as<std::vector<std::pair<vertex_id, uint32_t>>>;
+      // All vertices of v's component, in tour order (diagnostics / tests).
+      { cf.component_vertices(v) } -> std::same_as<std::vector<vertex_id>>;
+      // Invokes fn(v) once per vertex of the component whose
+      // representative is `r` (obtained from find_rep / batch_find_rep in
+      // the same read phase), in tour order. O(component size): the
+      // blocked substrate streams its packed 512-byte block chain, the
+      // treap and skip list walk their tours node by node. This is the
+      // enumeration primitive behind incremental snapshot publishing — a
+      // touched component can be relabelled without a global O(n) scan.
+      cf.for_each_tour_vertex(r, [](vertex_id) {});
+      // Deep structural validation (tests). Empty string if healthy.
+      { cf.check_consistency() } -> std::same_as<std::string>;
+
+      // Memory accounting. pool_stats/trim_pool require quiescence (no
+      // phase in flight); the directory gauges are atomic counters, safe
+      // anytime. trim_pool keeps up to `keep_bytes` of spare blocks (see
+      // node_pool::trim) and returns the bytes released; directory_bytes
+      // excludes tour nodes, which pool_stats accounts for.
+      { cf.pool_stats() } -> std::same_as<node_pool::stats_snapshot>;
+      { f.trim_pool(keep_bytes) } -> std::same_as<size_t>;
+      { cf.active_vertices() } -> std::same_as<uint64_t>;
+      { cf.directory_bytes() } -> std::same_as<size_t>;
+    };
 
 }  // namespace bdc

@@ -29,16 +29,10 @@ namespace bdc {
 
 namespace {
 
-constexpr uint64_t kArcBit = uint64_t{1} << 63;
 constexpr uint8_t kRemovedFlag = 1;
 
+// Entry encoding: ett/tour_entry.hpp, shared with the other substrates.
 uint64_t vertex_tag(vertex_id v) { return static_cast<uint64_t>(v); }
-uint64_t arc_tag(vertex_id tail, vertex_id head) {
-  // Requires vertex ids < 2^31 so both fit beside the arc bit.
-  return kArcBit | (static_cast<uint64_t>(tail) << 31) |
-         static_cast<uint64_t>(head);
-}
-bool is_arc_tag(uint64_t tag) { return (tag & kArcBit) != 0; }
 
 uint64_t ptr_key(const void* p) {
   // Pointers are never null here and never equal the map's reserved keys.
@@ -282,7 +276,7 @@ std::vector<bool> euler_tour_forest::batch_connected(
   return std::vector<bool>(bits.begin(), bits.end());
 }
 
-ett_substrate::rep euler_tour_forest::find_rep(vertex_id v) const {
+ett_rep euler_tour_forest::find_rep(vertex_id v) const {
   node* vn = vertex_node(v);
   // Tourless vertices (inactive, or active with non-tree counters only)
   // take the tagged singleton rep, so batch_add_counts-driven activation
@@ -291,9 +285,9 @@ ett_substrate::rep euler_tour_forest::find_rep(vertex_id v) const {
   return list_.representative(vn);
 }
 
-std::vector<ett_substrate::rep> euler_tour_forest::batch_find_rep(
+std::vector<ett_rep> euler_tour_forest::batch_find_rep(
     std::span<const vertex_id> vs) const {
-  std::vector<rep> out(vs.size());
+  std::vector<ett_rep> out(vs.size());
   parallel_for(0, vs.size(), [&](size_t i) { out[i] = find_rep(vs[i]); });
   return out;
 }
@@ -350,24 +344,6 @@ std::vector<vertex_id> euler_tour_forest::component_vertices(
     if (!is_arc_tag(n->tag)) out.push_back(static_cast<vertex_id>(n->tag));
   }
   return out;
-}
-
-void euler_tour_forest::for_each_tour_vertex(rep r,
-                                             void (*fn)(void*, vertex_id),
-                                             void* ctx) const {
-  // Tourless vertices carry the tagged singleton rep; decode it.
-  if (is_singleton_rep(r)) {
-    fn(ctx, singleton_rep_vertex(r));
-    return;
-  }
-  // Otherwise the representative is a node of the tour's circle (every
-  // node, tall or not, sits on the level-0 ring); walk that ring.
-  const node* start = static_cast<const node*>(r);
-  const node* cur = start;
-  do {
-    if (!is_arc_tag(cur->tag)) fn(ctx, static_cast<vertex_id>(cur->tag));
-    cur = cur->next_at(0);
-  } while (cur != nullptr && cur != start);
 }
 
 std::string euler_tour_forest::check_consistency() const {

@@ -20,7 +20,7 @@
 // under a concurrent mutation and land on a representative matching
 // neither batch boundary. The epoch-snapshot serving layer answers
 // concurrent readers from the release-published per-batch connectivity
-// snapshot instead (see ett_substrate's read-side contract).
+// snapshot instead (see the read-side contract in ett_substrate.hpp).
 #pragma once
 
 #include <cstdint>
@@ -31,6 +31,7 @@
 #include "ett/ett_counts.hpp"
 #include "ett/ett_sequence.hpp"
 #include "ett/ett_substrate.hpp"
+#include "ett/tour_entry.hpp"
 #include "ett/vertex_directory.hpp"
 #include "hashtable/phase_concurrent_map.hpp"
 #include "skiplist/augmented_skiplist.hpp"
@@ -38,7 +39,7 @@
 
 namespace bdc {
 
-class euler_tour_forest final : public ett_substrate {
+class euler_tour_forest final {
  public:
   using skiplist = augmented_skiplist<ett_counts>;
   using node = skiplist::node;
@@ -47,67 +48,78 @@ class euler_tour_forest final : public ett_substrate {
 
   /// An empty forest (no edges) over n vertices.
   explicit euler_tour_forest(vertex_id n, uint64_t seed = 0xe77e77);
-  ~euler_tour_forest() override = default;  // node storage is pool-owned
 
   euler_tour_forest(const euler_tour_forest&) = delete;
   euler_tour_forest& operator=(const euler_tour_forest&) = delete;
 
-  [[nodiscard]] size_t num_vertices() const override { return n_; }
-  [[nodiscard]] size_t num_edges() const override { return edge_map_.size(); }
+  [[nodiscard]] size_t num_vertices() const { return n_; }
+  [[nodiscard]] size_t num_edges() const { return edge_map_.size(); }
 
   // ------------------------------------------------------------------
   // Updates (each call is one mutation phase)
   // ------------------------------------------------------------------
 
-  void batch_link(std::span<const edge> links) override;
-  void batch_cut(std::span<const edge> cuts) override;
-  void batch_add_counts(std::span<const count_delta> deltas) override;
+  void batch_link(std::span<const edge> links);
+  void batch_cut(std::span<const edge> cuts);
+  void batch_add_counts(std::span<const count_delta> deltas);
 
   // ------------------------------------------------------------------
   // Queries (read-only phases)
   // ------------------------------------------------------------------
 
-  [[nodiscard]] bool has_edge(edge e) const override {
+  [[nodiscard]] bool has_edge(edge e) const {
     return edge_map_.contains(edge_key(e.canonical()));
   }
-  [[nodiscard]] bool connected(vertex_id u, vertex_id v) const override;
+  [[nodiscard]] bool connected(vertex_id u, vertex_id v) const;
   [[nodiscard]] std::vector<bool> batch_connected(
       std::span<const std::pair<vertex_id, vertex_id>> queries)
-      const override;
+      const;
 
-  [[nodiscard]] rep find_rep(vertex_id v) const override;
-  [[nodiscard]] std::vector<rep> batch_find_rep(
-      std::span<const vertex_id> vs) const override;
+  [[nodiscard]] ett_rep find_rep(vertex_id v) const;
+  [[nodiscard]] std::vector<ett_rep> batch_find_rep(
+      std::span<const vertex_id> vs) const;
 
-  [[nodiscard]] ett_counts component_counts(vertex_id v) const override;
-  [[nodiscard]] ett_counts vertex_counts(vertex_id v) const override;
+  [[nodiscard]] ett_counts component_counts(vertex_id v) const;
+  [[nodiscard]] ett_counts vertex_counts(vertex_id v) const;
 
   [[nodiscard]] std::vector<std::pair<vertex_id, uint32_t>> fetch_nontree(
-      vertex_id v, uint64_t want) const override;
+      vertex_id v, uint64_t want) const;
   [[nodiscard]] std::vector<std::pair<vertex_id, uint32_t>> fetch_tree(
-      vertex_id v, uint64_t want) const override;
+      vertex_id v, uint64_t want) const;
 
   [[nodiscard]] std::vector<vertex_id> component_vertices(
-      vertex_id v) const override;
+      vertex_id v) const;
 
-  using ett_substrate::for_each_tour_vertex;
-  void for_each_tour_vertex(rep r, void (*fn)(void* ctx, vertex_id v),
-                            void* ctx) const override;
+  /// Walks the level-0 ring of the tour node `r` (every node, tall or
+  /// not, sits on it); a tagged singleton rep decodes to its vertex.
+  template <typename Fn>
+  void for_each_tour_vertex(ett_rep r, Fn&& fn) const {
+    if (is_singleton_rep(r)) {
+      fn(singleton_rep_vertex(r));
+      return;
+    }
+    const node* start = static_cast<const node*>(r);
+    const node* cur = start;
+    do {
+      if (!is_arc_tag(cur->tag)) fn(static_cast<vertex_id>(cur->tag));
+      cur = cur->next_at(0);
+    } while (cur != nullptr && cur != start);
+  }
 
   /// Verifies internal consistency (tests): tour circularity, augmentation
   /// sums, edge-map agreement. Returns empty string if healthy.
-  [[nodiscard]] std::string check_consistency() const override;
+  [[nodiscard]] std::string check_consistency() const;
 
-  [[nodiscard]] node_pool::stats_snapshot pool_stats() const override {
+  [[nodiscard]] node_pool::stats_snapshot pool_stats() const {
     return list_.pool().stats();
   }
-  size_t trim_pool(size_t keep_bytes = 0) override {
+  size_t trim_pool(size_t keep_bytes = 0) {
     return list_.pool().trim(keep_bytes);
   }
-  [[nodiscard]] uint64_t active_vertices() const override {
+  [[nodiscard]] uint64_t active_vertices() const {
     return dir_.active_count();
   }
-  [[nodiscard]] size_t directory_bytes() const override {
+  [[nodiscard]] size_t directory_bytes() const {
     return dir_.resident_bytes();
   }
 
@@ -142,5 +154,7 @@ class euler_tour_forest final : public ett_substrate {
   vertex_directory<node*> dir_;
   phase_concurrent_map<edge_nodes> edge_map_;
 };
+
+static_assert(ett_substrate<euler_tour_forest>);
 
 }  // namespace bdc

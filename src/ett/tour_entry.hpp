@@ -1,5 +1,5 @@
-// The packed 64-bit tour-entry encoding shared by the treap and blocked
-// substrates: a sentinel entry is the bare vertex id; a directed arc
+// The packed 64-bit tour-entry encoding shared by all three substrates: a
+// sentinel entry is the bare vertex id; a directed arc
 // (t, h) sets the top bit and packs the tail above the head. The layout
 // caps vertex ids at 2^31 - 1: the static_assert fires if vertex_id
 // widens past 32 bits, and arc_tag asserts the 31-bit range per id at

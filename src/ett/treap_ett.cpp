@@ -14,19 +14,8 @@
 
 namespace bdc {
 
-struct treap_ett::node {
-  node* parent = nullptr;
-  node* left = nullptr;
-  node* right = nullptr;
-  uint64_t priority = 0;
-  uint64_t tag = 0;  // tour entry (ett/tour_entry.hpp): sentinel or arc
-  ett_counts own;    // nonzero only on sentinels
-  ett_counts agg;    // subtree sum (own + children)
-  uint32_t subtree_nodes = 1;
-};
-
 namespace {
-// Entry encoding: ett/tour_entry.hpp, shared with the blocked substrate.
+// Entry encoding: ett/tour_entry.hpp, shared with the other substrates.
 uint64_t arc_key(vertex_id t, vertex_id h) { return arc_tag(t, h); }
 }  // namespace
 
@@ -715,7 +704,7 @@ std::vector<bool> treap_ett::batch_connected(
   return std::vector<bool>(bits.begin(), bits.end());
 }
 
-ett_substrate::rep treap_ett::find_rep(vertex_id v) const {
+ett_rep treap_ett::find_rep(vertex_id v) const {
   node* s = sentinel(v);
   // Tourless vertices (inactive, or active with non-tree counters only)
   // take the tagged singleton rep, so batch_add_counts-driven activation
@@ -725,9 +714,9 @@ ett_substrate::rep treap_ett::find_rep(vertex_id v) const {
   return root_of(s);
 }
 
-std::vector<ett_substrate::rep> treap_ett::batch_find_rep(
+std::vector<ett_rep> treap_ett::batch_find_rep(
     std::span<const vertex_id> vs) const {
-  std::vector<rep> out(vs.size());
+  std::vector<ett_rep> out(vs.size());
   parallel_for(0, vs.size(), [&](size_t i) { out[i] = find_rep(vs[i]); });
   return out;
 }
@@ -852,31 +841,6 @@ std::vector<vertex_id> treap_ett::component_vertices(vertex_id v) const {
     }
   }
   return out;
-}
-
-void treap_ett::for_each_tour_vertex(rep r, void (*fn)(void*, vertex_id),
-                                     void* ctx) const {
-  // Tourless vertices carry the tagged singleton rep; decode it.
-  if (is_singleton_rep(r)) {
-    fn(ctx, singleton_rep_vertex(r));
-    return;
-  }
-  // Otherwise the representative IS the treap root; in-order walk emits
-  // the tour.
-  std::vector<std::pair<const node*, bool>> stack{
-      {static_cast<const node*>(r), false}};
-  while (!stack.empty()) {
-    auto [x, expanded] = stack.back();
-    stack.pop_back();
-    if (x == nullptr) continue;
-    if (expanded) {
-      if (!is_arc_tag(x->tag)) fn(ctx, static_cast<vertex_id>(x->tag));
-    } else {
-      stack.push_back({x->right, false});
-      stack.push_back({x, true});
-      stack.push_back({x->left, false});
-    }
-  }
 }
 
 std::string treap_ett::check_consistency() const {

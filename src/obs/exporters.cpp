@@ -230,6 +230,18 @@ std::vector<jsonl_record> parse_jsonl(std::istream& in) {
   return out;
 }
 
+namespace {
+/// Writes integer nanoseconds as fixed-point microseconds with three
+/// decimals ("12345678.901"), exact at any trace length — a double at the
+/// stream's default six significant digits rounds to whole microseconds
+/// after one second of trace.
+void write_micros(std::ostream& out, uint64_t ns) {
+  char frac[4];
+  std::snprintf(frac, sizeof frac, "%03u", static_cast<unsigned>(ns % 1000));
+  out << ns / 1000 << '.' << frac;
+}
+}  // namespace
+
 void export_chrome_trace(std::ostream& out,
                          const std::vector<trace_event>& events,
                          uint64_t dropped) {
@@ -243,9 +255,12 @@ void export_chrome_trace(std::ostream& out,
     // Chrome's ts/dur are microseconds (fractions allowed).
     out << "\n{\"name\":\"" << json_escape(ev.name)
         << "\",\"ph\":\"" << ev.ph << "\",\"pid\":1,\"tid\":" << ev.tid
-        << ",\"ts\":" << static_cast<double>(ev.ts_ns) / 1e3;
-    if (ev.ph == 'X')
-      out << ",\"dur\":" << static_cast<double>(ev.dur_ns) / 1e3;
+        << ",\"ts\":";
+    write_micros(out, ev.ts_ns);
+    if (ev.ph == 'X') {
+      out << ",\"dur\":";
+      write_micros(out, ev.dur_ns);
+    }
     if (ev.ph == 'i') out << ",\"s\":\"t\"";
     out << ",\"cat\":\"bdc\"}";
   }

@@ -13,7 +13,10 @@
 //     a per-block live count lets trim_partial() release fully-dead
 //     blocks while neighbors still hold live nodes;
 //   * keeps one freelist array and one bump cursor PER SCHEDULER WORKER,
-//     so the hot allocate/deallocate paths touch no shared state. Under
+//     so the hot allocate/deallocate paths touch no shared state. A
+//     worker's cursor spans an 8 KiB run handed out from one shared carve
+//     block, not a whole block of its own: a sparsely used pool touched
+//     by P workers then holds one partly carved block, not P. Under
 //     the library's phase-concurrency contract, concurrent allocation on
 //     one pool only ever comes from distinct scheduler workers (slot 0 is
 //     the external driver, slots 1..P-1 the pool threads), so per-worker
@@ -48,6 +51,7 @@
 // mutex-guarded overflow slot; correctness never depends on the fast path.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cassert>
@@ -67,10 +71,12 @@ class node_pool {
  public:
   static constexpr size_t kGranularity = 16;       // size-class step (bytes)
   static constexpr size_t kMaxBytes = 1024;        // largest pooled node
-  static constexpr size_t kBlockBytes = 64 * 1024; // carve unit (aligned)
+  static constexpr size_t kBlockBytes = 64 * 1024; // OS unit (aligned)
   static constexpr size_t kHeaderBytes = 64;       // per-block header area
+  static constexpr size_t kRunBytes = 8 * 1024;    // per-worker carve unit
   static_assert((kBlockBytes & (kBlockBytes - 1)) == 0,
                 "block size must be a power of two for header lookup");
+  static_assert(kRunBytes >= kMaxBytes, "a run must fit the largest node");
 
   struct stats_snapshot {
     uint64_t fresh = 0;     // nodes served by carving new block space
@@ -264,6 +270,8 @@ class node_pool {
     size_t released = 0;
     {
       std::lock_guard<std::mutex> lock(blocks_mutex_);
+      shared_cursor_ = nullptr;
+      shared_remaining_ = 0;
       while (blocks_.size() > keep_blocks) {
         release_block(blocks_.back());
         blocks_.pop_back();
@@ -303,6 +311,10 @@ class node_pool {
         std::lock_guard<std::mutex> olock(overflow_mutex_);
         protect_cursor(overflow_);
       }
+      if (shared_cursor_ != nullptr && shared_remaining_ > 0)
+        keep.insert(base_of(shared_cursor_));
+      else
+        shared_cursor_ = nullptr;
       for (void* b : blocks_) {
         if (keep.count(b) != 0) continue;
         if (header_of_block(b)->live.load(std::memory_order_relaxed) == 0)
@@ -404,29 +416,42 @@ class node_pool {
       return p;
     }
     size_t bytes = (cls + 1) * kGranularity;
-    if (ws.remaining < bytes) {
-      char* b = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(blocks_mutex_);
-        if (!spare_.empty()) {  // reuse a block retained by trim()
-          b = static_cast<char*>(spare_.back());
-          spare_.pop_back();
-        }
-      }
-      if (b == nullptr) {
-        b = static_cast<char*>(acquire_block());
-        std::lock_guard<std::mutex> lock(blocks_mutex_);
-        blocks_.push_back(b);
-      }
-      ws.cursor = b + kHeaderBytes;
-      ws.remaining = kUsableBytes;
-    }
+    if (ws.remaining < bytes) carve_run(ws, bytes);
     void* p = ws.cursor;
     ws.cursor += bytes;
     ws.remaining -= bytes;
     ws.fresh.fetch_add(1, std::memory_order_relaxed);
     header_of(p)->live.fetch_add(1, std::memory_order_relaxed);
     return p;
+  }
+
+  /// Extends ws's cursor by the next run of the shared carve block, moving
+  /// that cursor to a spare (retained by trim()) or new block once fewer
+  /// than `bytes` remain. ws's old tail is kept when the run continues it
+  /// (no other worker carved in between, as always with one worker) and
+  /// is abandoned in its block otherwise.
+  void carve_run(worker_state& ws, size_t bytes) {
+    std::lock_guard<std::mutex> lock(blocks_mutex_);
+    if (ws.cursor == nullptr || ws.cursor + ws.remaining != shared_cursor_)
+      ws.remaining = 0;
+    if (ws.remaining + shared_remaining_ < bytes) {
+      char* b = nullptr;
+      if (!spare_.empty()) {
+        b = static_cast<char*>(spare_.back());
+        spare_.pop_back();
+      } else {
+        b = static_cast<char*>(acquire_block());
+        blocks_.push_back(b);
+      }
+      shared_cursor_ = b + kHeaderBytes;
+      shared_remaining_ = kUsableBytes;
+      ws.remaining = 0;
+    }
+    if (ws.remaining == 0) ws.cursor = shared_cursor_;
+    const size_t run = std::min(kRunBytes, shared_remaining_);
+    ws.remaining += run;
+    shared_cursor_ += run;
+    shared_remaining_ -= run;
   }
 
   static void push_free(worker_state& ws, size_t cls, void* p) {
@@ -443,6 +468,8 @@ class node_pool {
   mutable std::mutex blocks_mutex_;
   std::vector<void*> blocks_;  // every block owned (freed in the dtor)
   std::vector<void*> spare_;   // subset of blocks_ currently uncarved
+  char* shared_cursor_ = nullptr;  // next run to hand out (blocks_mutex_)
+  size_t shared_remaining_ = 0;
   std::atomic<uint64_t> trimmed_bytes_{0};
   std::atomic<uint64_t> dead_block_trims_{0};
   std::atomic<uint64_t> limbo_nodes_{0};

@@ -85,7 +85,7 @@ TEST(BlockedEtt, AggregatesTrackCountsAcrossSplices) {
   blocked_ett f(n);
   // Give every vertex distinct counters BEFORE any structure exists, so
   // splices must carry them correctly through every block move.
-  std::vector<ett_substrate::count_delta> deltas;
+  std::vector<count_delta> deltas;
   for (vertex_id v = 0; v < n; ++v)
     deltas.push_back({v, static_cast<int32_t>(v % 3),
                       static_cast<int32_t>(v % 5)});
@@ -120,7 +120,7 @@ TEST(BlockedEtt, FetchPrunesByBlockAggregates) {
   f.batch_link(gen_path(n));
   // Slots on two distant vertices only; the pruned walk must surface
   // exactly them, in tour order, for any want.
-  std::vector<ett_substrate::count_delta> up = {{50, 0, 4}, {333, 0, 6}};
+  std::vector<count_delta> up = {{50, 0, 4}, {333, 0, 6}};
   f.batch_add_counts(up);
   expect_healthy(f, "after counts");
   for (uint64_t want : {1ull, 4ull, 7ull, 10ull, 100ull}) {
@@ -169,7 +169,7 @@ TEST(BlockedEtt, SingletonCollapseAndReps) {
   f.batch_cut(std::vector<edge>{{0, 1}, {1, 2}});
   expect_healthy(f, "after full cut");
   // All singletons again: reps distinct, counts unity, no blocks remain.
-  std::set<ett_substrate::rep> reps;
+  std::set<ett_rep> reps;
   for (vertex_id v = 0; v < 8; ++v) {
     EXPECT_EQ(f.component_counts(v).vertices, 1u);
     reps.insert(f.find_rep(v));

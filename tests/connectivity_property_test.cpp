@@ -9,8 +9,9 @@
 // forks, and CI machines default to whatever nproc happens to be. The
 // grid is additionally crossed with the substrate configurations: each
 // uniform backend (skiplist, treap, blocked) plus the mixed per-level
-// policy (blocked below a threshold, skip list above), so the policy
-// hook's cross-substrate handoffs get the same oracle scrutiny.
+// policy for every ordered pair of distinct backends (one below a
+// threshold, the other above), so the policy hook's cross-substrate
+// handoffs get the same oracle scrutiny.
 #include <gtest/gtest.h>
 
 #include <set>

@@ -3,8 +3,9 @@
 // (util/node_pool.hpp). The cross-structure concurrent serving tests live
 // in concurrent_query_test.cpp; this file pins down the manager's small
 // state machine: pin/advance/limbo-drain interleavings, nested guards,
-// the >kMaxReaders overflow fallback, and the per-block live counts that
-// let trim_partial() release fully-dead blocks.
+// the >kMaxReaders overflow fallback, the per-block live counts that let
+// trim_partial() release fully-dead blocks, and the shared carve block
+// that every worker's runs come from.
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -13,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "parallel/scheduler.hpp"
+#include "test_workers.hpp"
 #include "util/epoch.hpp"
 #include "util/node_pool.hpp"
 
@@ -253,6 +256,19 @@ TEST(NodePoolEpoch, ReclaimDefersUntilReadersPass) {
   pool.drain_limbo();
   pool.bind_epochs(nullptr);  // limbo empty: unbinding is legal again
   EXPECT_FALSE(pool.deferred());
+}
+
+TEST(NodePool, WorkersShareOneCarveBlock) {
+  // Every worker carves runs from one shared block, so a few nodes from
+  // each worker of a 4-worker pool fit one block, not one per worker.
+  ::bdc::testing::worker_pool_guard workers(4);
+  node_pool pool;  // after the resize: per-worker slots freeze here
+  std::vector<void*> nodes(256);
+  parallel_for(
+      0, nodes.size(), [&](size_t i) { nodes[i] = pool.allocate(64); }, 1);
+  EXPECT_EQ(pool.stats().blocks, 1u);
+  for (void* p : nodes) pool.deallocate(p, 64);
+  EXPECT_EQ(pool.stats().outstanding(), 0u);
 }
 
 TEST(NodePoolEpoch, TrimPartialReleasesOnlyDeadBlocks) {

@@ -1,11 +1,8 @@
 // Euler-tour substrate tests, value-parameterized over every backend
-// (skip list, treap, blocked) crossed with both dispatch modes of the
-// substrate layer (the devirtualized std::variant fast path and the
-// ett_substrate virtual bridge): model-based randomized batches of
-// links/cuts against a union-find oracle, augmentation counters, fetch
-// primitives, and internal consistency after every batch. Every
-// configuration must satisfy the identical forest contract — a dispatch
-// mode is pure routing and must never change a single answer.
+// (skip list, treap, blocked) behind ett_forest: model-based randomized
+// batches of links/cuts against a union-find oracle, augmentation
+// counters, fetch primitives, and internal consistency after every batch.
+// Every backend must satisfy the identical forest contract.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -30,7 +27,7 @@ class EttSubstrate : public ::testing::TestWithParam<ett_config> {
  protected:
   [[nodiscard]] ett_forest make(vertex_id n,
                                 uint64_t seed = 0xe77e77) const {
-    return ett_forest(GetParam().sub, n, seed, GetParam().disp);
+    return ett_forest(GetParam().sub, n, seed);
   }
 };
 
@@ -48,14 +45,9 @@ TEST_P(EttSubstrate, EmptyForestBasics) {
   EXPECT_TRUE(f.check_consistency().empty());
 }
 
-TEST_P(EttSubstrate, DispatchModePinned) {
+TEST_P(EttSubstrate, SubstratePinned) {
   ett_forest f = make(4);
   EXPECT_EQ(f.substrate_kind(), GetParam().sub);
-  EXPECT_EQ(f.dispatch_kind(), GetParam().disp);
-  // The bridge always exposes the same underlying forest.
-  f.link({0, 1});
-  EXPECT_TRUE(f.bridge().connected(0, 1));
-  EXPECT_EQ(f.bridge().num_edges(), f.num_edges());
 }
 
 TEST_P(EttSubstrate, SingleLinkCut) {
@@ -106,7 +98,7 @@ TEST_P(EttSubstrate, StarBatchLink) {
 TEST_P(EttSubstrate, CountsAndFetch) {
   ett_forest f = make(8);
   f.batch_link(gen_path(8));
-  std::vector<ett_substrate::count_delta> deltas = {{2, 1, 3}, {5, 0, 2}};
+  std::vector<count_delta> deltas = {{2, 1, 3}, {5, 0, 2}};
   f.batch_add_counts(deltas);
   auto cc = f.component_counts(0);
   EXPECT_EQ(cc.vertices, 8u);
@@ -127,7 +119,7 @@ TEST_P(EttSubstrate, CountsAndFetch) {
   EXPECT_EQ(tslots[0].first, 2u);
   EXPECT_EQ(tslots[0].second, 1u);
   // Deltas can be negative.
-  std::vector<ett_substrate::count_delta> down = {{2, -1, -3}, {5, 0, -2}};
+  std::vector<count_delta> down = {{2, -1, -3}, {5, 0, -2}};
   f.batch_add_counts(down);
   cc = f.component_counts(0);
   EXPECT_EQ(cc.tree_edges, 0u);
@@ -181,7 +173,7 @@ TEST_P(EttRandomSweep, BatchesAgainstUnionFindOracle) {
   auto [trial, nn] = trial_n;
   const vertex_id n = static_cast<vertex_id>(nn);
   random_stream rs(trial * 131 + nn);
-  ett_forest f(cfg.sub, n, 1000 + static_cast<uint64_t>(trial), cfg.disp);
+  ett_forest f(cfg.sub, n, 1000 + static_cast<uint64_t>(trial));
   std::set<std::pair<vertex_id, vertex_id>> tree_edges;
   for (int round = 0; round < 25; ++round) {
     // Random batch of links among distinct components.

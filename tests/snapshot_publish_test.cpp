@@ -5,7 +5,7 @@
 //
 //   * Differential: after EVERY committed batch, the published snapshot's
 //     labels must equal a from-scratch components() walk — across all
-//     substrate/dispatch configs and both publish modes. This is the
+//     substrate configs and both publish modes. This is the
 //     direct check that the touched-seed collection (endpoints of every
 //     top-forest link/cut) reaches every component whose membership
 //     changed.

@@ -214,6 +214,18 @@ TEST(TelemetryExport, ChromeTraceIsWellFormed) {
             std::count(s.begin(), s.end(), ']'));
 }
 
+TEST(TelemetryExport, ChromeTraceKeepsNanosecondDigits) {
+  // 12.3 s into a trace: a double at six significant digits would print
+  // ts as 1.23457e+07 and lose everything below 10 microseconds.
+  std::vector<trace_event> evs;
+  evs.push_back({"batch.insert", 12'345'678'901, 1'234, 0, 'X'});
+  std::ostringstream out;
+  export_chrome_trace(out, evs, 0);
+  const std::string s = out.str();
+  EXPECT_NE(s.find("\"ts\":12345678.901,"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"dur\":1.234,"), std::string::npos) << s;
+}
+
 TEST(TelemetryExport, JsonEscape) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b"), "a\\\"b");

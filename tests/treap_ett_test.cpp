@@ -106,16 +106,16 @@ TEST(TreapEtt, ComponentVerticesTourOrder) {
 }
 
 TEST(TreapEtt, BatchSurfaceMatchesSequential) {
-  // Drive the ett_substrate batch API and cross-check the per-edge view.
+  // Drive the batch surface and cross-check the per-edge view.
   const vertex_id n = 32;
   treap_ett f(n);
-  ett_substrate& s = f;
+  treap_ett& s = f;
   auto path = gen_path(n);
   s.batch_link(path);
   EXPECT_EQ(s.num_edges(), path.size());
   EXPECT_TRUE(f.connected(0, n - 1));
 
-  std::vector<ett_substrate::count_delta> deltas = {{3, 1, 2}, {9, 0, 1}};
+  std::vector<count_delta> deltas = {{3, 1, 2}, {9, 0, 1}};
   s.batch_add_counts(deltas);
   auto cc = s.component_counts(0);
   EXPECT_EQ(cc.tree_edges, 1u);
@@ -136,7 +136,7 @@ TEST(TreapEtt, BatchSurfaceMatchesSequential) {
   EXPECT_EQ(reps[0], reps[1]);
   EXPECT_EQ(reps[1], reps[2]);
 
-  s.batch_add_counts(std::vector<ett_substrate::count_delta>{
+  s.batch_add_counts(std::vector<count_delta>{
       {3, -1, -2}, {9, 0, -1}});
   std::vector<edge> cuts(path.begin(), path.begin() + 8);
   s.batch_cut(cuts);
@@ -248,14 +248,14 @@ TEST_F(TreapEttParallel, BulkAddCounts) {
   const vertex_id n = 800;
   treap_ett f(n, 9);
   f.batch_link(gen_random_forest(n, 8, 11));
-  std::vector<ett_substrate::count_delta> up;
+  std::vector<count_delta> up;
   for (vertex_id v = 0; v < n; v += 2) up.push_back({v, 1, 2});
   f.batch_add_counts(up);
   expect_consistent(f, "after bulk add_counts");
   auto cc = f.component_counts(0);
   EXPECT_GT(cc.tree_edges, 0u);
   EXPECT_EQ(cc.nontree_edges, 2 * cc.tree_edges);
-  std::vector<ett_substrate::count_delta> down;
+  std::vector<count_delta> down;
   for (vertex_id v = 0; v < n; v += 2) down.push_back({v, -1, -2});
   f.batch_add_counts(down);
   expect_consistent(f, "after bulk counter removal");

@@ -117,8 +117,7 @@ TEST(VertexDirectory, ParallelActivationSharingChunks) {
 }
 
 // ---------------------------------------------------------------------
-// Substrate-level activation hygiene, over the full substrate x dispatch
-// grid.
+// Substrate-level activation hygiene, over every substrate.
 // ---------------------------------------------------------------------
 
 class SparseSubstrate : public ::testing::TestWithParam<testing::ett_config> {
@@ -127,7 +126,7 @@ class SparseSubstrate : public ::testing::TestWithParam<testing::ett_config> {
 TEST_P(SparseSubstrate, ActiveVerticesTrackTouchedSet) {
   const auto& cfg = GetParam();
   const vertex_id n = 1 << 20;
-  ett_forest f(cfg.sub, n, /*seed=*/42, cfg.disp);
+  ett_forest f(cfg.sub, n, /*seed=*/42);
   EXPECT_EQ(f.active_vertices(), 0u);
   const size_t empty_bytes = f.directory_bytes();
 
@@ -153,13 +152,13 @@ TEST_P(SparseSubstrate, ActiveVerticesTrackTouchedSet) {
 TEST_P(SparseSubstrate, HighVertexIdMidStreamFirstTouch) {
   const auto& cfg = GetParam();
   const vertex_id n = 1 << 20;
-  ett_forest f(cfg.sub, n, /*seed=*/7, cfg.disp);
+  ett_forest f(cfg.sub, n, /*seed=*/7);
 
   // Run a few batches entirely among low ids first, so the directory has
   // settled into low chunks before the high range is ever touched.
   std::vector<edge> low = {{0, 1}, {1, 2}, {2, 3}};
   f.batch_link(low);
-  std::vector<ett_forest::count_delta> low_counts = {{1, 0, 2}, {3, 0, 1}};
+  std::vector<count_delta> low_counts = {{1, 0, 2}, {3, 0, 1}};
   f.batch_add_counts(low_counts);
   ASSERT_EQ(f.check_consistency(), "");
 
@@ -167,7 +166,7 @@ TEST_P(SparseSubstrate, HighVertexIdMidStreamFirstTouch) {
   // (activation without counters) and a counter-only vertex.
   std::vector<edge> high = {{n - 1, n - 2}};
   f.batch_link(high);
-  std::vector<ett_forest::count_delta> high_counts = {{n - 3, 0, 1}};
+  std::vector<count_delta> high_counts = {{n - 3, 0, 1}};
   f.batch_add_counts(high_counts);
   EXPECT_TRUE(f.connected(n - 1, n - 2));
   EXPECT_FALSE(f.connected(n - 1, 0));
@@ -176,7 +175,7 @@ TEST_P(SparseSubstrate, HighVertexIdMidStreamFirstTouch) {
   EXPECT_EQ(f.check_consistency(), "");
 
   // And the high vertices deactivate independently of the low ones.
-  std::vector<ett_forest::count_delta> undo = {{n - 3, 0, -1}};
+  std::vector<count_delta> undo = {{n - 3, 0, -1}};
   f.batch_add_counts(undo);
   f.batch_cut(high);
   // Only the low path remains: the low counter deltas landed on path

@@ -10,7 +10,7 @@
 //                      hdt|static|incremental]
 //                     [--substrate=skiplist|treap|blocked]
 //                     [--policy=<substrate>:<threshold>]
-//                     [--dispatch=static|virtual] [--workers=N]
+//                     [--workers=N]
 //                     [--check] <stream-file>
 //   stream_runner            (no args: self-demo on a generated stream)
 //
@@ -25,10 +25,10 @@
 // <threshold> to <substrate> (per-level substrate mixing, e.g.
 // --policy=blocked:8 for blocked tours on the bottom eight levels); a
 // policy naming the primary substrate is uniform and is reported as such.
-// --dispatch=virtual forces the ett_substrate virtual bridge instead of
-// the devirtualized variant fast path (an A/B lever; see
-// src/ett/ett_forest.hpp). --workers rebuilds the scheduler pool before
-// the replay (equivalent to BDC_NUM_WORKERS, but scoped to this run).
+// Without either flag each engine keeps its library default (options{}
+// for the dynamic engines, router_options{} for auto). --workers
+// rebuilds the scheduler pool before the replay (equivalent to
+// BDC_NUM_WORKERS, but scoped to this run).
 // --serve-queries=T enables the epoch-snapshot read service and spawns T
 // plain std::threads that hammer snapshot_query() connectivity reads
 // CONCURRENTLY with the update batches; every recorded answer is
@@ -526,8 +526,8 @@ int finish_check(const oracle_checker* chk) {
 }
 
 int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
-                  substrate sub, level_policy policy, dispatch disp,
-                  unsigned serve_threads, publish_mode pub, bool check) {
+                  std::optional<substrate> sub,
+                  std::optional<level_policy> policy, unsigned serve_threads, publish_mode pub, bool check) {
   oracle_checker chk;
   chk.n = n;
   chk.track_deletes = eng != engine_kind::incremental;
@@ -544,9 +544,8 @@ int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
                : eng == engine_kind::dynamic_simple
                    ? level_search_kind::simple
                    : level_search_kind::scan_all;
-    o.substrate = sub;
-    o.policy = policy;
-    o.dispatch = disp;
+    if (sub) o.substrate = *sub;
+    if (policy) o.policy = *policy;
     o.concurrent_reads = serve_threads > 0;
     o.publish = pub;
     batch_dynamic_connectivity s(n, o);
@@ -589,9 +588,8 @@ int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
   }
   if (eng == engine_kind::auto_router) {
     router_options ro;
-    ro.dynamic_opts.substrate = sub;
-    ro.dynamic_opts.policy = policy;
-    ro.dynamic_opts.dispatch = disp;
+    if (sub) ro.dynamic_opts.substrate = *sub;
+    if (policy) ro.dynamic_opts.policy = *policy;
     engine_router s(n, ro);
     std::string label = "auto/" + config_label(ro.dynamic_opts);
     obs::metric_registry::global().reset();
@@ -653,8 +651,8 @@ int self_demo(unsigned serve_threads, publish_mode pub) {
   // exercise the snapshot path, the blocked pass the live seqlock probe.
   for (substrate sub :
        {substrate::skiplist, substrate::treap, substrate::blocked}) {
-    if (int rc = run_structure(engine_kind::dynamic, n, stream, sub, {},
-                               dispatch::static_variant, serve_threads, pub,
+    if (int rc = run_structure(engine_kind::dynamic, n, stream, sub,
+                               std::nullopt, serve_threads, pub,
                                /*check=*/false);
         rc != 0)
       return rc;
@@ -662,16 +660,14 @@ int self_demo(unsigned serve_threads, publish_mode pub) {
   if (int rc = run_structure(engine_kind::dynamic, n, stream,
                              substrate::skiplist,
                              level_policy{8, substrate::blocked},
-                             dispatch::static_variant, serve_threads, pub,
-                             /*check=*/false);
+                             serve_threads, pub, /*check=*/false);
       rc != 0)
     return rc;
   for (engine_kind eng :
        {engine_kind::dynamic_simple, engine_kind::hdt,
         engine_kind::static_recompute, engine_kind::auto_router}) {
-    if (int rc = run_structure(eng, n, stream, substrate::skiplist, {},
-                               dispatch::static_variant, 0, pub,
-                               /*check=*/false);
+    if (int rc = run_structure(eng, n, stream, std::nullopt, std::nullopt,
+                               0, pub, /*check=*/false);
         rc != 0)
       return rc;
   }
@@ -687,7 +683,7 @@ int usage(const char* prog) {
                "dynamic-scanall|hdt|static|incremental] "
                "[--substrate=skiplist|treap|blocked] "
                "[--policy=<substrate>:<threshold>] "
-               "[--dispatch=static|virtual] [--workers=N] "
+               "[--workers=N] "
                "[--serve-queries=T] [--publish=incremental|full] "
                "[--metrics=FILE] [--trace=FILE] "
                "[--assert-gauge-max=NAME:MAX] "
@@ -727,9 +723,8 @@ int main(int argc, char** argv) {
 
   // Flags may appear anywhere; everything else is positional.
   engine_kind eng = engine_kind::dynamic;
-  substrate sub = substrate::skiplist;
-  level_policy policy;
-  dispatch disp = dispatch::static_variant;
+  std::optional<substrate> sub;
+  std::optional<level_policy> policy;
   unsigned serve_threads = 0;
   publish_mode pub = publish_mode::incremental;
   bool check = false;
@@ -772,15 +767,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       policy = level_policy{threshold, *parsed};
-    } else if (a.rfind("--dispatch=", 0) == 0) {
-      auto parsed = dispatch_from_string(a.substr(11));
-      if (!parsed) {
-        std::fprintf(stderr,
-                     "bad --dispatch value '%s' (want static|virtual)\n",
-                     a.c_str() + 11);
-        return 2;
-      }
-      disp = *parsed;
     } else if (a.rfind("--workers=", 0) == 0) {
       const char* value = a.c_str() + 10;
       char* end = nullptr;
@@ -930,7 +916,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot read stream file '%s'\n", args[1].c_str());
       return 2;
     }
-    return finish_run(run_structure(eng, n, stream, sub, policy, disp,
+    return finish_run(run_structure(eng, n, stream, sub, policy,
                                     serve_threads, pub, check));
   }
   return usage(argv[0]);
