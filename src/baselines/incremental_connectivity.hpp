@@ -2,8 +2,8 @@
 // connectivity via concurrent union-find, after Simsiri, Tangwongsan,
 // Tirthapura, Wu (Euro-Par 2016) [57]. Supports batch insertions and batch
 // queries only — the restricted setting the paper's introduction contrasts
-// against. Used by experiment E11, and as the insert-only engine behind
-// engine_router (src/core/engine_router.hpp).
+// against. Serves as the insert-only engine behind engine_router
+// (src/core/engine_router.hpp).
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,8 @@
 //
 // Maintains only the edge set; every query epoch rebuilds component labels
 // with the parallel static connectivity of src/spanning. This is the
-// comparator for experiment E7 (dynamic-vs-static crossover).
+// comparator of bench_delete_batch's BM_EpochVsStatic (E7,
+// dynamic-vs-static crossover).
 #pragma once
 
 #include <atomic>

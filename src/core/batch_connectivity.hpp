@@ -91,8 +91,9 @@ struct options {
 /// mixed configuration that is actually uniform is labelled uniform.
 [[nodiscard]] std::string config_label(const options& opts);
 
-/// Cumulative instrumentation (benchmarks E4/E9 and the paper's
-/// depth/work accounting). All counters are totals since construction.
+/// Cumulative instrumentation (bench_delete_batch's level-search ablation,
+/// the CostModel tests, and the paper's depth/work accounting). All
+/// counters are totals since construction.
 struct statistics {
   uint64_t batches_inserted = 0;
   uint64_t batches_deleted = 0;

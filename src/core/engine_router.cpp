@@ -90,10 +90,6 @@ std::vector<bool> engine_router::batch_connected(
     std::span<const std::pair<vertex_id, vertex_id>> qs) const {
   note_phase(op_kind::query);
   stats_.query_batches++;
-  if (!opts_.cache_queries) {
-    return dynamic_ ? dynamic_->batch_connected(qs)
-                    : inc_.batch_connected(qs);
-  }
   // Gather the endpoints this epoch has not resolved yet. Stamping at
   // gather time both dedupes within the batch and records the claim; the
   // memo write lands before any answer below reads it.

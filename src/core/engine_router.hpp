@@ -47,8 +47,6 @@ struct router_options {
   /// Defaults to the blocked substrate (fastest at every scale measured
   /// so far; see README).
   options dynamic_opts;
-  /// Per-epoch rep-pair memo for query batches (disable to A/B).
-  bool cache_queries = true;
 };
 
 /// Cumulative router instrumentation (stream_runner report, bench_router).

@@ -3,24 +3,31 @@
 // mutation. The whole suite is value-parameterized over the shared
 // substrate-config table (tests/test_substrates.hpp): every uniform
 // Euler-tour backend plus the mixed per-level policy for every ordered
-// pair of distinct backends.
+// pair of distinct backends. The CostModel suites hold the work counters
+// (stats()) to the paper's charging argument.
 // Randomized cross-engine property tests live in
 // connectivity_property_test.cpp.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <tuple>
 #include <vector>
 
 #include "core/batch_connectivity.hpp"
 #include "gen/graph_gen.hpp"
+#include "gen/update_stream.hpp"
 #include "test_substrates.hpp"
+#include "test_workers.hpp"
 
 namespace bdc {
 namespace {
 
+using ::bdc::testing::ett_config;
+using ::bdc::testing::kEttConfigs;
 using ::bdc::testing::kSubConfigs;
 using ::bdc::testing::sub_config;
+using ::bdc::testing::worker_pool_guard;
 
 void expect_healthy(const batch_dynamic_connectivity& dc,
                     const char* where) {
@@ -338,6 +345,88 @@ INSTANTIATE_TEST_SUITE_P(
                                          level_search_kind::scan_all),
                        ::testing::ValuesIn(kSubConfigs)),
     engine_name);
+
+// ---------------------------------------------------------------------
+// Cost model: the work counters against the paper's charging argument.
+// ---------------------------------------------------------------------
+
+class CostModel : public ::testing::TestWithParam<sub_config> {};
+
+// An edge enters at the top level and every counted push lowers it by
+// exactly one level, so no stream can push more than top() times per
+// insertion. Hub churn deletes and re-inserts the same edges, so pushes
+// accumulate across rounds against a re-counted insert total.
+TEST_P(CostModel, PushesBoundedByInsertsTimesTop) {
+  const vertex_id n = 1024;
+  auto graph = gen_rmat(n, 4096, 71);
+  auto stream = make_hub_churn_stream(graph, n, 64, /*rounds=*/2, 72);
+  batch_dynamic_connectivity dc(n, GetParam().apply({}));
+  const auto top = static_cast<uint64_t>(dc.levels().top());
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const auto& b = stream[i];
+    if (b.op == update_batch::kind::insert) dc.batch_insert(b.edges);
+    if (b.op == update_batch::kind::erase) dc.batch_delete(b.edges);
+    const statistics& st = dc.stats();
+    ASSERT_LE(st.edges_pushed, st.edges_inserted * top) << "batch " << i;
+  }
+  EXPECT_GT(dc.stats().edges_pushed, 0u) << "stream never pushed an edge";
+  expect_healthy(dc, "hub churn");
+}
+
+INSTANTIATE_TEST_SUITE_P(Substrates, CostModel,
+                         ::testing::ValuesIn(kSubConfigs), config_name);
+
+class CostModelAblation : public ::testing::TestWithParam<ett_config> {};
+
+// Calibrated at this test's size over ten graph/stream seeds on every
+// uniform substrate: scan_all fetched 27x-41x the larger of the two
+// doubling engines' counts (about 70x at the benchmark's n=2048).
+// 10x holds on every seed with room to spare.
+constexpr uint64_t kScanAllFactor = 10;
+
+// The section 3.3 ablation: scanning every non-tree edge of a component
+// per round fetches work the doubling search never charges to a push.
+// On a dense graph, at 1 worker so the counts are deterministic, all
+// three searches must agree on every answer while scan_all fetches many
+// times more edges than either doubling engine.
+TEST_P(CostModelAblation, ScanAllFetchesMoreThanDoubling) {
+  worker_pool_guard pool(1);
+  const vertex_id n = 512;
+  auto graph = gen_erdos_renyi(n, 8 * static_cast<size_t>(n), 91);
+  auto stream = make_deletion_stream(graph, n, 4096, 64, 0, 92);
+  std::vector<std::unique_ptr<batch_dynamic_connectivity>> dcs;
+  for (auto kind : {level_search_kind::interleaved, level_search_kind::simple,
+                    level_search_kind::scan_all}) {
+    options o;
+    o.search = kind;
+    o.substrate = GetParam().sub;
+    dcs.push_back(std::make_unique<batch_dynamic_connectivity>(n, o));
+  }
+  for (size_t i = 0; i < stream.size(); ++i) {
+    for (auto& dc : dcs) {
+      if (stream[i].op == update_batch::kind::insert)
+        dc->batch_insert(stream[i].edges);
+      else
+        dc->batch_delete(stream[i].edges);
+    }
+    auto want = dcs[0]->components();
+    ASSERT_EQ(dcs[1]->components(), want) << "simple, batch " << i;
+    ASSERT_EQ(dcs[2]->components(), want) << "scan_all, batch " << i;
+  }
+  const uint64_t interleaved = dcs[0]->stats().edges_fetched;
+  const uint64_t simple = dcs[1]->stats().edges_fetched;
+  const uint64_t scan_all = dcs[2]->stats().edges_fetched;
+  ASSERT_GT(interleaved, 0u);
+  ASSERT_GT(simple, 0u);
+  EXPECT_GT(scan_all, kScanAllFactor * interleaved);
+  EXPECT_GT(scan_all, kScanAllFactor * simple);
+}
+
+INSTANTIATE_TEST_SUITE_P(Uniform, CostModelAblation,
+                         ::testing::ValuesIn(kEttConfigs),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace bdc

@@ -52,7 +52,6 @@ struct diff_params {
   size_t batch;
   unsigned workers;  // 0 = hardware pool
   uint64_t seed;
-  bool cache;  // router memo on/off (both must be indistinguishable)
 };
 
 class RouterDifferential : public ::testing::TestWithParam<diff_params> {};
@@ -63,8 +62,7 @@ TEST_P(RouterDifferential, PhaseSkewedTraceLockstep) {
   SCOPED_TRACE("repro: n=" + std::to_string(p.n) + " m=" +
                std::to_string(p.m) + " batch=" + std::to_string(p.batch) +
                " workers=" + workers_name(p.workers) + " seed=" +
-               std::to_string(p.seed) + " cache=" +
-               (p.cache ? "on" : "off"));
+               std::to_string(p.seed));
   auto graph = gen_erdos_renyi(p.n, p.m, p.seed);
   auto stream = make_phase_skewed_stream(graph, p.n, p.batch,
                                          /*flood_batches=*/4,
@@ -81,7 +79,6 @@ TEST_P(RouterDifferential, PhaseSkewedTraceLockstep) {
   }
 
   router_options ro;
-  ro.cache_queries = p.cache;
   engine_router router(p.n, ro);
   batch_dynamic_connectivity dynamic(p.n, ro.dynamic_opts);
   hdt_connectivity hdt(p.n);
@@ -143,9 +140,6 @@ TEST_P(RouterDifferential, PhaseSkewedTraceLockstep) {
   EXPECT_GT(st.batches_on_unionfind, 0u);
   EXPECT_GT(st.batches_on_dynamic, 0u);
   EXPECT_LE(st.cache_hits, st.cache_lookups);
-  if (!p.cache) {
-    EXPECT_EQ(st.cache_lookups, 0u);
-  }
 
   // components() labelling agrees with a from-scratch oracle walk.
   union_find oracle(p.n);
@@ -164,18 +158,17 @@ TEST_P(RouterDifferential, PhaseSkewedTraceLockstep) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, RouterDifferential,
-    ::testing::Values(diff_params{256, 512, 16, 1, 11, true},
-                      diff_params{256, 512, 16, 1, 12, false},
-                      diff_params{512, 1536, 64, 2, 13, true},
-                      diff_params{1024, 4096, 96, 0, 14, true},
-                      diff_params{1024, 4096, 96, 0, 15, false},
-                      diff_params{2048, 8192, 128, 0, 16, true}),
+    ::testing::Values(diff_params{256, 512, 16, 1, 11},
+                      diff_params{256, 512, 16, 1, 12},
+                      diff_params{512, 1536, 64, 2, 13},
+                      diff_params{1024, 4096, 96, 0, 14},
+                      diff_params{1024, 4096, 96, 0, 15},
+                      diff_params{2048, 8192, 128, 0, 16}),
     [](const ::testing::TestParamInfo<diff_params>& info) {
       return "n" + std::to_string(info.param.n) + "_b" +
              std::to_string(info.param.batch) + "_w" +
              workers_name(info.param.workers) + "_s" +
-             std::to_string(info.param.seed) +
-             (info.param.cache ? "_cache" : "_nocache");
+             std::to_string(info.param.seed);
     });
 
 // An insert-only trace must never promote: the router stays on the
@@ -349,13 +342,6 @@ TEST(RouterCache, RepeatedFloodBatchesHitTheMemo) {
             r.stats().cache_lookups - lookups_after_first)
       << "second flood batch missed the memo despite no updates";
   EXPECT_GT(r.stats().cache_hits, 0u);
-  // Disabled cache: no lookups counted at all.
-  router_options off;
-  off.cache_queries = false;
-  engine_router r2(n, off);
-  r2.batch_insert(std::vector<edge>{{0, 1}});
-  (void)r2.batch_connected(qs);
-  EXPECT_EQ(r2.stats().cache_lookups, 0u);
 }
 
 // ---------------------------------------------------------------------

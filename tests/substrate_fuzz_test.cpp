@@ -16,9 +16,9 @@
 //     config runs with the read service on, and after every committed
 //     batch the incrementally published snapshot is compared against a
 //     from-scratch components() walk. The adaptive engine_router rides
-//     along as one more lockstep structure (with and without its query
-//     memo), so its union-find epoch, one-shot promotion, and per-epoch
-//     cache face the same adversarial streams as the fixed engines.
+//     along as one more lockstep structure, so its union-find epoch,
+//     one-shot promotion, and per-epoch query memo face the same
+//     adversarial streams as the fixed engines.
 //
 // The grid is {substrate} x {workers: 1, 2, hardware} x {batch size}, and
 // every stream seed is a deterministic function of those parameters, so a
@@ -386,20 +386,13 @@ std::string replay_bdc(vertex_id n, uint64_t seed, const bdc_stream& stream,
     o.concurrent_reads = true;
     dcs.push_back(std::make_unique<batch_dynamic_connectivity>(n, o));
   }
-  // The adaptive router replays the same stream, once per memo setting.
-  // Its promoted engine uses the first kSubConfigs entry's options so a
-  // divergence still pins a config.
-  std::vector<std::unique_ptr<engine_router>> routers;
-  for (bool cache : {true, false}) {
-    router_options ro;
-    ro.dynamic_opts.seed = seed ^ (cache ? 0x200 : 0x201);
-    ro.dynamic_opts = kSubConfigs[0].apply(ro.dynamic_opts);
-    ro.cache_queries = cache;
-    routers.push_back(std::make_unique<engine_router>(n, ro));
-  }
-  auto router_name = [](size_t ri) {
-    return std::string(ri == 0 ? "router(cache)" : "router(nocache)");
-  };
+  // The adaptive router replays the same stream. Its promoted engine uses
+  // the first kSubConfigs entry's options so a divergence still pins a
+  // config.
+  router_options ro;
+  ro.dynamic_opts.seed = seed ^ 0x200;
+  ro.dynamic_opts = kSubConfigs[0].apply(ro.dynamic_opts);
+  engine_router router(n, ro);
   std::set<std::pair<vertex_id, vertex_id>> present;
   auto check_all = [&](size_t bi) -> std::string {
     for (size_t ci = 0; ci < dcs.size(); ++ci) {
@@ -413,17 +406,13 @@ std::string replay_bdc(vertex_id n, uint64_t seed, const bdc_stream& stream,
         return std::string(kSubConfigs[ci].name) + ": " + rep.message +
                " after batch " + std::to_string(bi);
     }
-    for (size_t ri = 0; ri < routers.size(); ++ri) {
-      if (routers[ri]->num_edges() != present.size())
-        return router_name(ri) + ": edge count " +
-               std::to_string(routers[ri]->num_edges()) + " != oracle " +
-               std::to_string(present.size()) + " after batch " +
-               std::to_string(bi);
-      const auto& rs = routers[ri]->stats();
-      if (rs.promotions > 1)
-        return router_name(ri) + ": promoted " +
-               std::to_string(rs.promotions) + " times (must be one-shot)";
-    }
+    if (router.num_edges() != present.size())
+      return "router: edge count " + std::to_string(router.num_edges()) +
+             " != oracle " + std::to_string(present.size()) +
+             " after batch " + std::to_string(bi);
+    if (router.stats().promotions > 1)
+      return "router: promoted " + std::to_string(router.stats().promotions) +
+             " times (must be one-shot)";
     return "";
   };
   // The incremental publisher's differential: after EVERY committed
@@ -446,7 +435,7 @@ std::string replay_bdc(vertex_id n, uint64_t seed, const bdc_stream& stream,
     switch (b.op) {
       case bdc_batch::kind::insert:
         for (auto& dc : dcs) dc->batch_insert(b.edges);
-        for (auto& r : routers) r->batch_insert(b.edges);
+        router.batch_insert(b.edges);
         for (auto e : b.edges)
           if (!e.is_self_loop() && e.u < n && e.v < n)
             present.insert({e.canonical().u, e.canonical().v});
@@ -454,7 +443,7 @@ std::string replay_bdc(vertex_id n, uint64_t seed, const bdc_stream& stream,
         break;
       case bdc_batch::kind::erase:
         for (auto& dc : dcs) dc->batch_delete(b.edges);
-        for (auto& r : routers) r->batch_delete(b.edges);
+        router.batch_delete(b.edges);
         for (auto& e : b.edges)
           present.erase({e.canonical().u, e.canonical().v});
         if (auto err = check_snapshots(bi); !err.empty()) return err;
@@ -483,11 +472,10 @@ std::string replay_bdc(vertex_id n, uint64_t seed, const bdc_stream& stream,
                                    kSubConfigs[ci].name);
           if (!err.empty()) return err;
         }
-        for (size_t ri = 0; ri < routers.size(); ++ri) {
-          auto err = check_queries(routers[ri]->batch_connected(b.queries),
-                                   router_name(ri));
-          if (!err.empty()) return err;
-        }
+        if (auto err = check_queries(router.batch_connected(b.queries),
+                                     "router");
+            !err.empty())
+          return err;
         break;
       }
     }

@@ -50,7 +50,10 @@
 //
 // Vertex ids in a stream file need not be < the header's n: every
 // structure validates its inputs at the public API (out-of-range updates
-// are dropped, out-of-range queries answer false).
+// are dropped, out-of-range queries answer false). Each id must still be
+// an unsigned decimal of at most 2^32 - 1, and each batch line must hold
+// an even number of them; any other line fails the run with a
+// "file:line:" error instead of being truncated or wrapped.
 //
 // Stream file format (text): first line "n <N>", then one line per batch:
 //   I <u1> <v1> <u2> <v2> ...     insertion batch
@@ -58,6 +61,7 @@
 //   Q <u1> <v1> ...               connectivity-query batch
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -66,6 +70,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -132,38 +137,75 @@ void write_stream(const std::string& path, vertex_id n,
   }
 }
 
-bool read_stream(const std::string& path, vertex_id& n,
-                 update_stream& stream) {
+/// One unsigned decimal vertex id: no sign, no trailing characters, and
+/// at most 2^32 - 1. Ids past the header's n still parse; every structure
+/// range-checks them at its own API.
+std::optional<vertex_id> parse_id(std::string_view tok) {
+  vertex_id id = 0;
+  const char* last = tok.data() + tok.size();
+  auto [end, ec] = std::from_chars(tok.data(), last, id);
+  if (ec != std::errc{} || end != last) return std::nullopt;
+  return id;
+}
+
+/// Parses a text stream file. Returns "" on success, else a located
+/// "path:line: reason" error: a signed, garbage or out-of-range token, an
+/// odd id count or an unknown tag rejects the whole file rather than
+/// ending a batch early.
+std::string read_stream(const std::string& path, vertex_id& n,
+                        update_stream& stream) {
   std::ifstream in(path);
-  if (!in) return false;
-  std::string tag;
-  if (!(in >> tag) || tag != "n" || !(in >> n)) return false;
+  if (!in) return "cannot read stream file '" + path + "'";
   std::string line;
-  std::getline(in, line);  // eat rest of header line
+  size_t line_no = 0;
+  bool have_header = false;
+  auto located = [&](const std::string& why) {
+    return path + ":" + std::to_string(line_no) + ": " + why;
+  };
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
+    ++line_no;
     std::istringstream ls(line);
-    char op;
-    ls >> op;
+    std::string tag, tok;
+    if (!(ls >> tag)) continue;  // blank line
+    std::vector<vertex_id> ids;
+    while (ls >> tok) {
+      auto id = parse_id(tok);
+      if (!id) {
+        return located("'" + tok +
+                       "' is not a vertex id (unsigned, at most 4294967295)");
+      }
+      ids.push_back(*id);
+    }
+    if (!have_header) {
+      if (tag != "n" || ids.size() != 1)
+        return located("expected header 'n <vertex count>'");
+      n = ids[0];
+      have_header = true;
+      continue;
+    }
     update_batch b;
-    vertex_id u, v;
-    switch (op) {
-      case 'I':
-      case 'D':
-        b.op = op == 'I' ? update_batch::kind::insert
-                         : update_batch::kind::erase;
-        while (ls >> u >> v) b.edges.push_back({u, v});
-        break;
-      case 'Q':
-        b.op = update_batch::kind::query;
-        while (ls >> u >> v) b.queries.push_back({u, v});
-        break;
-      default:
-        return false;
+    if (tag == "I") {
+      b.op = update_batch::kind::insert;
+    } else if (tag == "D") {
+      b.op = update_batch::kind::erase;
+    } else if (tag == "Q") {
+      b.op = update_batch::kind::query;
+    } else {
+      return located("unknown batch tag '" + tag + "' (expected I, D or Q)");
+    }
+    if (ids.size() % 2 != 0)
+      return located("odd number of vertex ids (" +
+                     std::to_string(ids.size()) + ")");
+    for (size_t i = 0; i < ids.size(); i += 2) {
+      if (b.op == update_batch::kind::query)
+        b.queries.push_back({ids[i], ids[i + 1]});
+      else
+        b.edges.push_back({ids[i], ids[i + 1]});
     }
     stream.push_back(std::move(b));
   }
-  return true;
+  if (!have_header) return path + ": missing header 'n <vertex count>'";
+  return {};
 }
 
 /// Min-vertex component labels of the canonical edge set (the oracle).
@@ -912,8 +954,8 @@ int main(int argc, char** argv) {
   if (cmd == "run" && args.size() == 2) {
     vertex_id n = 0;
     update_stream stream;
-    if (!read_stream(args[1], n, stream)) {
-      std::fprintf(stderr, "cannot read stream file '%s'\n", args[1].c_str());
+    if (auto err = read_stream(args[1], n, stream); !err.empty()) {
+      std::fprintf(stderr, "%s\n", err.c_str());
       return 2;
     }
     return finish_run(run_structure(eng, n, stream, sub, policy,
