@@ -45,7 +45,7 @@ void leveled_adjacency::insert_grouped(const grouped& by_endpoint,
           list.push_back(c);
         }
       },
-      1);
+      work_grain(by_endpoint.num_groups(), by_endpoint.records.size()));
 }
 
 void leveled_adjacency::erase_grouped(const grouped& by_endpoint,
@@ -77,7 +77,7 @@ void leveled_adjacency::erase_grouped(const grouped& by_endpoint,
           }
         }
       },
-      1);
+      work_grain(by_endpoint.num_groups(), by_endpoint.records.size()));
 }
 
 void leveled_adjacency::change_kind_grouped(const grouped& by_endpoint,
@@ -113,7 +113,7 @@ void leveled_adjacency::change_kind_grouped(const grouped& by_endpoint,
           to.push_back(c);
         }
       },
-      1);
+      work_grain(by_endpoint.num_groups(), by_endpoint.records.size()));
 }
 
 uint32_t leveled_adjacency::tree_degree(vertex_id u) const {

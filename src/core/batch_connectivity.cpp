@@ -596,12 +596,15 @@ batch_dynamic_connectivity::resolve_pieces(
     out.push_back({pairs[i].second, pairs[i].first, 0, 0, 0});
   }
   f->visit([&](auto& fc) {
-    parallel_for(0, out.size(), [&](size_t i) {
-      ett_counts c = fc.component_counts(out[i].seed);
-      out[i].size = c.vertices;
-      out[i].nontree_slots = c.nontree_edges;
-      out[i].tree_slots = c.tree_edges;
-    });
+    parallel_for(
+        0, out.size(),
+        [&](size_t i) {
+          ett_counts c = fc.component_counts(out[i].seed);
+          out[i].size = c.vertices;
+          out[i].nontree_slots = c.nontree_edges;
+          out[i].tree_slots = c.tree_edges;
+        },
+        kWalkGrain);
   });
   return out;
 }
@@ -619,7 +622,7 @@ void batch_dynamic_connectivity::push_tree_edges(
         auto slots = f.fetch_tree(active[i].seed, active[i].tree_slots);
         ls_.expand_fetch(level, /*nontree=*/false, slots, per_piece[i]);
       },
-      1);
+      kWalkGrain);
   std::vector<edge> all = flatten(per_piece);
   dedupe(all);  // each edge appears once per endpoint
   stats_.edges_pushed += all.size();
@@ -695,14 +698,17 @@ void batch_dynamic_connectivity::level_search_simple(
         // connectivity checks are direct calls inside the visit arm).
         std::atomic<size_t> first{ec.size()};
         f.visit([&](auto& fc) {
-          parallel_for(0, ec.size(), [&](size_t j) {
-            if (!fc.connected(ec[j].u, ec[j].v)) {
-              size_t cur = first.load(std::memory_order_relaxed);
-              while (j < cur && !first.compare_exchange_weak(
-                                    cur, j, std::memory_order_relaxed)) {
-              }
-            }
-          });
+          parallel_for(
+              0, ec.size(),
+              [&](size_t j) {
+                if (!fc.connected(ec[j].u, ec[j].v)) {
+                  size_t cur = first.load(std::memory_order_relaxed);
+                  while (j < cur && !first.compare_exchange_weak(
+                                        cur, j, std::memory_order_relaxed)) {
+                  }
+                }
+              },
+              kWalkGrain);
         });
         size_t fi = first.load(std::memory_order_relaxed);
         if (fi < ec.size()) {
@@ -717,7 +723,7 @@ void batch_dynamic_connectivity::level_search_simple(
         } else {
           any_searching.store(true, std::memory_order_relaxed);
         }
-      }, 1);
+      }, kWalkGrain);
       if (!any_searching.load(std::memory_order_relaxed)) break;
       ++w;
     }
@@ -852,7 +858,7 @@ void batch_dynamic_connectivity::level_search_interleaved(
           probes[j].ec = fetch_nontree_edges(level, p, csz);
           probes[j].exhausted = (csz >= cmax);
         },
-        1);
+        kWalkGrain);
     for (auto& pr : probes) stats_.edges_fetched += pr.ec.size();
 
     // Identify replacement edges (endpoints in different F_level pieces;
@@ -868,7 +874,7 @@ void batch_dynamic_connectivity::level_search_interleaved(
               return !fc.connected(e.u, e.v);
             });
           },
-          1);
+          kWalkGrain);
     });
     std::vector<edge> repl = flatten(repl_chunks);
     dedupe(repl);

@@ -1,7 +1,10 @@
 #include "core/level_structure.hpp"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
+#include "ett/tour_entry.hpp"
 #include "parallel/primitives.hpp"
 #include "parallel/scheduler.hpp"
 #include "sequence/semisort.hpp"
@@ -11,6 +14,14 @@ namespace bdc {
 level_structure::level_structure(vertex_id n, uint64_t seed,
                                  bdc::substrate sub, level_policy policy)
     : n_(n), seed_(seed), substrate_(sub), policy_(policy), dict_(256) {
+  if (static_cast<uint64_t>(n) > uint64_t{kMaxTourVertex} + 1) {
+    std::fprintf(stderr,
+                 "bdc: level_structure: n = %llu exceeds the %llu vertices "
+                 "the Euler-tour tags can hold; aborting\n",
+                 static_cast<unsigned long long>(n),
+                 static_cast<unsigned long long>(kMaxTourVertex) + 1);
+    std::abort();
+  }
   // A "mixed" policy whose low substrate equals the primary one is
   // uniform in everything but name; normalize it away so policy().mixed()
   // and the configuration labels built from it cannot lie in A/B reports.
@@ -223,17 +234,20 @@ void level_structure::expand_fetch(
   size_t total = exclusive_scan(offsets);
   size_t base = out.size();
   out.resize(base + total);
-  parallel_for(0, slots.size(), [&](size_t i) {
-    std::vector<edge> tmp;
-    tmp.reserve(slots[i].second);
-    if (nontree) {
-      a->fetch_nontree(slots[i].first, slots[i].second, tmp);
-    } else {
-      a->fetch_tree(slots[i].first, slots[i].second, tmp);
-    }
-    assert(tmp.size() == slots[i].second);
-    std::copy(tmp.begin(), tmp.end(), out.begin() + base + offsets[i]);
-  });
+  parallel_for(
+      0, slots.size(),
+      [&](size_t i) {
+        std::vector<edge> tmp;
+        tmp.reserve(slots[i].second);
+        if (nontree) {
+          a->fetch_nontree(slots[i].first, slots[i].second, tmp);
+        } else {
+          a->fetch_tree(slots[i].first, slots[i].second, tmp);
+        }
+        assert(tmp.size() == slots[i].second);
+        std::copy(tmp.begin(), tmp.end(), out.begin() + base + offsets[i]);
+      },
+      work_grain(slots.size(), total));
 }
 
 }  // namespace bdc

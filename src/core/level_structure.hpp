@@ -45,6 +45,9 @@ struct level_policy {
 
 class level_structure {
  public:
+  /// Fail-stop on n > kMaxTourVertex + 1 (ett/tour_entry.hpp), in every
+  /// build type: the packed arc tags hold 31-bit vertex ids, and a larger
+  /// id would alias another edge's tag. Prints a diagnostic and aborts.
   level_structure(vertex_id n, uint64_t seed,
                   bdc::substrate sub = substrate::skiplist,
                   level_policy policy = {});

@@ -535,7 +535,8 @@ void blocked_ett::batch_link(std::span<const edge> links) {
   auto part = partition_links<uintptr_t>(rep_u, rep_v, scratch_.part);
   if (part.all_distinct) {
     parallel_for(
-        0, k, [&](size_t i) { link_one(links[i].u, links[i].v); }, 1);
+        0, k, [&](size_t i) { link_one(links[i].u, links[i].v); },
+        kWalkGrain);
     return;
   }
   auto& groups = part.groups;
@@ -550,7 +551,7 @@ void blocked_ett::batch_link(std::span<const edge> links) {
           link_one(e.u, e.v);
         }
       },
-      1);
+      kWalkGrain);
 }
 
 void blocked_ett::batch_cut(std::span<const edge> cuts) {
@@ -588,7 +589,7 @@ void blocked_ett::batch_cut(std::span<const edge> cuts) {
              j < groups.group_starts[gi + 1]; ++j)
           cut_one(cuts[groups.records[j].second]);
       },
-      1);
+      kWalkGrain);
 
   // Phase 3: drop the arc records in one erase phase, then free the
   // directory chunks the groups emptied (deferred: a group running in
@@ -622,7 +623,7 @@ void blocked_ett::batch_add_counts(std::span<const count_delta> deltas) {
              j < groups.group_starts[gi + 1]; ++j)
           add_counts_one(deltas[groups.records[j].second]);
       },
-      1);
+      kWalkGrain);
   dir_.sweep_pending();
 }
 

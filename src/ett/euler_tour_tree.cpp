@@ -43,7 +43,7 @@ uint64_t ptr_key(const void* p) {
 
 euler_tour_forest::euler_tour_forest(vertex_id n, uint64_t seed)
     : n_(n), list_(seed), dir_(n, list_.pool()), edge_map_(64) {
-  assert(n < (vertex_id{1} << 31));
+  assert(uint64_t{n} <= uint64_t{kMaxTourVertex} + 1);
   // Construction is O(n / kSpan) (the directory root table), not O(n):
   // tour nodes are created on first edge touch (ensure_vertex) and
   // reclaimed when a vertex's last level-i edge leaves.
@@ -270,9 +270,12 @@ std::vector<bool> euler_tour_forest::batch_connected(
   // Parallel writes land in a byte array: std::vector<bool> packs bits, so
   // concurrent writes to different indices would race on shared bytes.
   std::vector<uint8_t> bits(queries.size());
-  parallel_for(0, queries.size(), [&](size_t i) {
-    bits[i] = connected(queries[i].first, queries[i].second) ? 1 : 0;
-  });
+  parallel_for(
+      0, queries.size(),
+      [&](size_t i) {
+        bits[i] = connected(queries[i].first, queries[i].second) ? 1 : 0;
+      },
+      kWalkGrain);
   return std::vector<bool>(bits.begin(), bits.end());
 }
 
@@ -288,7 +291,8 @@ ett_rep euler_tour_forest::find_rep(vertex_id v) const {
 std::vector<ett_rep> euler_tour_forest::batch_find_rep(
     std::span<const vertex_id> vs) const {
   std::vector<ett_rep> out(vs.size());
-  parallel_for(0, vs.size(), [&](size_t i) { out[i] = find_rep(vs[i]); });
+  parallel_for(
+      0, vs.size(), [&](size_t i) { out[i] = find_rep(vs[i]); }, kWalkGrain);
   return out;
 }
 

@@ -435,10 +435,13 @@ void treap_ett::batch_link(std::span<const edge> links) {
   auto& root_v = scratch_.root_v;
   root_u.resize(k);
   root_v.resize(k);
-  parallel_for(0, k, [&](size_t i) {
-    root_u[i] = root_of(sentinel(links[i].u));
-    root_v[i] = root_of(sentinel(links[i].v));
-  });
+  parallel_for(
+      0, k,
+      [&](size_t i) {
+        root_u[i] = root_of(sentinel(links[i].u));
+        root_v[i] = root_of(sentinel(links[i].v));
+      },
+      kWalkGrain);
 
   // Phase 2 (parallel): make both arc nodes per link — priorities come from
   // a counter range reserved up front, so the result is deterministic and
@@ -475,7 +478,7 @@ void treap_ett::batch_link(std::span<const edge> links) {
           node* tv = reroot(e.v);
           merge(merge(tu, arcs[i].fwd), merge(tv, arcs[i].rev));
         },
-        1);
+        kWalkGrain);
     return;
   }
   auto& groups = part.groups;
@@ -490,7 +493,7 @@ void treap_ett::batch_link(std::span<const edge> links) {
         link_group({links, members, root_u.data(), root_v.data(),
                     arcs.data()});
       },
-      1);
+      kWalkGrain);
 }
 
 // One cut arc occurrence: its tour position (taken before any split), the
@@ -591,7 +594,7 @@ void treap_ett::cut_tree(std::span<cut_mark> marks) {
         join_all(std::span<node* const>{flat.data() + offsets[t],
                                         flat.data() + offsets[t + 1]});
       },
-      1);
+      kWalkGrain);
   for (vertex_id v : touched) maybe_release_sentinel(v);
 }
 
@@ -611,17 +614,20 @@ void treap_ett::batch_cut(std::span<const edge> cuts) {
   std::vector<std::pair<uint64_t, cut_mark>> keyed(2 * c);
   auto& keys = scratch_.keys;
   keys.resize(c);
-  parallel_for(0, c, [&](size_t i) {
-    uint64_t key = edge_key(cuts[i].canonical());
-    keys[i] = key;
-    const arc_nodes* an = arcs_.find(key);
-    assert(an != nullptr && "batch_cut: edge not in forest");
-    uint64_t root_key =
-        static_cast<uint64_t>(reinterpret_cast<uintptr_t>(root_of(an->fwd)));
-    uint32_t ci = static_cast<uint32_t>(i);
-    keyed[2 * i] = {root_key, {rank_of(an->fwd), an->fwd, ci}};
-    keyed[2 * i + 1] = {root_key, {rank_of(an->rev), an->rev, ci}};
-  });
+  parallel_for(
+      0, c,
+      [&](size_t i) {
+        uint64_t key = edge_key(cuts[i].canonical());
+        keys[i] = key;
+        const arc_nodes* an = arcs_.find(key);
+        assert(an != nullptr && "batch_cut: edge not in forest");
+        uint64_t root_key = static_cast<uint64_t>(
+            reinterpret_cast<uintptr_t>(root_of(an->fwd)));
+        uint32_t ci = static_cast<uint32_t>(i);
+        keyed[2 * i] = {root_key, {rank_of(an->fwd), an->fwd, ci}};
+        keyed[2 * i + 1] = {root_key, {rank_of(an->rev), an->rev, ci}};
+      },
+      kWalkGrain);
 
   // Phase 2 (parallel): drop the arc records (distinct-key erases).
   arcs_.erase_batch(keys);
@@ -643,7 +649,7 @@ void treap_ett::batch_cut(std::span<const edge> cuts) {
           tree_marks[j] = groups.records[groups.group_starts[g] + j].second;
         cut_tree(tree_marks);
       },
-      1);
+      kWalkGrain);
   dir_.sweep_pending();
 }
 
@@ -668,11 +674,14 @@ void treap_ett::batch_add_counts(std::span<const count_delta> deltas) {
   // grouping by tour gives the safe parallelism: disjoint tours update
   // concurrently, entries within a tour stay sequential.
   std::vector<std::pair<uint64_t, uint32_t>> keyed(k);
-  parallel_for(0, k, [&](size_t i) {
-    keyed[i] = {static_cast<uint64_t>(
-                    reinterpret_cast<uintptr_t>(root_of(sentinel(deltas[i].v)))),
-                static_cast<uint32_t>(i)};
-  });
+  parallel_for(
+      0, k,
+      [&](size_t i) {
+        keyed[i] = {static_cast<uint64_t>(reinterpret_cast<uintptr_t>(
+                        root_of(sentinel(deltas[i].v)))),
+                    static_cast<uint32_t>(i)};
+      },
+      kWalkGrain);
   auto groups = group_by_key(std::move(keyed));
   parallel_for(
       0, groups.num_groups(),
@@ -683,7 +692,7 @@ void treap_ett::batch_add_counts(std::span<const count_delta> deltas) {
           add_counts(d.v, d.tree_delta, d.nontree_delta);
         }
       },
-      1);
+      kWalkGrain);
   dir_.sweep_pending();
 }
 
@@ -698,9 +707,12 @@ std::vector<bool> treap_ett::batch_connected(
     std::span<const std::pair<vertex_id, vertex_id>> queries) const {
   // Byte staging as in the skip-list forest: std::vector<bool> packs bits.
   std::vector<uint8_t> bits(queries.size());
-  parallel_for(0, queries.size(), [&](size_t i) {
-    bits[i] = connected(queries[i].first, queries[i].second) ? 1 : 0;
-  });
+  parallel_for(
+      0, queries.size(),
+      [&](size_t i) {
+        bits[i] = connected(queries[i].first, queries[i].second) ? 1 : 0;
+      },
+      kWalkGrain);
   return std::vector<bool>(bits.begin(), bits.end());
 }
 
@@ -717,7 +729,8 @@ ett_rep treap_ett::find_rep(vertex_id v) const {
 std::vector<ett_rep> treap_ett::batch_find_rep(
     std::span<const vertex_id> vs) const {
   std::vector<ett_rep> out(vs.size());
-  parallel_for(0, vs.size(), [&](size_t i) { out[i] = find_rep(vs[i]); });
+  parallel_for(
+      0, vs.size(), [&](size_t i) { out[i] = find_rep(vs[i]); }, kWalkGrain);
   return out;
 }
 

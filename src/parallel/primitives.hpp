@@ -4,6 +4,7 @@
 // granularity constant), matching the bounds the paper assumes.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <numeric>
@@ -34,13 +35,32 @@ auto map(const Seq& in, const F& f) {
 }
 
 namespace internal {
-/// Number of blocks used by blocked two-pass algorithms (reduce/scan/pack).
+
+/// Smallest block of the blocked two-pass algorithms (reduce, scan,
+/// histogram, the semisort's counting sort): an input below 2 * kMinBlock
+/// elements is one block and runs inline.
+inline constexpr size_t kMinBlock = 1024;
+
+/// Number of blocks for an n-element blocked pass: 4 per worker, each of
+/// at least kMinBlock elements.
 inline size_t num_blocks(size_t n) {
-  size_t p = num_workers();
-  size_t target = 4 * p;
-  size_t blocks = std::min<size_t>(target, (n + 1023) / 1024 + 1);
-  return std::max<size_t>(blocks, 1);
+  return std::clamp<size_t>(n / kMinBlock, 1, 4 * size_t{num_workers()});
 }
+
+/// Runs body(b, lo, hi) over the `blocks` contiguous blocks of [0, n).
+/// Grain 1: a block of at least kMinBlock elements pays for its fork.
+template <typename F>
+void for_each_block(size_t n, size_t blocks, const F& body) {
+  size_t block_size = (n + blocks - 1) / blocks;
+  parallel_for(
+      0, blocks,
+      [&](size_t b) {
+        size_t lo = b * block_size;
+        body(b, lo, std::min(n, lo + block_size));
+      },
+      1);
+}
+
 }  // namespace internal
 
 /// Reduction with an associative combine function over [0, n) of f(i).
@@ -48,17 +68,12 @@ template <typename T, typename F, typename Combine>
 T reduce_index(size_t n, const F& f, T identity, const Combine& combine) {
   if (n == 0) return identity;
   size_t blocks = internal::num_blocks(n);
-  size_t block_size = (n + blocks - 1) / blocks;
   std::vector<T> partial(blocks, identity);
-  parallel_for(
-      0, blocks,
-      [&](size_t b) {
-        size_t lo = b * block_size, hi = std::min(n, lo + block_size);
-        T acc = identity;
-        for (size_t i = lo; i < hi; ++i) acc = combine(acc, f(i));
-        partial[b] = acc;
-      },
-      1);
+  internal::for_each_block(n, blocks, [&](size_t b, size_t lo, size_t hi) {
+    T acc = identity;
+    for (size_t i = lo; i < hi; ++i) acc = combine(acc, f(i));
+    partial[b] = acc;
+  });
   T acc = identity;
   for (size_t b = 0; b < blocks; ++b) acc = combine(acc, partial[b]);
   return acc;
@@ -83,35 +98,26 @@ T exclusive_scan(std::vector<T>& a) {
   size_t n = a.size();
   if (n == 0) return T{};
   size_t blocks = internal::num_blocks(n);
-  size_t block_size = (n + blocks - 1) / blocks;
   std::vector<T> block_sum(blocks);
-  parallel_for(
-      0, blocks,
-      [&](size_t b) {
-        size_t lo = b * block_size, hi = std::min(n, lo + block_size);
-        T acc{};
-        for (size_t i = lo; i < hi; ++i) acc += a[i];
-        block_sum[b] = acc;
-      },
-      1);
+  internal::for_each_block(n, blocks, [&](size_t b, size_t lo, size_t hi) {
+    T acc{};
+    for (size_t i = lo; i < hi; ++i) acc += a[i];
+    block_sum[b] = acc;
+  });
   T total{};
   for (size_t b = 0; b < blocks; ++b) {
     T next = total + block_sum[b];
     block_sum[b] = total;
     total = next;
   }
-  parallel_for(
-      0, blocks,
-      [&](size_t b) {
-        size_t lo = b * block_size, hi = std::min(n, lo + block_size);
-        T acc = block_sum[b];
-        for (size_t i = lo; i < hi; ++i) {
-          T next = acc + a[i];
-          a[i] = acc;
-          acc = next;
-        }
-      },
-      1);
+  internal::for_each_block(n, blocks, [&](size_t b, size_t lo, size_t hi) {
+    T acc = block_sum[b];
+    for (size_t i = lo; i < hi; ++i) {
+      T next = acc + a[i];
+      a[i] = acc;
+      acc = next;
+    }
+  });
   return total;
 }
 
@@ -135,17 +141,28 @@ T fork_join_reduce(size_t lo, size_t hi, size_t grain, const Leaf& leaf,
   return combine(a, b);
 }
 
+namespace internal {
+/// Output slots of a pack: offsets[i] is the number of kept indices below
+/// i, so index i is kept iff offsets[i + 1] != offsets[i] (and offsets[n]
+/// is the output size). Evaluates each flag once.
+template <typename Flag>
+std::vector<size_t> pack_offsets(size_t n, const Flag& flag) {
+  std::vector<size_t> offsets(n + 1, 0);
+  parallel_for(0, n, [&](size_t i) { offsets[i] = flag(i) ? 1u : 0u; });
+  exclusive_scan(offsets);
+  return offsets;
+}
+}  // namespace internal
+
 /// Pack: keep in[i] where flag(i) is true, preserving order.
 template <typename Seq, typename Flag>
 auto pack(const Seq& in, const Flag& flag) {
   using T = std::decay_t<decltype(in[0])>;
   size_t n = in.size();
-  std::vector<size_t> offsets(n);
-  parallel_for(0, n, [&](size_t i) { offsets[i] = flag(i) ? 1u : 0u; });
-  size_t total = exclusive_scan(offsets);
-  std::vector<T> out(total);
+  std::vector<size_t> offsets = internal::pack_offsets(n, flag);
+  std::vector<T> out(offsets[n]);
   parallel_for(0, n, [&](size_t i) {
-    if (flag(i)) out[offsets[i]] = in[i];
+    if (offsets[i + 1] != offsets[i]) out[offsets[i]] = in[i];
   });
   return out;
 }
@@ -159,12 +176,10 @@ auto filter(const Seq& in, const Pred& pred) {
 /// Indices i in [0, n) where flag(i) holds.
 template <typename Flag>
 std::vector<size_t> pack_index(size_t n, const Flag& flag) {
-  std::vector<size_t> offsets(n);
-  parallel_for(0, n, [&](size_t i) { offsets[i] = flag(i) ? 1u : 0u; });
-  size_t total = exclusive_scan(offsets);
-  std::vector<size_t> out(total);
+  std::vector<size_t> offsets = internal::pack_offsets(n, flag);
+  std::vector<size_t> out(offsets[n]);
   parallel_for(0, n, [&](size_t i) {
-    if (flag(i)) out[offsets[i]] = i;
+    if (offsets[i + 1] != offsets[i]) out[offsets[i]] = i;
   });
   return out;
 }
@@ -182,7 +197,7 @@ std::vector<T> flatten(const std::vector<std::vector<T>>& parts) {
       [&](size_t i) {
         std::copy(parts[i].begin(), parts[i].end(), out.begin() + offsets[i]);
       },
-      1);
+      work_grain(parts.size(), total));
   return out;
 }
 
@@ -192,20 +207,15 @@ std::vector<size_t> histogram(const Seq& keys, size_t buckets) {
   // Per-block local counting to avoid contention, then a tree combine.
   size_t n = keys.size();
   size_t blocks = internal::num_blocks(n);
-  size_t block_size = (n + blocks - 1) / blocks;
   std::vector<std::vector<size_t>> local(blocks);
-  parallel_for(
-      0, blocks,
-      [&](size_t b) {
-        auto& counts = local[b];
-        counts.assign(buckets, 0);
-        size_t lo = b * block_size, hi = std::min(n, lo + block_size);
-        for (size_t i = lo; i < hi; ++i) {
-          assert(static_cast<size_t>(keys[i]) < buckets);
-          ++counts[static_cast<size_t>(keys[i])];
-        }
-      },
-      1);
+  internal::for_each_block(n, blocks, [&](size_t b, size_t lo, size_t hi) {
+    auto& counts = local[b];
+    counts.assign(buckets, 0);
+    for (size_t i = lo; i < hi; ++i) {
+      assert(static_cast<size_t>(keys[i]) < buckets);
+      ++counts[static_cast<size_t>(keys[i])];
+    }
+  });
   std::vector<size_t> out(buckets, 0);
   parallel_for(0, buckets, [&](size_t k) {
     size_t acc = 0;

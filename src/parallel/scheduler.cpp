@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "util/random.hpp"
 
 namespace bdc::internal {
@@ -27,6 +28,15 @@ struct scheduler_runtime::impl {
   std::mutex sleep_mutex;
   std::condition_variable sleep_cv;
   std::atomic<int> num_sleeping{0};
+#if BDC_TELEMETRY_ENABLED
+  // Fork and steal counts, sharded by worker like every registry metric.
+  obs::counter& forks =
+      obs::metric_registry::global().get_counter("sched.forks");
+  obs::counter& steals =
+      obs::metric_registry::global().get_counter("sched.steals");
+#else
+  obs::noop::counter forks, steals;
+#endif
 
   explicit impl(unsigned n) : deques(n) {}
 };
@@ -74,6 +84,7 @@ void scheduler_runtime::unregister_external() {
 void scheduler_runtime::push(job* j) {
   assert(tl_worker_index >= 0);
   impl_->deques[static_cast<size_t>(tl_worker_index)].push(j);
+  impl_->forks.add();
 }
 
 job* scheduler_runtime::pop() {
@@ -95,7 +106,9 @@ job* scheduler_runtime::try_steal(uint64_t& rng_state) {
     victim = (victim + 1) % num_workers_;
     if (static_cast<int>(victim) == self) return nullptr;  // P == 1
   }
-  return impl_->deques[victim].steal();
+  job* j = impl_->deques[victim].steal();
+  if (j != nullptr) impl_->steals.add();
+  return j;
 }
 
 void scheduler_runtime::wait_for(job* j) {

@@ -61,11 +61,13 @@ class scheduler_runtime {
 
   [[nodiscard]] unsigned num_workers() const { return num_workers_; }
 
-  /// Push a job onto the calling worker's deque. Caller must be registered.
+  /// Push a job onto the calling worker's deque (one fork; counted in
+  /// `sched.forks`). Caller must be registered.
   void push(job* j);
   /// Pop from the calling worker's deque.
   job* pop();
-  /// Attempt one steal from a random victim.
+  /// Attempt one steal from a random victim (successes are counted in
+  /// `sched.steals`).
   job* try_steal(uint64_t& rng_state);
   /// Execute other tasks until `j->done` becomes true.
   void wait_for(job* j);
@@ -145,6 +147,27 @@ void parallel_invoke(FA&& a, FB&& b) {
 
 namespace internal {
 
+// Granularity. A fork that is not stolen costs a deque push and pop; one
+// that is stolen costs a wake-up, a cache-line transfer and a join that
+// waits on another core: about a microsecond, against a few nanoseconds
+// for a cheap loop body. So a default-grain loop forks only when it
+// carries enough work to pay for a steal:
+//   * at most kSequentialCutoff iterations run inline, with no fork;
+//   * longer loops split into leaves of n / (kLeavesPerWorker * p)
+//     iterations, clamped to [kMinLeaf, kMaxLeaf], so a large batch still
+//     gives every worker at least kLeavesPerWorker leaves to balance.
+inline constexpr size_t kSequentialCutoff = 512;
+inline constexpr size_t kMinLeaf = 128;
+inline constexpr size_t kMaxLeaf = 2048;
+inline constexpr size_t kLeavesPerWorker = 8;
+
+/// The leaf size a default-grain loop of n iterations uses on p workers
+/// (n itself when the loop runs inline).
+inline size_t default_grain(size_t n, size_t p) {
+  if (p <= 1 || n <= kSequentialCutoff) return n;
+  return std::clamp<size_t>(n / (kLeavesPerWorker * p), kMinLeaf, kMaxLeaf);
+}
+
 template <typename F>
 void parallel_for_rec(size_t lo, size_t hi, size_t grain, const F& f) {
   if (hi - lo <= grain) {
@@ -158,25 +181,34 @@ void parallel_for_rec(size_t lo, size_t hi, size_t grain, const F& f) {
 
 }  // namespace internal
 
+/// Grain for loops whose every iteration is a pointer walk of O(lg n)
+/// cache misses (a skip-list representative walk, a tour splice): about
+/// a microsecond each, so a leaf of this many pays for its fork.
+inline constexpr size_t kWalkGrain = 16;
+
+/// Grain for a loop of n iterations of uneven size that together touch
+/// `work` elements (a loop over groups or parts): inline up to
+/// kSequentialCutoff elements, otherwise leaves of about kMinLeaf elements
+/// on average, down to one iteration per leaf.
+inline size_t work_grain(size_t n, size_t work) {
+  if (work <= internal::kSequentialCutoff) return std::max<size_t>(n, 1);
+  return std::max<size_t>(1, n * internal::kMinLeaf / work);
+}
+
 /// Data-parallel loop over [lo, hi). `grain` is the largest chunk executed
-/// sequentially; 0 picks a size-based default. The default assumes a cheap
-/// body and runs small ranges sequentially (fork/steal latency would
-/// dominate); pass an explicit grain (typically 1) when each iteration is
-/// heavy.
+/// sequentially. The default (0) suits a body of a few to a few hundred
+/// nanoseconds: see internal::default_grain. A body that costs about a
+/// microsecond or more (a pointer walk per iteration) passes kWalkGrain; a
+/// loop over uneven groups passes work_grain; a body that is itself a bulk
+/// operation (a block of at least internal::kMinBlock elements, a sort)
+/// may pass 1.
 template <typename F>
 void parallel_for(size_t lo, size_t hi, const F& f, size_t grain = 0) {
   if (hi <= lo) return;
   size_t n = hi - lo;
-  if (grain == 0) {
-    size_t p = num_workers();
-    if (p <= 1 || n <= 24) {
-      grain = n;  // sequential: too little work to amortize a steal
-    } else {
-      grain = std::max<size_t>(1, n / (8 * p));
-      if (grain > 2048) grain = 2048;
-    }
-  }
-  if (n <= grain) {
+  size_t p = num_workers();
+  if (grain == 0) grain = internal::default_grain(n, p);
+  if (n <= grain || p <= 1) {
     for (size_t i = lo; i < hi; ++i) f(i);
     return;
   }

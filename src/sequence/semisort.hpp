@@ -47,17 +47,12 @@ void counting_sort_by_bucket(const std::vector<T>& in, std::vector<T>& out,
                              std::vector<size_t>& bucket_offsets_out) {
   size_t n = in.size();
   size_t blocks = num_blocks(n);
-  size_t block_size = (n + blocks - 1) / blocks;
   // counts[b * num_buckets + k] = occurrences of bucket k in block b
   std::vector<size_t> counts(blocks * num_buckets, 0);
-  parallel_for(
-      0, blocks,
-      [&](size_t b) {
-        size_t lo = b * block_size, hi = std::min(n, lo + block_size);
-        size_t* local = counts.data() + b * num_buckets;
-        for (size_t i = lo; i < hi; ++i) ++local[bucket(in[i])];
-      },
-      1);
+  for_each_block(n, blocks, [&](size_t b, size_t lo, size_t hi) {
+    size_t* local = counts.data() + b * num_buckets;
+    for (size_t i = lo; i < hi; ++i) ++local[bucket(in[i])];
+  });
   // Offsets: bucket-major prefix sums so output is bucket-contiguous.
   std::vector<size_t> offsets(blocks * num_buckets);
   size_t total = 0;
@@ -71,14 +66,10 @@ void counting_sort_by_bucket(const std::vector<T>& in, std::vector<T>& out,
   }
   bucket_offsets_out[num_buckets] = total;
   out.resize(n);
-  parallel_for(
-      0, blocks,
-      [&](size_t b) {
-        size_t lo = b * block_size, hi = std::min(n, lo + block_size);
-        size_t* local = offsets.data() + b * num_buckets;
-        for (size_t i = lo; i < hi; ++i) out[local[bucket(in[i])]++] = in[i];
-      },
-      1);
+  for_each_block(n, blocks, [&](size_t b, size_t lo, size_t hi) {
+    size_t* local = offsets.data() + b * num_buckets;
+    for (size_t i = lo; i < hi; ++i) out[local[bucket(in[i])]++] = in[i];
+  });
 }
 
 }  // namespace internal
@@ -113,6 +104,7 @@ grouped_records<K, V> group_by_key(std::vector<std::pair<K, V>> pairs,
         pairs, result.records, num_buckets,
         [&](const P& p) { return key_hash(p.first) & mask; }, bucket_offsets);
     // Sort each (expected small) bucket to make equal keys contiguous.
+    // Grain 1: a bucket holds about 256 records, a sort worth its fork.
     parallel_for(
         0, num_buckets,
         [&](size_t k) {

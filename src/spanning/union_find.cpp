@@ -6,9 +6,15 @@
 namespace bdc {
 
 concurrent_union_find::concurrent_union_find(size_t n) : parent_(n) {
-  parallel_for(0, n, [&](size_t i) {
-    parent_[i].store(static_cast<uint32_t>(i), std::memory_order_relaxed);
-  });
+  // Blocks with a local data pointer: storing through `parent_[i]` makes
+  // the compiler reload the vector's data pointer after every atomic
+  // store.
+  internal::for_each_block(
+      n, internal::num_blocks(n), [&](size_t, size_t lo, size_t hi) {
+        std::atomic<uint32_t>* parent = parent_.data();
+        for (size_t i = lo; i < hi; ++i)
+          parent[i].store(static_cast<uint32_t>(i), std::memory_order_relaxed);
+      });
 }
 
 uint32_t concurrent_union_find::find(uint32_t x) {

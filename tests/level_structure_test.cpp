@@ -5,7 +5,9 @@
 
 #include <vector>
 
+#include "core/batch_connectivity.hpp"
 #include "core/level_structure.hpp"
+#include "ett/tour_entry.hpp"
 
 namespace bdc {
 namespace {
@@ -14,6 +16,18 @@ std::vector<edge> canon(std::initializer_list<edge> es) {
   std::vector<edge> out;
   for (edge e : es) out.push_back(e.canonical());
   return out;
+}
+
+// n = kMaxTourVertex + 1 is the largest count the packed arc tags hold
+// (ids 0 .. 2^31 - 1); one more must fail-stop in every build type, before
+// anything is sized by n.
+TEST(LevelStructureDeathTest, RejectsVertexCountBeyondTourTags) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const vertex_id too_many = kMaxTourVertex + 2;
+  EXPECT_DEATH(level_structure(too_many, 1),
+               "n = 2147483649 exceeds the 2147483648 vertices");
+  EXPECT_DEATH(batch_dynamic_connectivity{too_many},
+               "n = 2147483649 exceeds the 2147483648 vertices");
 }
 
 TEST(LevelStructure, Sizing) {

@@ -1,13 +1,17 @@
 // Scheduler and fork-join tests: correctness of parallel_invoke /
-// parallel_for under nesting, worker-count changes, and load imbalance.
+// parallel_for under nesting, worker-count changes, and load imbalance,
+// and the granularity rule (which loops fork, counted by sched.forks).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "parallel/scheduler.hpp"
 #include "parallel/work_stealing_deque.hpp"
+#include "test_workers.hpp"
 
 namespace bdc {
 namespace {
@@ -111,6 +115,59 @@ TEST(Deque, StealFifo) {
   EXPECT_EQ(dq.steal(), nullptr);
 }
 
+uint64_t forks_so_far() {
+  return obs::metric_registry::global().get_counter("sched.forks").value();
+}
+
+TEST(Granularity, DefaultGrainRule) {
+  using internal::default_grain;
+  using internal::kMaxLeaf;
+  using internal::kMinLeaf;
+  using internal::kSequentialCutoff;
+  EXPECT_EQ(default_grain(kSequentialCutoff, 2), kSequentialCutoff);
+  EXPECT_EQ(default_grain(kSequentialCutoff + 1, 2), kMinLeaf);
+  EXPECT_EQ(default_grain(size_t{1} << 20, 1), size_t{1} << 20);
+  EXPECT_EQ(default_grain(size_t{1} << 20, 2), kMaxLeaf);
+  // Mid-size loops give every worker kLeavesPerWorker leaves.
+  EXPECT_EQ(default_grain(8192, 4), 8192 / (internal::kLeavesPerWorker * 4));
+}
+
+TEST(Granularity, WorkGrainFollowsTotalWork) {
+  using internal::kMinLeaf;
+  using internal::kSequentialCutoff;
+  EXPECT_EQ(work_grain(0, 0), 1u);
+  EXPECT_EQ(work_grain(40, kSequentialCutoff), 40u);  // inline
+  EXPECT_EQ(work_grain(1000, 1000), kMinLeaf);        // one element each
+  EXPECT_EQ(work_grain(10, 100000), 1u);              // heavy iterations
+}
+
+TEST(Granularity, SmallDefaultGrainLoopRunsOnCallingThread) {
+  testing::worker_pool_guard pool(2);
+  const size_t n = internal::kSequentialCutoff;
+  const uint64_t before = forks_so_far();
+  std::vector<std::thread::id> ran_on(n);
+  parallel_for(0, n,
+               [&](size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (size_t i = 0; i < n; ++i)
+    ASSERT_EQ(ran_on[i], std::this_thread::get_id()) << i;
+  EXPECT_EQ(forks_so_far(), before);
+}
+
+TEST(Granularity, LargeRangeStillForks) {
+  testing::worker_pool_guard pool(2);
+  const size_t n = size_t{1} << 16;
+  const uint64_t before = forks_so_far();
+  std::atomic<long> sum{0};
+  parallel_for(0, n, [&](size_t i) {
+    sum.fetch_add(static_cast<long>(i), std::memory_order_relaxed);
+  });
+  EXPECT_EQ(sum.load(), static_cast<long>(n) * (static_cast<long>(n) - 1) / 2);
+  // At least kLeavesPerWorker leaves per worker: leaves - 1 forks.
+  if constexpr (obs::kTelemetryEnabled) {
+    EXPECT_GE(forks_so_far() - before, 2 * internal::kLeavesPerWorker - 1);
+  }
+}
+
 class ParallelForSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ParallelForSweep, SumMatchesClosedForm) {
@@ -124,8 +181,9 @@ TEST_P(ParallelForSweep, SumMatchesClosedForm) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ParallelForSweep,
-                         ::testing::Values(0, 1, 2, 3, 7, 64, 1000, 4097,
-                                           100000));
+                         ::testing::Values(0, 1, 2, 3, 7, 64, 127, 128, 129,
+                                           511, 512, 513, 1000, 2047, 2048,
+                                           2049, 4097, 100000));
 
 }  // namespace
 }  // namespace bdc

@@ -49,6 +49,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<size_t, size_t>{1, 1},
                       std::pair<size_t, size_t>{100, 3},
                       std::pair<size_t, size_t>{1000, 1000},
+                      std::pair<size_t, size_t>{2049, 300},
                       std::pair<size_t, size_t>{5000, 2},
                       std::pair<size_t, size_t>{100000, 512},
                       std::pair<size_t, size_t>{100000, 100000}));

@@ -52,7 +52,8 @@
 // structure validates its inputs at the public API (out-of-range updates
 // are dropped, out-of-range queries answer false). Each id must still be
 // an unsigned decimal of at most 2^32 - 1, and each batch line must hold
-// an even number of them; any other line fails the run with a
+// an even number of them, and the header's n may not exceed 2^31 (the
+// most the Euler-tour tags hold); any other line fails the run with a
 // "file:line:" error instead of being truncated or wrapped.
 //
 // Stream file format (text): first line "n <N>", then one line per batch:
@@ -79,6 +80,7 @@
 #include "baselines/static_connectivity.hpp"
 #include "core/batch_connectivity.hpp"
 #include "core/engine_router.hpp"
+#include "ett/tour_entry.hpp"
 #include "gen/graph_gen.hpp"
 #include "gen/update_stream.hpp"
 #include "hdt/hdt_connectivity.hpp"
@@ -179,6 +181,12 @@ std::string read_stream(const std::string& path, vertex_id& n,
     if (!have_header) {
       if (tag != "n" || ids.size() != 1)
         return located("expected header 'n <vertex count>'");
+      if (uint64_t{ids[0]} > uint64_t{kMaxTourVertex} + 1) {
+        return located("vertex count " + std::to_string(ids[0]) +
+                       " exceeds " +
+                       std::to_string(uint64_t{kMaxTourVertex} + 1) +
+                       ", the most the Euler-tour tags can hold");
+      }
       n = ids[0];
       have_header = true;
       continue;
