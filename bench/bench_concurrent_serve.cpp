@@ -6,7 +6,7 @@
 // the skiplist substrate (readers served from the per-batch snapshot)
 // and the blocked substrate (readers take the seqlock-validated live
 // probe between batches). R=0 isolates the serving overhead itself: the
-// O(n) snapshot publish every batch plus epoch bookkeeping.
+// snapshot publish every batch plus epoch bookkeeping.
 //
 // Counters: "served" is the total number of concurrent queries answered
 // across the whole run; "served/s" the rate against benchmark time.
@@ -92,41 +92,50 @@ BENCHMARK(BM_ConcurrentServe)
     ->Unit(benchmark::kMillisecond);
 
 // BM_SnapshotPublish — per-batch snapshot publish cost as a function of n,
-// batch size, and publish mode (ISSUE 7). The base graph is a sea of
-// disjoint 16-vertex path clusters; each iteration deletes and re-inserts
-// one batch of intra-cluster edges, touching only the first batch/15-ish
-// clusters. The incremental publisher relabels O(batch) vertices per
-// commit while the --publish=full escape hatch re-walks all n, so the gap
-// between fullpub:0 and fullpub:1 at fixed (logn, batch) IS the headline
-// win — read the "publish_us/batch" counter, not just wall time (the
-// batch itself costs the same on both sides).
+// batch size, publish mode and graph shape. The base graph is a sea of
+// disjoint 16-vertex path clusters; with giant:1, the lower half of the
+// vertices is instead one random spanning tree (vertex i attaches to a
+// uniform earlier vertex). Each iteration deletes and re-inserts one
+// batch: with giant:0 the first `batch` intra-cluster edges, touching
+// only the first batch/15-ish clusters; with giant:1 `batch` tree edges
+// evenly spaced along the attachment order, so every batch cuts pieces
+// off the giant and links them back. The incremental publisher rewrites
+// only the labels that change (giant:1: the cut-off pieces, never the
+// giant's own tour) while the --publish=full escape hatch re-walks all n,
+// so the gap between fullpub:0 and fullpub:1 at fixed (logn, batch,
+// giant) IS the headline win — read the "publish_us/batch" counter, not
+// just wall time (the batch itself costs the same on both sides).
 static void BM_SnapshotPublish(benchmark::State& state) {
   const vertex_id n = vertex_id{1} << state.range(0);
   const size_t batch = static_cast<size_t>(state.range(1));
   const bool full = state.range(2) != 0;
+  const bool giant = state.range(3) != 0;
   constexpr vertex_id kCluster = 16;
+  const vertex_id sea = giant ? n / 2 : 0;  // first vertex of the sea
 
   options o;
   o.substrate = substrate::blocked;
   o.concurrent_reads = true;
   o.publish = full ? publish_mode::full : publish_mode::incremental;
   batch_dynamic_connectivity s(n, o);
+  const std::vector<edge> tree =
+      giant ? gen_random_tree(sea, 7) : std::vector<edge>{};
   {
-    std::vector<edge> es;
-    es.reserve(1u << 16);
-    for (vertex_id v = 0; v + 1 < n; ++v) {
-      if ((v + 1) % kCluster != 0) es.push_back({v, v + 1});
-      if (es.size() == (1u << 16)) {
-        s.batch_insert(es);
-        es.clear();
-      }
-    }
-    if (!es.empty()) s.batch_insert(es);
+    std::vector<edge> es = tree;
+    for (vertex_id v = sea; v + 1 < n; ++v)
+      if ((v + 1 - sea) % kCluster != 0) es.push_back({v, v + 1});
+    for (size_t i = 0; i < es.size(); i += 1u << 16)
+      s.batch_insert(std::span<const edge>(es).subspan(
+          i, std::min<size_t>(1u << 16, es.size() - i)));
   }
-  // The churn batch: the first `batch` intra-cluster edges.
   std::vector<edge> churn;
-  for (vertex_id v = 0; churn.size() < batch && v + 1 < n; ++v)
-    if ((v + 1) % kCluster != 0) churn.push_back({v, v + 1});
+  if (giant) {
+    for (size_t i = 1; i <= batch && i * tree.size() / batch > 0; ++i)
+      churn.push_back(tree[i * tree.size() / batch - 1]);
+  } else {
+    for (vertex_id v = 0; churn.size() < batch && v + 1 < n; ++v)
+      if ((v + 1) % kCluster != 0) churn.push_back({v, v + 1});
+  }
   const uint64_t warmup_publishes = s.stats().snapshots_published;
   const uint64_t warmup_micros = s.stats().publish_micros;
 
@@ -148,8 +157,8 @@ static void BM_SnapshotPublish(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_SnapshotPublish)
-    ->ArgsProduct({{16, 20}, {64, 256}, {0, 1}})
-    ->ArgNames({"logn", "batch", "fullpub"})
+    ->ArgsProduct({{16, 20}, {64, 256}, {0, 1}, {0, 1}})
+    ->ArgNames({"logn", "batch", "fullpub", "giant"})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -96,7 +98,7 @@ batch_dynamic_connectivity::update_scope::update_scope(
   if (owner_.service_ == nullptr) return;
   service_state& s = *owner_.service_;
   s.epochs.begin_write();
-  owner_.touched_.clear();  // this batch's top-forest mutation endpoints
+  owner_.delta_.clear();  // filled by this batch for its publish
   // Seqlock entry: phase -> odd. acq_rel orders it before every mutation
   // store of the batch, so a reader that observed any of them must also
   // observe the odd phase on revalidation and discard its live probe.
@@ -172,7 +174,7 @@ void batch_dynamic_connectivity::publish_snapshot(bool force_full) {
     snap = build_full_snapshot(version);
     stats_.publishes_full++;
   }
-  touched_.clear();
+  delta_.clear();
   stats_.snapshots_published++;
   stats_.publish_micros += static_cast<uint64_t>(t.elapsed_us());
   const snapshot* old =
@@ -217,40 +219,125 @@ batch_dynamic_connectivity::build_full_snapshot(uint64_t version) const {
   return snap;
 }
 
+void batch_dynamic_connectivity::note_merges(
+    const ett_forest& top, std::span<const rep> members,
+    std::span<const vertex_id> member_seed, std::span<const uint32_t> group) {
+  const snapshot& prev = *service_->published.load(std::memory_order_relaxed);
+  // Members ordered by group; singleton groups merge nothing.
+  std::vector<std::pair<uint32_t, uint32_t>> order(members.size());
+  for (uint32_t c = 0; c < members.size(); ++c) order[c] = {group[c], c};
+  std::sort(order.begin(), order.end());
+  const size_t budget = num_vertices() / 4;
+  size_t walked = 0;
+  struct member {
+    uint32_t size;
+    vertex_id label;  // old label
+    rep handle;
+  };
+  std::vector<member> g;
+  top.visit([&](auto& f) {
+    for (size_t st = 0; st < order.size();) {
+      g.clear();
+      for (const uint32_t grp = order[st].first;
+           st < order.size() && order[st].first == grp; ++st) {
+        const vertex_id seed = member_seed[order[st].second];
+        g.push_back({f.component_counts(seed).vertices, prev.label_of(seed),
+                     members[order[st].second]});
+      }
+      if (g.size() < 2) continue;
+      // The member holding the group minimum keeps it; every other
+      // member's vertices change label and are walked.
+      uint32_t total = 0;
+      const member* keeper = &g[0];
+      for (const member& m : g) {
+        total += m.size;
+        if (m.label < keeper->label) keeper = &m;
+      }
+      walked += total - keeper->size;
+      if (walked > budget) {
+        delta_.full = true;
+        return;
+      }
+      for (const member& m : g)
+        if (&m != keeper)
+          f.for_each_tour_vertex(m.handle, [&](vertex_id v) {
+            delta_.relabel.push_back({v, keeper->label});
+          });
+      delta_.resize.push_back({keeper->label, total});
+    }
+  });
+}
+
+void batch_dynamic_connectivity::plan_splits(const snapshot& prev) {
+  // A delete batch never merges pre-batch components (a replacement only
+  // rejoins pieces of one old component), so each touched post-batch
+  // component lies inside one old component and inherits its label l.
+  // The piece that still holds vertex l keeps l unwalked (l was the
+  // minimum of a superset); every other piece is walked and relabelled
+  // to its own minimum. Components not seeded kept their membership,
+  // hence their label and size: every component whose membership changed
+  // contains an endpoint of a top-forest cut or replacement link (cut
+  // edges seed both halves of a split, and promoted replacements seed
+  // every reconnected fragment).
+  struct touched_piece {
+    vertex_id old_label;
+    rep handle;
+    vertex_id seed;
+    bool operator<(const touched_piece& o) const {
+      return std::tie(old_label, handle, seed) <
+             std::tie(o.old_label, o.handle, o.seed);
+    }
+  };
+  auto& touched = delta_.touched;
+  sort_unique(touched);
+  auto reps = top_forest_->batch_find_rep(touched);
+  std::vector<touched_piece> pieces(touched.size());
+  for (size_t i = 0; i < touched.size(); ++i)
+    pieces[i] = {prev.label_of(touched[i]), reps[i], touched[i]};
+  // Sorted by old label, then by piece: one pass dedupes the seeds of
+  // each piece and drops the piece keeping its old label.
+  std::sort(pieces.begin(), pieces.end());
+  uint64_t walk = 0;
+  size_t np = 0;
+  top_forest_->visit([&](auto& f) {
+    rep keeper{};
+    for (size_t i = 0; i < pieces.size(); ++i) {
+      const touched_piece& p = pieces[i];
+      if (i == 0 || p.old_label != pieces[i - 1].old_label) {
+        keeper = f.find_rep(p.old_label);
+        delta_.resize.push_back(
+            {p.old_label, f.component_counts(p.old_label).vertices});
+      } else if (p.handle == pieces[i - 1].handle) {
+        continue;
+      }
+      if (p.handle == keeper) continue;
+      walk += f.component_counts(p.seed).vertices;
+      pieces[np++] = p;
+    }
+    // Walk budget: when the batch moved more than a quarter of the
+    // graph (shatter-everything deletes), the parallel full walk beats
+    // chasing tours one by one — fall back.
+    if (walk > num_vertices() / 4) {
+      delta_.full = true;
+      return;
+    }
+    std::vector<vertex_id> verts;
+    for (size_t i = 0; i < np; ++i) {
+      verts.clear();
+      f.for_each_tour_vertex(pieces[i].handle,
+                             [&](vertex_id v) { verts.push_back(v); });
+      const vertex_id mn = *std::min_element(verts.begin(), verts.end());
+      for (vertex_id v : verts) delta_.relabel.push_back({v, mn});
+      delta_.resize.push_back({mn, static_cast<uint32_t>(verts.size())});
+    }
+  });
+}
+
 batch_dynamic_connectivity::snapshot*
 batch_dynamic_connectivity::build_incremental_snapshot(
     uint64_t version, const snapshot& prev) {
-  const size_t n = num_vertices();
-  // Touched seeds -> distinct post-batch components (one seed per
-  // representative). Every component whose membership changed this batch
-  // contains an endpoint of a top-forest link/cut: cut edges seed both
-  // halves of a split, and promoted replacements seed every reconnected
-  // fragment (a replacement's endpoints were connected at its level
-  // before the batch, so the fragments it rejoins were created by this
-  // batch's cuts and are already seeded). Components not seeded kept
-  // their membership, hence their label and size.
-  sort_unique(touched_);
-  auto reps = top_forest_->batch_find_rep(touched_);
-  std::vector<std::pair<rep, vertex_id>> pieces(touched_.size());
-  for (size_t i = 0; i < touched_.size(); ++i)
-    pieces[i] = {reps[i], touched_[i]};
-  sort_unique(pieces);
-  size_t np = 0;  // dedupe by representative, keeping one seed per piece
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0 && pieces[i].first == pieces[i - 1].first) continue;
-    pieces[np++] = pieces[i];
-  }
-  pieces.resize(np);
-
-  // Touched-size estimate: when the batch moved more than a quarter of
-  // the graph (shatter-everything deletes), the parallel full walk beats
-  // chasing tours one by one — fall back.
-  uint64_t est = 0;
-  top_forest_->visit([&](auto& f) {
-    for (const auto& [r, seed] : pieces)
-      est += f.component_counts(seed).vertices;
-  });
-  if (est > n / 4) return nullptr;
+  if (!delta_.touched.empty()) plan_splits(prev);
+  if (delta_.full) return nullptr;
 
   auto* snap = new snapshot;
   snap->version = version;
@@ -263,31 +350,15 @@ batch_dynamic_connectivity::build_incremental_snapshot(
   // copied; one we already cloned this publish is solely ours. use_count
   // is reliable here because chunk shared_ptrs are only copied/dropped on
   // this writer thread (readers hold the snapshot*, never the chunks).
-  auto label_slot = [&](vertex_id v) -> vertex_id& {
-    auto& sp = snap->labels[v >> snapshot::kChunkLog];
+  auto write = [](auto& chunks, vertex_id i, auto value) {
+    auto& sp = chunks[i >> snapshot::kChunkLog];
     if (sp.use_count() > 1)
-      sp = std::make_shared<snapshot::label_chunk>(*sp);
-    return (*sp)[v & (snapshot::kChunkSize - 1)];
+      sp = std::make_shared<std::remove_reference_t<decltype(*sp)>>(*sp);
+    (*sp)[i & (snapshot::kChunkSize - 1)] = value;
   };
-  auto size_slot = [&](vertex_id l) -> uint32_t& {
-    auto& sp = snap->sizes[l >> snapshot::kChunkLog];
-    if (sp.use_count() > 1)
-      sp = std::make_shared<snapshot::size_chunk>(*sp);
-    return (*sp)[l & (snapshot::kChunkSize - 1)];
-  };
-
-  std::vector<vertex_id> verts;
-  top_forest_->visit([&](auto& f) {
-    for (const auto& [r, seed] : pieces) {
-      verts.clear();
-      f.for_each_tour_vertex(r, [&](vertex_id v) { verts.push_back(v); });
-      vertex_id mn = verts[0];
-      for (vertex_id v : verts) mn = std::min(mn, v);
-      for (vertex_id v : verts) label_slot(v) = mn;
-      size_slot(mn) = static_cast<uint32_t>(verts.size());
-      stats_.publish_relabeled += verts.size();
-    }
-  });
+  for (const auto& [v, l] : delta_.relabel) write(snap->labels, v, l);
+  for (const auto& [l, sz] : delta_.resize) write(snap->sizes, l, sz);
+  stats_.publish_relabeled += delta_.relabel.size();
   return snap;
 }
 
@@ -471,8 +542,16 @@ void batch_dynamic_connectivity::batch_insert(std::span<const edge> edges) {
     tree_edges[i] = clean[sf.tree_edge_indices[i]];
   });
   // Inserted tree edges are the only top-forest mutations of this batch:
-  // their endpoints seed the incremental snapshot publish.
-  for (const edge& e : tree_edges) note_touched(e);
+  // the incremental publish learns which components they merge, and
+  // walks the ones changing label, while the tours are still apart.
+  if (tracking_delta() && !tree_edges.empty()) {
+    std::vector<vertex_id> seed(uniq.size());
+    for (size_t i = 0; i < k; ++i) {
+      seed[contracted[i].u] = clean[i].u;
+      seed[contracted[i].v] = clean[i].v;
+    }
+    note_merges(f, uniq, seed, sf.labels);
+  }
   ls_.link_tree(top, tree_edges);
 }
 

@@ -46,10 +46,14 @@ enum class level_search_kind {
 /// How the read service rebuilds the published snapshot on batch commit
 /// (only meaningful with options::concurrent_reads).
 enum class publish_mode : uint8_t {
-  /// Relabel only the components the batch touched: O(touched vertices)
-  /// enumeration through the substrate tours plus a chunk-pointer copy,
-  /// with an automatic fallback to the full walk when the touched-size
-  /// estimate exceeds n/4 (shatter-everything batches). Default.
+  /// Rewrite only the vertices whose label changes: O(relabelled
+  /// vertices) enumeration through the substrate tours plus a
+  /// chunk-pointer copy. Of the components an insert batch merges, and
+  /// of the pieces a delete batch splits one component into, only the
+  /// one holding the resulting (smallest) label keeps its tour unwalked
+  /// — when a few small components join or leave a giant, only they are
+  /// walked. Falls back to the full walk when the vertices to walk
+  /// exceed n/4 (shatter-everything batches). Default.
   incremental,
   /// Always rebuild from a full O(n) components() walk (escape hatch /
   /// A-B baseline; `stream_runner --publish=full`).
@@ -224,9 +228,9 @@ class batch_dynamic_connectivity {
   /// Immutable per-batch connectivity snapshot. labels[v] is the smallest
   /// vertex id of v's component; sizes[l] the component size stored at
   /// its label l (entries at dead labels go stale but are unreachable —
-  /// size_of is only consulted at live labels, and a label is only ever
-  /// reintroduced by relabelling a touched component, which rewrites its
-  /// size).
+  /// size_of is only consulted at live labels, and every publish rewrites
+  /// the size of each label a batch revives or whose component it
+  /// changes).
   ///
   /// Storage is a chunked copy-on-write table: both arrays are split into
   /// fixed kChunkSize-entry chunks held by shared_ptr. Publishing a new
@@ -275,36 +279,68 @@ class batch_dynamic_connectivity {
     batch_dynamic_connectivity& owner_;
   };
 
-  /// Publishes the post-batch snapshot. The incremental path relabels
-  /// only the components seeded by touched_ (endpoints of this batch's
-  /// top-forest mutations); `force_full` (construction) and the
+  /// Publishes the post-batch snapshot. The incremental path applies
+  /// this batch's publish_delta; `force_full` (construction) and the
   /// publish_mode::full escape hatch rebuild from a full walk, as does
-  /// the automatic fallback when the touched-size estimate exceeds n/4.
+  /// the automatic fallback when the vertices to walk exceed n/4.
   void publish_snapshot(bool force_full);
   /// Full O(n) rebuild (components() walk + per-label counting).
   [[nodiscard]] snapshot* build_full_snapshot(uint64_t version) const;
-  /// O(touched) rebuild sharing untouched chunks with `prev`; returns
+  /// O(relabelled) rebuild sharing untouched chunks with `prev`; returns
   /// nullptr to request the full-walk fallback.
   [[nodiscard]] snapshot* build_incremental_snapshot(uint64_t version,
                                                      const snapshot& prev);
-  /// Records endpoints of a top-forest mutation for the incremental
-  /// publish. No-op unless serving.
-  void note_touched(edge e) {
-    if (service_ == nullptr) return;
-    touched_.push_back(e.u);
-    touched_.push_back(e.v);
+  /// True while the incremental publisher wants this batch's delta.
+  [[nodiscard]] bool tracking_delta() const {
+    return service_ != nullptr && opts_.publish == publish_mode::incremental;
   }
+  /// Records endpoints of a top-forest cut or replacement link for the
+  /// incremental publish of a delete batch. No-op unless tracking.
+  void note_touched(edge e) {
+    if (!tracking_delta()) return;
+    delta_.touched.push_back(e.u);
+    delta_.touched.push_back(e.v);
+  }
+  /// Insert batches, before the top-forest link: for every group of
+  /// pre-batch components that the new tree edges merge, records the
+  /// group's label (the least of the members' old labels, read from the
+  /// published snapshot) and walks every member but the one holding it.
+  /// `members` are the contracted components' reps, `member_seed` any
+  /// vertex of each, and `group[c]` names c's merge group.
+  void note_merges(const ett_forest& top, std::span<const rep> members,
+                   std::span<const vertex_id> member_seed,
+                   std::span<const uint32_t> group);
+  /// Delete batches, at publish: turns the touched endpoints into the
+  /// relabels of the pieces that lose their old label (or sets
+  /// publish_delta::full when they exceed n/4).
+  void plan_splits(const snapshot& prev);
+
+  /// What this batch changed, as far as the incremental publish needs
+  /// to know (collected only while tracking_delta(); consumed and
+  /// cleared by publish_snapshot).
+  struct publish_delta {
+    /// Delete batches: endpoints of every top-forest cut and promoted
+    /// replacement. Every post-batch component whose membership changed
+    /// contains at least one of them.
+    std::vector<vertex_id> touched;
+    /// (vertex, new label) for every vertex whose label changes.
+    std::vector<std::pair<vertex_id, vertex_id>> relabel;
+    /// (label, component size) for every component the batch changed.
+    std::vector<std::pair<vertex_id, uint32_t>> resize;
+    bool full = false;  // the walk would exceed n/4: rebuild from scratch
+    void clear() {
+      touched.clear();
+      relabel.clear();
+      resize.clear();
+      full = false;
+    }
+  };
 
   options opts_;
   level_structure ls_;
   mutable statistics stats_;
   std::unique_ptr<service_state> service_;
-  /// Vertices whose component membership may have changed this batch:
-  /// endpoints of every top-forest link/cut (inserted tree edges, deleted
-  /// tree edges, promoted replacements). Every post-batch component whose
-  /// membership changed contains at least one of them. Consumed and
-  /// cleared by publish_snapshot.
-  std::vector<vertex_id> touched_;
+  publish_delta delta_;
   ett_forest* top_forest_ = nullptr;  // cached &ls_.forest(top); stable
 
   /// A still-disconnected component ("piece") during a level search.

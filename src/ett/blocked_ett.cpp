@@ -8,11 +8,29 @@
 
 #include "ett/link_partition.hpp"
 #include "ett/tour_entry.hpp"
+#include "obs/telemetry.hpp"
 #include "parallel/primitives.hpp"
 #include "parallel/scheduler.hpp"
 #include "sequence/semisort.hpp"
 
 namespace bdc {
+
+namespace {
+
+/// `ett.relabeled_blocks`: block owners rewritten by link (the guest's
+/// blocks) and cut (the new tour's blocks), the O(size / B) term of a
+/// blocked splice.
+#if BDC_TELEMETRY_ENABLED
+obs::counter& relabeled_blocks() {
+  static obs::counter& c =
+      obs::metric_registry::global().get_counter("ett.relabeled_blocks");
+  return c;
+}
+#else
+obs::noop::counter relabeled_blocks() { return {}; }
+#endif
+
+}  // namespace
 
 /// Per-splice seam bookkeeping: rebalance candidates and merge-freed
 /// blocks. One splice touches at most ~6 seam blocks, and rebalancing a
@@ -329,6 +347,7 @@ void blocked_ett::link_one(vertex_id u, vertex_id v) {
       cur = cur->next;
       if (cur == gstart) break;
     }
+    relabeled_blocks().add(tg->nblocks);
     // Place the two arc entries adjacent to the splice seams.
     block* a1 = nullptr;  // holds h->g unless packed into bh / gstart
     block* hg_holder;
@@ -386,7 +405,8 @@ void blocked_ett::link_one(vertex_id u, vertex_id v) {
 // Cut: isolate the edge's two arc entries at block boundaries, unlink
 // them, and re-close the two complementary arcs of the cycle into
 // separate tours. The segment strictly between (u->v) and (v->u) is
-// exactly the tour of v's subtree.
+// exactly the tour of v's subtree; whichever side has fewer blocks takes
+// the new descriptor.
 // ---------------------------------------------------------------------
 
 void blocked_ett::cut_one(edge e) {
@@ -426,18 +446,29 @@ void blocked_ett::cut_one(edge e) {
   s1t->next = s1h;
   s1h->prev = s1t;
 
-  // The subtree side becomes a new tour.
+  // Walk both cycles in lockstep: the one that closes first has fewer
+  // blocks and becomes the new tour, so relabelling costs O(min side / B).
+  block* small = s2h;
+  for (block *a = s2h->next, *b = s1h->next;; a = a->next, b = b->next) {
+    if (a == s2h) break;
+    if (b == s1h) {
+      small = s1h;
+      break;
+    }
+  }
+  block* large = small == s2h ? s1h : s2h;
   tour* t2 = new_tour();
-  t2->head = s2h;
-  for (block* cur = s2h;;) {
+  t2->head = small;
+  for (block* cur = small;;) {
     cur->owner.store(t2, std::memory_order_release);
     t2->agg = t2->agg + cur->agg;
     t2->nentries += cur->count;
     ++t2->nblocks;
     cur = cur->next;
-    if (cur == s2h) break;
+    if (cur == small) break;
   }
-  t->head = s1h;
+  relabeled_blocks().add(t2->nblocks);
+  t->head = large;
   t->agg = t->agg - t2->agg;
   t->nentries -= t2->nentries + 2;
   t->nblocks -= t2->nblocks + 2;
@@ -451,17 +482,13 @@ void blocked_ett::cut_one(edge e) {
   // Collapse one-vertex remainders to implicit singletons; rebalance the
   // seam blocks of the survivors.
   seam_blocks cands;
-  if (t2->nentries == 1) {
-    collapse_singleton(t2, dead);
-  } else {
-    cands.push(s2h);
-    cands.push(s2t);
-  }
-  if (t->nentries == 1) {
-    collapse_singleton(t, dead);
-  } else {
-    cands.push(s1h);
-    cands.push(s1t);
+  for (auto [side, head] : {std::pair{t2, small}, std::pair{t, large}}) {
+    if (side->nentries == 1) {
+      collapse_singleton(side, dead);
+    } else {
+      cands.push(head);
+      cands.push(head->prev);
+    }
   }
   rebalance_candidates(cands, dead);
 }

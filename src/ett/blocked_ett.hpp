@@ -19,17 +19,20 @@
 // the host's sentinel, before the guest's sentinel) and splices the
 // guest's block chain plus two packed arc entries into the host's cycle,
 // relabelling only the smaller side's blocks; `cut` isolates the edge's
-// two arcs at block boundaries and re-closes the two halves of the cycle
-// into separate tours. B-tree-style local rebalancing (merge or borrow
-// from the successor block) restores the occupancy invariant — every
-// block of a multi-block tour holds at least kMinFill entries — so tours
-// stay packed under arbitrary link/cut churn. The price of O(1) queries
-// is that merging or splitting a tour relabels the smaller side's block
-// owners, i.e. O(size/B) per mutation; on the small components the
-// blocked substrate targets this linear term is cheaper in practice than
-// the polylogarithmic pointer structures it replaces, and the per-level
-// substrate policy (options::policy) keeps it away from the huge
-// top-level components.
+// two arcs at block boundaries, re-closes the two halves of the cycle
+// into separate tours, and walks both in lockstep so that the side that
+// closes first (the one with fewer blocks) takes the new descriptor while
+// the larger side keeps the old one. B-tree-style local rebalancing
+// (merge or borrow from the successor block) restores the occupancy
+// invariant — every block of a multi-block tour holds at least kMinFill
+// entries — so tours stay packed under arbitrary link/cut churn. The
+// price of O(1) queries is that merging or splitting a tour relabels the
+// smaller side's block owners, i.e. O(min side / B) per mutation
+// (counted by the `ett.relabeled_blocks` telemetry counter); on the small
+// components the blocked substrate targets this linear term is cheaper
+// in practice than the polylogarithmic pointer structures it replaces,
+// and the per-level substrate policy (options::policy) keeps it away
+// from the huge top-level components.
 //
 // Batch mutations follow the treap substrate's phase structure: a
 // read-only phase resolves every touched tour, the batch is partitioned

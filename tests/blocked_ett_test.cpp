@@ -12,6 +12,7 @@
 
 #include "ett/blocked_ett.hpp"
 #include "gen/graph_gen.hpp"
+#include "obs/telemetry.hpp"
 #include "spanning/union_find.hpp"
 #include "test_workers.hpp"
 #include "util/random.hpp"
@@ -176,6 +177,29 @@ TEST(BlockedEtt, SingletonCollapseAndReps) {
   }
   EXPECT_EQ(reps.size(), 8u);
   EXPECT_EQ(f.debug_block_stats().blocks, 0u);
+}
+
+// A cut gives the new tour descriptor to the side with fewer blocks, so
+// splitting one vertex off either end of a long path rewrites the owner
+// of a block or two, not the ~200 blocks of the rest of the path.
+TEST(BlockedEtt, CutRelabelsSmallerSide) {
+  if (!obs::kTelemetryEnabled)
+    GTEST_SKIP() << "ett.relabeled_blocks is compiled out";
+  const vertex_id n = 4096;
+  blocked_ett f(n);
+  f.batch_link(gen_path(n));
+  const obs::counter& relabeled =
+      obs::metric_registry::global().get_counter("ett.relabeled_blocks");
+  for (edge e : {edge{0, 1}, edge{n - 2, n - 1}}) {
+    const uint64_t before = relabeled.value();
+    f.batch_cut(std::vector<edge>{e});
+    EXPECT_LE(relabeled.value() - before, 2u)
+        << "cut (" << e.u << ", " << e.v << ")";
+    expect_healthy(f, "after end cut");
+  }
+  EXPECT_EQ(f.component_counts(1).vertices, n - 2);
+  EXPECT_EQ(f.component_counts(0).vertices, 1u);
+  EXPECT_EQ(f.component_counts(n - 1).vertices, 1u);
 }
 
 TEST(BlockedEtt, ComponentVerticesFollowTourOrder) {

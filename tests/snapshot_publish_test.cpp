@@ -1,14 +1,18 @@
-// Incremental snapshot publishing (ISSUE 7): the read service's
-// publish_snapshot() relabels only the components a batch touched,
-// sharing untouched chunks of the copy-on-write label/size table between
-// versions. These suites pin down the contract from the outside:
+// Incremental snapshot publishing: the read service's publish_snapshot()
+// rewrites only the vertices whose label changes, sharing untouched
+// chunks of the copy-on-write label/size table between versions. These
+// suites pin down the contract from the outside:
 //
 //   * Differential: after EVERY committed batch, the published snapshot's
 //     labels must equal a from-scratch components() walk — across all
-//     substrate configs and both publish modes. This is the
-//     direct check that the touched-seed collection (endpoints of every
-//     top-forest link/cut) reaches every component whose membership
+//     substrate configs and both publish modes, with and without a giant
+//     component. This is the direct check that the publish delta (the
+//     merges an insert batch records before its link, the pieces a
+//     delete batch cuts) reaches every component whose membership
 //     changed.
+//   * Cost: the GiantPublish suite counts the rewrites of single batches
+//     against a giant component (only guests, or only split-off pieces,
+//     relabel).
 //   * Sizes are maintained incrementally (no O(n) counting pass); they
 //     are asserted independently against a recount of the scratch walk.
 //   * Chunk-boundary writes, pinned-view freezing under chunk cloning,
@@ -23,6 +27,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -59,14 +64,17 @@ void expect_snapshot_fresh(batch_dynamic_connectivity& dc,
 }
 
 class SnapshotPublish
-    : public ::testing::TestWithParam<std::tuple<sub_config, publish_mode>> {
-};
+    : public ::testing::TestWithParam<
+          std::tuple<sub_config, publish_mode, bool>> {};
 
 // The core differential: a randomized insert/delete stream; after every
 // batch the incremental (or full) snapshot must match a from-scratch
-// components() walk, labels and sizes both.
+// components() walk, labels and sizes both. The giant rows insert a
+// spanning path first, so every later batch links to or cuts from one
+// component holding the whole graph, and its path edges join the pool
+// the deletes draw from.
 TEST_P(SnapshotPublish, MatchesFromScratchAfterEveryBatch) {
-  const auto& [sc, pub] = GetParam();
+  const auto& [sc, pub, giant] = GetParam();
   const vertex_id n = 600;
   options o = sc.apply({});
   o.concurrent_reads = true;
@@ -77,6 +85,11 @@ TEST_P(SnapshotPublish, MatchesFromScratchAfterEveryBatch) {
   random_stream rng(hash_combine(0x5eed, std::hash<std::string>{}(sc.name)));
   std::vector<edge> pool;  // edges currently present
   uint64_t version = 0;
+  if (giant) {
+    for (vertex_id v = 0; v + 1 < n; ++v) pool.push_back({v, v + 1});
+    dc.batch_insert(pool);
+    expect_snapshot_fresh(dc, ++version, "spanning path");
+  }
   for (int round = 0; round < 30; ++round) {
     if (round % 3 != 2) {
       std::vector<edge> batch;
@@ -113,10 +126,12 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, SnapshotPublish,
     ::testing::Combine(::testing::ValuesIn(kSubConfigs),
                        ::testing::Values(publish_mode::incremental,
-                                         publish_mode::full)),
+                                         publish_mode::full),
+                       ::testing::Bool()),
     [](const ::testing::TestParamInfo<SnapshotPublish::ParamType>& info) {
       return std::string(std::get<0>(info.param).name) + "_" +
-             to_string(std::get<1>(info.param));
+             to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_giant" : "");
     });
 
 // Writes that straddle label-table chunk boundaries (4096 entries per
@@ -189,11 +204,9 @@ TEST(SnapshotPublishEdge, PinnedViewsFrozenAcrossVersions) {
 }
 
 // The incremental path must hand large-touch batches to the full walk
-// (touched-component size estimate > n/4) and keep small-component
-// churn incremental. The cost unit is the touched COMPONENT, not the
-// edge: cutting one edge of a giant path relabels both halves, so the
-// graph here is a sea of 16-vertex path clusters — the shape the
-// incremental publisher is built for.
+// (vertices to walk > n/4) and keep small-component churn incremental.
+// The graph here is a sea of 16-vertex path clusters; the GiantPublish
+// suite covers the batches that touch one giant component.
 TEST(SnapshotPublishEdge, ShatterFallsBackToFullWalk) {
   const vertex_id n = 1024;
   constexpr vertex_id kCluster = 16;
@@ -203,19 +216,21 @@ TEST(SnapshotPublishEdge, ShatterFallsBackToFullWalk) {
   batch_dynamic_connectivity dc(n, o);
   EXPECT_EQ(dc.stats().publishes_full, 1u);  // construction (forced)
 
-  // Build every cluster in one batch: all n vertices touched -> full.
+  // Build every cluster in one batch: all but one vertex per cluster
+  // change label -> full.
   std::vector<edge> sea;
   for (vertex_id v = 0; v + 1 < n; ++v)
     if ((v + 1) % kCluster != 0) sea.push_back({v, v + 1});
   dc.batch_insert(sea);
   EXPECT_EQ(dc.stats().publishes_full, 2u);
 
-  // Nick two edges inside ONE cluster: touched components total at most
-  // 16 vertices -> incremental, and exactly those vertices relabel.
+  // Nick two edges inside ONE cluster {96..111}: incremental, and only
+  // the pieces that lose label 96 relabel, {101} and {102..111}; the
+  // piece {96..100} still holds vertex 96 and keeps its label unwalked.
   const uint64_t relabeled_before = dc.stats().publish_relabeled;
   dc.batch_delete({{edge{100, 101}, edge{101, 102}}});
   EXPECT_EQ(dc.stats().publishes_full, 2u);
-  EXPECT_EQ(dc.stats().publish_relabeled, relabeled_before + kCluster);
+  EXPECT_EQ(dc.stats().publish_relabeled, relabeled_before + 11);
   expect_snapshot_fresh(dc, 2, "incremental nick");
 
   // Shatter: delete every remaining edge in one batch -> every cluster
@@ -227,6 +242,98 @@ TEST(SnapshotPublishEdge, ShatterFallsBackToFullWalk) {
   EXPECT_EQ(dc.stats().publishes_full, 3u);
   expect_snapshot_fresh(dc, 3, "shatter");
 }
+
+// A publish rewrites only the vertices whose label changes. The giant
+// suites build one large path plus a few small clusters and count the
+// rewrites of each batch that links to or cuts from the path, on every
+// substrate; none of them may fall back to the full walk.
+class GiantPublish : public ::testing::TestWithParam<sub_config> {
+ protected:
+  static constexpr vertex_id kN = 4096;
+
+  void SetUp() override {
+    options o = GetParam().apply({});
+    o.concurrent_reads = true;
+    dc_ = std::make_unique<batch_dynamic_connectivity>(kN, o);
+  }
+
+  /// Inserts a path over [first, last].
+  void path(vertex_id first, vertex_id last) {
+    std::vector<edge> es;
+    for (vertex_id v = first; v < last; ++v) es.push_back({v, v + 1});
+    dc_->batch_insert(es);
+    expect_snapshot_fresh(*dc_, dc_->committed_version(), "path");
+  }
+
+  /// Applies one batch and checks it rewrote exactly `relabeled` labels
+  /// without a full walk.
+  void expect_batch(bool insert, std::vector<edge> es, uint64_t relabeled,
+                    const std::string& what) {
+    const uint64_t fulls = dc_->stats().publishes_full;
+    const uint64_t before = dc_->stats().publish_relabeled;
+    if (insert)
+      dc_->batch_insert(es);
+    else
+      dc_->batch_delete(es);
+    EXPECT_EQ(dc_->stats().publishes_full, fulls) << what;
+    EXPECT_EQ(dc_->stats().publish_relabeled - before, relabeled) << what;
+    expect_snapshot_fresh(*dc_, dc_->committed_version(), what);
+  }
+
+  std::unique_ptr<batch_dynamic_connectivity> dc_;
+};
+
+// Linking two clusters and a singleton to the giant relabels only them:
+// the giant (the host, label 0) keeps its tour unwalked. The cycle-
+// closing edge in the same batch relabels nothing.
+TEST_P(GiantPublish, GiantInsertRelabelsOnlyGuests) {
+  path(0, 999);      // the giant, label 0
+  path(2000, 2009);  // 10 vertices, label 2000
+  path(3000, 3004);  // 5 vertices, label 3000
+  expect_batch(true,
+               {edge{10, 2005}, edge{20, 3002}, edge{30, 4000},
+                edge{40, 500}},
+               10 + 5 + 1, "guests join the giant");
+  EXPECT_EQ(dc_->snapshot_query().component_size(3004), 1000u + 15 + 1);
+}
+
+// When a smaller member holds the group minimum, the giant takes it: the
+// giant's 800 vertices relabel, the 5 that already hold label 0 do not.
+TEST_P(GiantPublish, GuestHoldingMinimumRelabelsHost) {
+  path(100, 899);  // the giant, label 100
+  path(0, 4);      // 5 vertices, label 0
+  expect_batch(true, {edge{4, 500}}, 800, "label 0 joins the giant");
+  // Merging a second guest under label 0 moves only that guest.
+  path(1000, 1009);
+  expect_batch(true, {edge{1000, 300}}, 10, "second guest");
+}
+
+// Cutting pieces off the giant relabels only those pieces; the giant
+// holds vertex 0 and keeps label 0 unwalked.
+TEST_P(GiantPublish, GiantSplitRelabelsOnlyThePiece) {
+  path(0, 999);
+  expect_batch(false, {edge{987, 988}}, 12, "cut off {988..999}");
+  expect_batch(false, {edge{99, 100}, edge{199, 200}}, 100 + 788,
+               "cut off {100..199} and {200..987}");
+  // A cut with a replacement changes no membership: nothing relabels.
+  dc_->batch_insert({{edge{0, 50}}});
+  expect_batch(false, {edge{10, 11}}, 0, "cut replaced by (0, 50)");
+}
+
+// When the cut-off piece holds the old minimum, that piece keeps the
+// label and the giant is the side that relabels.
+TEST_P(GiantPublish, SplitWhereLabelLeavesTheGiant) {
+  path(0, 999);
+  expect_batch(false, {edge{4, 5}}, 995, "cut off {0..4}");
+  EXPECT_EQ(dc_->snapshot_query().component_size(0), 5u);
+  EXPECT_EQ(dc_->snapshot_query().component_size(999), 995u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Substrates, GiantPublish, ::testing::ValuesIn(kSubConfigs),
+    [](const ::testing::TestParamInfo<sub_config>& info) {
+      return std::string(info.param.name);
+    });
 
 // An update batch that commits nothing still publishes a fresh version —
 // but relabels nothing and clones nothing (all chunk pointers shared).
