@@ -250,6 +250,7 @@ static void BM_LevelPolicyStream(benchmark::State& state) {
   auto graph = gen_erdos_renyi(n, 4 * n, 29);
   auto stream = make_deletion_stream(graph, n, 512, 256, 128, 30);
   options o;
+  o.substrate = substrate::skiplist;
   const char* label = "skiplist";
   switch (state.range(0)) {
     case 1:
@@ -257,7 +258,6 @@ static void BM_LevelPolicyStream(benchmark::State& state) {
       label = "blocked";
       break;
     case 2:
-      o.substrate = substrate::skiplist;
       o.policy = level_policy{8, substrate::blocked};
       label = "mixed_blocked_lt8";
       break;

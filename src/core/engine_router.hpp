@@ -42,10 +42,7 @@
 namespace bdc {
 
 struct router_options {
-  router_options() { dynamic_opts.substrate = bdc::substrate::blocked; }
   /// Configuration of the batch_dynamic_connectivity built at promotion.
-  /// Defaults to the blocked substrate (fastest at every scale measured
-  /// so far; see README).
   options dynamic_opts;
 };
 

@@ -55,8 +55,7 @@ level_structure::hierarchy_stats level_structure::footprint() const {
     if (!ls.forest) continue;
     ++hs.materialized;
     hs.active_vertices += ls.forest->active_vertices();
-    hs.bytes += ls.forest->directory_bytes() +
-                ls.forest->pool_stats().retained_bytes();
+    hs.bytes += ls.forest->retained_bytes();
   }
   return hs;
 }

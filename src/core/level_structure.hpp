@@ -49,7 +49,7 @@ class level_structure {
   /// build type: the packed arc tags hold 31-bit vertex ids, and a larger
   /// id would alias another edge's tag. Prints a diagnostic and aborts.
   level_structure(vertex_id n, uint64_t seed,
-                  bdc::substrate sub = substrate::skiplist,
+                  bdc::substrate sub = substrate::blocked,
                   level_policy policy = {});
 
   [[nodiscard]] vertex_id num_vertices() const { return n_; }
@@ -76,10 +76,11 @@ class level_structure {
   [[nodiscard]] node_pool::stats_snapshot pool_stats() const;
   /// Hierarchy footprint (safe anytime: atomic counters + pool stats):
   /// materialized forest count, active directory slots summed across
-  /// them, and the bytes those forests retain (sparse vertex directories
-  /// plus pooled tour nodes). This is what the levels.* gauges report —
-  /// with sparse activation it scales with the touched vertices per
-  /// level, not with n * materialized levels.
+  /// them, and the bytes those forests retain (each forest's pool, which
+  /// holds its tour nodes and directory chunks, plus its directory root
+  /// table; see ett_forest::retained_bytes). This is what the levels.*
+  /// gauges report — with sparse activation it scales with the touched
+  /// vertices per level, not with n * materialized levels.
   struct hierarchy_stats {
     uint64_t materialized = 0;
     uint64_t active_vertices = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstring>
 #include <type_traits>
 #include <unordered_set>
@@ -57,14 +58,22 @@ struct blocked_ett::seam_blocks {
 blocked_ett::blocked_ett(vertex_id n, uint64_t /*seed*/)
     : n_(n), arcs_(64), dir_(n, pool_) {}
 
-blocked_ett::block* blocked_ett::new_block(tour* owner) {
+blocked_ett::block* blocked_ett::new_block(tour* owner, uint32_t cap) {
+  static_assert(sizeof(block) == block_bytes(kBlockCap),
+                "a full block is 512 bytes: eight cache lines");
   static_assert(sizeof(block) <= node_pool::kMaxBytes);
+  static_assert(offsetof(block, tags) == kBlockHeaderBytes);
+  static_assert(block_bytes(kClassCaps[0]) % node_pool::kGranularity == 0);
+  assert(cap == class_cap(cap));
   // The placement-new (and this plain-ish store) are safe even on
   // recycled memory: with epochs bound, memory only leaves the limbo —
   // and so becomes allocatable again — once no pinned reader can reach
   // its previous incarnation. The block becomes reader-visible only via
   // a later release store into a slot's vloc, which publishes this init.
-  block* b = new (pool_.allocate(sizeof(block))) block;
+  // The constructor writes only the header, so a short allocation holds
+  // the object up to its `cap` tags.
+  block* b = new (pool_.allocate(block_bytes(cap))) block;
+  b->cap = static_cast<uint16_t>(cap);
   b->owner.store(owner, std::memory_order_relaxed);
   return b;
 }
@@ -76,7 +85,7 @@ blocked_ett::tour* blocked_ett::new_tour() {
 
 void blocked_ett::free_block(block* b) {
   static_assert(std::is_trivially_destructible_v<block>);
-  pool_.reclaim(static_cast<void*>(b), sizeof(block));
+  pool_.reclaim(static_cast<void*>(b), block_bytes(b->cap));
 }
 
 void blocked_ett::free_tour(tour* t) {
@@ -92,19 +101,20 @@ blocked_ett::vslot& blocked_ett::ensure_slot(vertex_id v) {
   // reader either misses the vertex entirely (singleton rep) or sees a
   // fully initialized slot.
   return dir_.activate(v, [](vslot& s) {
-    s.own = ett_counts{1, 0, 0};
+    s.tree_edges = 0;
+    s.nontree_edges = 0;
     s.vloc.store(nullptr, std::memory_order_relaxed);
   });
 }
 
-const ett_counts& blocked_ett::own_of(vertex_id v) const {
+ett_counts blocked_ett::own_of(vertex_id v) const {
   vslot* s = slot(v);
   assert(s != nullptr && "tour sentinel without a directory slot");
-  return s->own;
+  return s->own();
 }
 
 void blocked_ett::maybe_release_slot(vertex_id v, vslot& s) {
-  if (s.own.tree_edges == 0 && s.own.nontree_edges == 0 &&
+  if (s.tree_edges == 0 && s.nontree_edges == 0 &&
       s.vloc.load(std::memory_order_relaxed) == nullptr)
     dir_.deactivate(v);
 }
@@ -119,13 +129,13 @@ blocked_ett::tour* blocked_ett::materialize(vertex_id v) {
   vslot& s = ensure_slot(v);
   assert(s.vloc.load(std::memory_order_relaxed) == nullptr);
   tour* t = new_tour();
-  block* b = new_block(t);
+  block* b = new_block(t, kClassCaps[0]);
   b->prev = b->next = b;
   b->tags[0] = static_cast<uint64_t>(v);
   b->count = 1;
-  b->agg = s.own;
+  b->agg = s.own();
   t->head = b;
-  t->agg = s.own;
+  t->agg = s.own();
   t->nentries = 1;
   t->nblocks = 1;
   s.vloc.store(b, std::memory_order_release);
@@ -147,8 +157,9 @@ void blocked_ett::recompute_agg(block* b) const {
   b->agg = agg;
 }
 
-void blocked_ett::reregister(block* b) {
-  for (uint32_t i = 0; i < b->count; ++i) {
+void blocked_ett::reregister(block* b, uint32_t from, uint32_t to) {
+  to = std::min<uint32_t>(to, b->count);
+  for (uint32_t i = from; i < to; ++i) {
     uint64_t tag = b->tags[i];
     if (!is_arc_tag(tag)) {
       vslot* s = slot(static_cast<vertex_id>(tag));
@@ -164,8 +175,23 @@ void blocked_ett::reregister(block* b) {
   }
 }
 
+void blocked_ett::resize_single(tour* t, uint32_t cap) {
+  block* old = t->head;
+  assert(t->nblocks == 1 && old->count <= cap);
+  if (old->cap == cap) return;
+  block* b = new_block(t, cap);
+  b->prev = b->next = b;
+  b->count = old->count;
+  b->agg = old->agg;
+  std::memcpy(b->tags, old->tags, old->count * sizeof(uint64_t));
+  t->head = b;
+  reregister(b);
+  free_block(old);
+}
+
 blocked_ett::block* blocked_ett::split_at(block* b, uint32_t i) {
   assert(i <= b->count);
+  assert(b->cap == kBlockCap && "short blocks are never split");
   if (i == 0) return b;
   if (i == b->count) return b->next;
   tour* t = b->owner.load(std::memory_order_relaxed);
@@ -185,7 +211,7 @@ blocked_ett::block* blocked_ett::split_at(block* b, uint32_t i) {
 }
 
 void blocked_ett::append_entries(block* b, const uint64_t* tags, uint32_t m) {
-  assert(b->count + m <= kBlockCap);
+  assert(b->count + m <= b->cap);
   std::memcpy(b->tags + b->count, tags, m * sizeof(uint64_t));
   b->count += m;
   for (uint32_t i = 0; i < m; ++i)
@@ -194,7 +220,7 @@ void blocked_ett::append_entries(block* b, const uint64_t* tags, uint32_t m) {
 }
 
 void blocked_ett::prepend_entry(block* b, uint64_t tag) {
-  assert(b->count < kBlockCap);
+  assert(b->count < b->cap);
   std::memmove(b->tags + 1, b->tags, b->count * sizeof(uint64_t));
   b->tags[0] = tag;
   ++b->count;
@@ -285,8 +311,63 @@ void blocked_ett::collapse_singleton(tour* t, seam_blocks& dead) {
 // Link: splice the guest's cycle (rotated to start at its sentinel) plus
 // the two arc entries into the host's cycle right after the host's
 // sentinel. The larger side hosts, so owner relabelling touches only the
-// smaller side's blocks.
+// smaller side's blocks. When the joined tour fits one block, the splice
+// is an array insert into the host's block instead.
 // ---------------------------------------------------------------------
+
+void blocked_ett::link_within_block(tour* th, vertex_id h, vertex_id g,
+                                    tour* tg) {
+  block* bh = th->head;
+  const uint32_t at = index_in_block(bh, h) + 1;
+  // The inserted run: h->g, the guest's tour rotated to start at g, g->h.
+  uint64_t run[kBlockCap];
+  uint32_t m = 0;
+  run[m++] = arc_tag(h, g);
+  ett_counts guest_agg;
+  if (tg == nullptr) {
+    guest_agg = ensure_slot(g).own();
+    run[m++] = static_cast<uint64_t>(g);
+  } else {
+    const block* bg = tg->head;
+    const uint32_t gi = index_in_block(bg, g);
+    std::memcpy(run + m, bg->tags + gi, (bg->count - gi) * sizeof(uint64_t));
+    m += bg->count - gi;
+    std::memcpy(run + m, bg->tags, gi * sizeof(uint64_t));
+    m += gi;
+    guest_agg = tg->agg;
+  }
+  run[m++] = arc_tag(g, h);
+
+  const uint32_t total = bh->count + m;
+  block* b = bh;
+  if (total > bh->cap) {  // outgrew the class: move to the one that fits
+    b = new_block(th, class_cap(total));
+    b->prev = b->next = b;
+    std::memcpy(b->tags, bh->tags, at * sizeof(uint64_t));
+    std::memcpy(b->tags + at + m, bh->tags + at,
+                (bh->count - at) * sizeof(uint64_t));
+  } else {
+    std::memmove(b->tags + at + m, b->tags + at,
+                 (b->count - at) * sizeof(uint64_t));
+  }
+  std::memcpy(b->tags + at, run, m * sizeof(uint64_t));
+  b->count = static_cast<uint16_t>(total);
+  b->agg = bh->agg + guest_agg;
+  th->head = b;
+  th->agg = th->agg + guest_agg;
+  th->nentries = total;
+  if (b == bh) {
+    reregister(b, at, at + m);
+  } else {
+    reregister(b);
+    free_block(bh);
+  }
+  if (tg != nullptr) {
+    relabeled_blocks().add(1);
+    free_block(tg->head);
+    free_tour(tg);
+  }
+}
 
 void blocked_ett::link_one(vertex_id u, vertex_id v) {
   tour* tu = tour_of(u);
@@ -301,6 +382,15 @@ void blocked_ett::link_one(vertex_id u, vertex_id v) {
     std::swap(th, tg);
   }
   if (th == nullptr) th = materialize(h);
+  if (th->nblocks == 1 && (tg == nullptr || tg->nblocks == 1) &&
+      th->nentries + (tg == nullptr ? 1 : tg->nentries) + 2 <= kBlockCap) {
+    link_within_block(th, h, g, tg);
+    return;
+  }
+  // The splice below splits and seams blocks, which needs full-size ones;
+  // only a one-block tour can hold a short block.
+  if (th->nblocks == 1) resize_single(th, kBlockCap);
+  if (tg != nullptr && tg->nblocks == 1) resize_single(tg, kBlockCap);
   const uint64_t hg = arc_tag(h, g);
   const uint64_t gh = arc_tag(g, h);
 
@@ -319,7 +409,7 @@ void blocked_ett::link_one(vertex_id u, vertex_id v) {
     vslot& sg = ensure_slot(g);
     const uint64_t triple[3] = {hg, static_cast<uint64_t>(g), gh};
     block* holder;
-    if (bh->count + 3 <= kBlockCap) {
+    if (bh->count + 3u <= kBlockCap) {
       holder = bh;
       append_entries(bh, triple, 3);
     } else {
@@ -334,7 +424,7 @@ void blocked_ett::link_one(vertex_id u, vertex_id v) {
     }
     sg.vloc.store(holder, std::memory_order_release);
     set_arc_blocks(edge{h, g}, holder, holder);
-    th->agg = th->agg + sg.own;
+    th->agg = th->agg + sg.own();
     th->nentries += 3;
   } else {
     // Rotate the guest cycle so it starts at g's sentinel.
@@ -406,8 +496,60 @@ void blocked_ett::link_one(vertex_id u, vertex_id v) {
 // them, and re-close the two complementary arcs of the cycle into
 // separate tours. The segment strictly between (u->v) and (v->u) is
 // exactly the tour of v's subtree; whichever side has fewer blocks takes
-// the new descriptor.
+// the new descriptor. A one-block tour is cut by copying its two runs
+// out instead.
 // ---------------------------------------------------------------------
+
+void blocked_ett::cut_within_block(tour* t, uint64_t fwd_tag,
+                                   uint64_t rev_tag) {
+  block* b = t->head;
+  const uint32_t n = b->count;
+  const uint32_t fi = index_in_block(b, fwd_tag);
+  const uint32_t ri = index_in_block(b, rev_tag);
+  // The two cyclic runs strictly between the arcs, each a closed tour.
+  uint64_t run[2][kBlockCap];
+  uint32_t len[2] = {0, 0};
+  for (uint32_t i = (fi + 1) % n; i != ri; i = (i + 1) % n)
+    run[0][len[0]++] = b->tags[i];
+  for (uint32_t i = (ri + 1) % n; i != fi; i = (i + 1) % n)
+    run[1][len[1]++] = b->tags[i];
+  // The longer run keeps t (and b, when its class still fits); the other
+  // takes a fresh descriptor.
+  const int keep = len[0] >= len[1] ? 0 : 1;
+  bool b_reused = false;
+  for (int side : {keep, 1 - keep}) {
+    const uint32_t m = len[side];
+    if (m == 1) {  // a lone vertex reverts to the implicit singleton
+      const vertex_id x = static_cast<vertex_id>(run[side][0]);
+      vslot* sx = slot(x);
+      sx->vloc.store(nullptr, std::memory_order_release);
+      maybe_release_slot(x, *sx);
+      if (side == keep) free_tour(t);
+      continue;
+    }
+    tour* owner = t;
+    if (side != keep) {
+      owner = new_tour();
+      relabeled_blocks().add(1);
+    }
+    block* nb = b;
+    if (side != keep || class_cap(m) != b->cap) {
+      nb = new_block(owner, class_cap(m));
+      nb->prev = nb->next = nb;
+    } else {
+      b_reused = true;
+    }
+    std::memcpy(nb->tags, run[side], m * sizeof(uint64_t));
+    nb->count = static_cast<uint16_t>(m);
+    recompute_agg(nb);
+    owner->head = nb;
+    owner->agg = nb->agg;
+    owner->nentries = m;
+    owner->nblocks = 1;
+    if (nb != b) reregister(nb);
+  }
+  if (!b_reused) free_block(b);
+}
 
 void blocked_ett::cut_one(edge e) {
   const uint64_t key = edge_key(e.canonical());
@@ -415,6 +557,11 @@ void blocked_ett::cut_one(edge e) {
   assert(loc != nullptr && "cut: edge not in forest");
   const uint64_t fwd_tag = arc_tag(e.canonical().u, e.canonical().v);
   const uint64_t rev_tag = arc_tag(e.canonical().v, e.canonical().u);
+  if (tour* t = loc->fwd->owner.load(std::memory_order_relaxed);
+      t->nblocks == 1) {
+    cut_within_block(t, fwd_tag, rev_tag);
+    return;
+  }
 
   // Isolate each arc in a single-entry block. Splits re-register moved
   // entries, so re-read the location before isolating the second arc.
@@ -480,30 +627,35 @@ void blocked_ett::cut_one(edge e) {
   dead.push(ar);
 
   // Collapse one-vertex remainders to implicit singletons; rebalance the
-  // seam blocks of the survivors.
+  // seam blocks of the survivors, then move a survivor left with one
+  // block down to the size class that fits it.
   seam_blocks cands;
+  tour* survivors[2] = {nullptr, nullptr};
   for (auto [side, head] : {std::pair{t2, small}, std::pair{t, large}}) {
     if (side->nentries == 1) {
       collapse_singleton(side, dead);
     } else {
       cands.push(head);
       cands.push(head->prev);
+      survivors[side == t] = side;
     }
   }
   rebalance_candidates(cands, dead);
+  for (tour* side : survivors)
+    if (side != nullptr && side->nblocks == 1)
+      resize_single(side, class_cap(side->nentries));
 }
 
 void blocked_ett::add_counts_one(const count_delta& d) {
   // First positive delta on an untouched vertex activates it; a delta
   // that zeroes the counters of a tourless vertex reclaims the slot.
   vslot& s = ensure_slot(d.v);
-  ett_counts& own = s.own;
-  assert(static_cast<int64_t>(own.tree_edges) + d.tree_delta >= 0);
-  assert(static_cast<int64_t>(own.nontree_edges) + d.nontree_delta >= 0);
-  own.tree_edges = static_cast<uint32_t>(
-      static_cast<int64_t>(own.tree_edges) + d.tree_delta);
-  own.nontree_edges = static_cast<uint32_t>(
-      static_cast<int64_t>(own.nontree_edges) + d.nontree_delta);
+  assert(static_cast<int64_t>(s.tree_edges) + d.tree_delta >= 0);
+  assert(static_cast<int64_t>(s.nontree_edges) + d.nontree_delta >= 0);
+  s.tree_edges = static_cast<uint32_t>(
+      static_cast<int64_t>(s.tree_edges) + d.tree_delta);
+  s.nontree_edges = static_cast<uint32_t>(
+      static_cast<int64_t>(s.nontree_edges) + d.nontree_delta);
   if (block* b = s.vloc.load(std::memory_order_relaxed); b != nullptr) {
     auto apply = [&](ett_counts& c) {
       c.tree_edges = static_cast<uint32_t>(
@@ -712,13 +864,13 @@ ett_counts blocked_ett::component_counts(vertex_id v) const {
   vslot* s = slot(v);
   if (s == nullptr) return ett_counts{1, 0, 0};  // never touched: singleton
   block* b = s->vloc.load(std::memory_order_relaxed);
-  return b == nullptr ? s->own
+  return b == nullptr ? s->own()
                       : b->owner.load(std::memory_order_relaxed)->agg;
 }
 
 ett_counts blocked_ett::vertex_counts(vertex_id v) const {
   vslot* s = slot(v);
-  return s == nullptr ? ett_counts{1, 0, 0} : s->own;
+  return s == nullptr ? ett_counts{1, 0, 0} : s->own();
 }
 
 std::vector<std::pair<vertex_id, uint32_t>> blocked_ett::fetch_counted(
@@ -728,7 +880,7 @@ std::vector<std::pair<vertex_id, uint32_t>> blocked_ett::fetch_counted(
   vslot* s = slot(v);
   block* b0 = s == nullptr ? nullptr : s->vloc.load(std::memory_order_relaxed);
   if (b0 == nullptr) {  // singleton component (inactive: zero counters)
-    uint64_t own = s == nullptr ? 0 : slot_count(s->own, nontree);
+    uint64_t own = s == nullptr ? 0 : slot_count(s->own(), nontree);
     if (own > 0)
       out.emplace_back(v, static_cast<uint32_t>(std::min(own, want)));
     return out;
@@ -803,10 +955,9 @@ std::string blocked_ett::check_consistency() const {
   std::unordered_set<const tour*> seen;
   size_t reachable_arcs = 0;
   for (auto [v, s] : active) {
-    if (s->own.vertices != 1) return "per-vertex counter lost its vertex";
     block* b0 = s->vloc.load(std::memory_order_relaxed);
     if (b0 == nullptr) {
-      if (s->own.tree_edges == 0 && s->own.nontree_edges == 0)
+      if (s->tree_edges == 0 && s->nontree_edges == 0)
         return "activation leak: tourless slot with zero edge counters";
       continue;  // singleton with non-tree edges only
     }
@@ -826,15 +977,19 @@ std::string blocked_ett::check_consistency() const {
         return "block owner mismatch";
       if (cur->next->prev != cur || cur->prev->next != cur)
         return "block chain broken";
-      if (cur->count == 0 || cur->count > kBlockCap)
+      if (cur->count == 0 || cur->count > cur->cap)
         return "block count out of range";
+      if (cur->cap != class_cap(cur->cap))
+        return "block capacity is not a size class";
+      if (cur->cap != kBlockCap && t->nblocks > 1)
+        return "short block in a multi-block tour";
       ett_counts agg{};
       for (uint32_t i = 0; i < cur->count; ++i) {
         uint64_t tag = cur->tags[i];
         if (!is_arc_tag(tag)) {
           const vslot* st = slot(static_cast<vertex_id>(tag));
           if (st == nullptr) return "tour sentinel for an inactive vertex";
-          agg = agg + st->own;
+          agg = agg + st->own();
         }
         tags.push_back(tag);
       }
@@ -937,9 +1092,10 @@ blocked_ett::block_stats blocked_ett::debug_block_stats() const {
     for (const block* cur = start;;) {
       ++s.blocks;
       s.entries += cur->count;
+      s.bytes += block_bytes(cur->cap);
       if (t->nblocks > 1) {
-        s.min_fill = std::min(s.min_fill, cur->count);
-        s.max_fill = std::max(s.max_fill, cur->count);
+        s.min_fill = std::min<uint32_t>(s.min_fill, cur->count);
+        s.max_fill = std::max<uint32_t>(s.max_fill, cur->count);
       }
       cur = cur->next;
       if (cur == start) break;

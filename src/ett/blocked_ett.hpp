@@ -1,12 +1,12 @@
 // Cache-packed block-linked Euler tours — the blocked substrate
-// (substrate::blocked; De Man, Łącki & Dhulipala 2024 report
-// sequence-compressed / block-linked tour representations winning
-// decisively at small component sizes, which is exactly the regime the
-// HDT hierarchy's low levels live in).
+// (substrate::blocked, the default of options::substrate; De Man, Łącki
+// & Dhulipala 2024 report sequence-compressed / block-linked tour
+// representations winning decisively at small component sizes, which is
+// exactly the regime the HDT hierarchy's low levels live in).
 //
-// Each tree's Euler tour is a CIRCULAR doubly-linked list of fixed-size
-// blocks; a block packs up to kBlockCap 8-byte tour entries (one sentinel
-// per vertex, one entry per directed arc of each tree edge) contiguously,
+// Each tree's Euler tour is a CIRCULAR doubly-linked list of blocks; a
+// block packs up to kBlockCap 8-byte tour entries (one sentinel per
+// vertex, one entry per directed arc of each tree edge) contiguously,
 // so walking a tour is a streaming scan instead of a pointer chase per
 // element. Every block carries the aggregate HDT counters of the
 // sentinels it holds, and a per-tour descriptor carries the
@@ -15,9 +15,19 @@
 // skip-list and treap substrates), and the first-ℓ fetch walk prunes
 // whole blocks by their aggregates.
 //
-// Mutations are splice-based: `link` splits at most three blocks (after
-// the host's sentinel, before the guest's sentinel) and splices the
-// guest's block chain plus two packed arc entries into the host's cycle,
+// Block sizes: a tour that fits one block holds the smallest size class
+// (kClassCaps) that fits its entries, so a 2-vertex tree's 4 entries take
+// an 80-byte block, not a 512-byte one; a link that outgrows the class
+// moves the tour into the next one, and a cut that shrinks a one-block
+// tour moves it back down. Only one-block tours hold short blocks: every
+// block of a multi-block tour is full size (512 bytes), so splits, seams
+// and rebalancing never see a short block.
+//
+// Mutations are splice-based. A link or cut inside a one-block tour
+// rewrites that block's entries in place (or into a block of the new
+// size class). Otherwise `link` splits at most three blocks (after the
+// host's sentinel, before the guest's sentinel) and splices the guest's
+// block chain plus two packed arc entries into the host's cycle,
 // relabelling only the smaller side's blocks; `cut` isolates the edge's
 // two arcs at block boundaries, re-closes the two halves of the cycle
 // into separate tours, and walks both in lockstep so that the side that
@@ -29,10 +39,9 @@
 // price of O(1) queries is that merging or splitting a tour relabels the
 // smaller side's block owners, i.e. O(min side / B) per mutation
 // (counted by the `ett.relabeled_blocks` telemetry counter); on the small
-// components the blocked substrate targets this linear term is cheaper
-// in practice than the polylogarithmic pointer structures it replaces,
-// and the per-level substrate policy (options::policy) keeps it away
-// from the huge top-level components.
+// components that dominate every level below the top, this linear term
+// is cheaper in practice than the polylogarithmic pointer structures it
+// replaces.
 //
 // Batch mutations follow the treap substrate's phase structure: a
 // read-only phase resolves every touched tour, the batch is partitioned
@@ -72,6 +81,25 @@ class blocked_ett final {
   /// Occupancy floor for blocks of multi-block tours; single-block tours
   /// are exempt (a 2-vertex tree has only 4 entries).
   static constexpr uint32_t kMinFill = kBlockCap / 4;
+  /// Block header (links, owner, count/cap, aggregate) ahead of the tags.
+  static constexpr size_t kBlockHeaderBytes = 40;
+  /// Entry capacities of the block size classes, smallest first. Each
+  /// fills a node_pool size class exactly (80, 144, 256 and 512 bytes)
+  /// and roughly doubles the one before, so a tour grown one link at a
+  /// time is copied O(1) times per entry. Only single-block tours hold a
+  /// class below kBlockCap.
+  static constexpr uint32_t kClassCaps[] = {5, 13, 27, kBlockCap};
+
+  /// Bytes of a block holding up to `cap` entries.
+  [[nodiscard]] static constexpr size_t block_bytes(uint32_t cap) {
+    return kBlockHeaderBytes + size_t{cap} * sizeof(uint64_t);
+  }
+  /// The smallest class capacity that holds `entries` (<= kBlockCap).
+  [[nodiscard]] static constexpr uint32_t class_cap(uint64_t entries) {
+    for (uint32_t c : kClassCaps)
+      if (entries <= c) return c;
+    return kBlockCap;
+  }
 
   explicit blocked_ett(vertex_id n, uint64_t seed = 0xb10c);
 
@@ -142,6 +170,9 @@ class blocked_ett final {
   [[nodiscard]] size_t directory_bytes() const {
     return dir_.resident_bytes();
   }
+  [[nodiscard]] size_t retained_bytes() const {
+    return pool_stats().retained_bytes() + dir_.root_bytes();
+  }
 
   // Epoch-snapshot read contract (see ett_substrate.hpp): the reader-visible
   // pointer chain — directory chunk (vertex -> slot), slot vloc (vertex
@@ -169,23 +200,27 @@ class blocked_ett final {
     size_t entries = 0;  // tour entries across all tours
     uint32_t min_fill = 0;  // smallest block of any multi-block tour
     uint32_t max_fill = 0;
+    size_t bytes = 0;       // block storage across all tours
   };
   [[nodiscard]] block_stats debug_block_stats() const;
 
  private:
   struct tour;
-  /// One packed segment of a tour: up to kBlockCap contiguous entries plus
+  /// One packed segment of a tour: up to `cap` contiguous entries plus
   /// the aggregate counters of the sentinels it holds. Blocks of one tour
   /// form a circular doubly-linked list. `owner` is the one field the
   /// concurrent-read probe dereferences, so it is atomic: writers relabel
   /// it with release stores, readers load it acquire, and the exclusive
-  /// mutation phase itself reads it relaxed.
+  /// mutation phase itself reads it relaxed. A block is allocated with
+  /// block_bytes(cap) bytes: tags past `cap` do not exist and are never
+  /// touched.
   struct block {
     block* prev = nullptr;
     block* next = nullptr;
     std::atomic<tour*> owner{nullptr};
-    uint32_t count = 0;
-    ett_counts agg;  // sum of slot->own over sentinel entries in this block
+    uint16_t count = 0;
+    uint16_t cap = kBlockCap;  // one of kClassCaps
+    ett_counts agg;  // sum of own() over sentinel entries in this block
     uint64_t tags[kBlockCap];
   };
   /// Per-component descriptor; its address is the component representative.
@@ -196,15 +231,20 @@ class blocked_ett final {
     uint32_t nblocks = 0;
   };
   /// Per-ACTIVE-vertex state, held in the sparse directory: the vertex's
-  /// HDT counters (vertices == 1) and the block holding its sentinel
-  /// (null while the vertex has no incident tree edge at this level).
-  /// vloc is atomic (release-published) for the concurrent-read probe;
-  /// writer-side code reads it relaxed (phase-exclusive). Slot addresses
-  /// are stable for the lifetime of their chunk (vertex_directory never
-  /// moves slots).
+  /// HDT edge counters and the block holding its sentinel (null while the
+  /// vertex has no incident tree edge at this level). The vertex count of
+  /// a slot is always 1, so it is not stored: own() supplies it, and a
+  /// slot is 16 bytes (a 32-slot directory chunk 528). vloc is atomic
+  /// (release-published) for the concurrent-read probe; writer-side code
+  /// reads it relaxed (phase-exclusive). Slot addresses are stable for
+  /// the lifetime of their chunk (vertex_directory never moves slots).
   struct vslot {
-    ett_counts own;
+    uint32_t tree_edges = 0;
+    uint32_t nontree_edges = 0;
     std::atomic<block*> vloc{nullptr};
+    [[nodiscard]] ett_counts own() const {
+      return {1, tree_edges, nontree_edges};
+    }
   };
   /// Fixed-capacity block list for per-splice seam bookkeeping (one
   /// splice creates a bounded number of seam blocks, so rebalance
@@ -219,7 +259,8 @@ class blocked_ett final {
     block* rev = nullptr;
   };
 
-  block* new_block(tour* owner);
+  /// A fresh block of `cap` entries (a kClassCaps value) owned by `owner`.
+  block* new_block(tour* owner, uint32_t cap = kBlockCap);
   tour* new_tour();
   void free_block(block* b);
   void free_tour(tour* t);
@@ -229,7 +270,7 @@ class blocked_ett final {
   /// Activates v on first touch ({1,0,0} counters, no tour).
   vslot& ensure_slot(vertex_id v);
   /// Counters of a vertex known to be in a tour (slot must exist).
-  [[nodiscard]] const ett_counts& own_of(vertex_id v) const;
+  [[nodiscard]] ett_counts own_of(vertex_id v) const;
   /// Reclaims v's slot when its last level-i edge has left (no tour, no
   /// counters). Call only from mutation phases, on v's own partition.
   void maybe_release_slot(vertex_id v, vslot& s);
@@ -241,8 +282,12 @@ class blocked_ett final {
   [[nodiscard]] static uint32_t index_in_block(const block* b, uint64_t tag);
   /// Recomputes b's aggregate from its entries.
   void recompute_agg(block* b) const;
-  /// Points every entry of b's location record (vloc_ / arcs_) at b.
-  void reregister(block* b);
+  /// Points the location record (slot vloc / arcs_) of entries
+  /// [from, to) of b at b; by default every entry.
+  void reregister(block* b, uint32_t from = 0, uint32_t to = UINT32_MAX);
+  /// Moves the sole block of one-block tour t into a fresh block of
+  /// class `cap` (no-op if it already has that class).
+  void resize_single(tour* t, uint32_t cap);
   /// Ensures a block boundary before index i of b (0 <= i <= count);
   /// returns the block that begins with b's old entry i (b itself when
   /// i == 0, b's successor when i == count).
@@ -263,7 +308,14 @@ class blocked_ett final {
   void collapse_singleton(tour* t, seam_blocks& dead);
 
   void link_one(vertex_id u, vertex_id v);
+  /// link_one's path when host and guest together fit one block: the
+  /// guest's entries and the two arcs are spliced into the host's block
+  /// array (moved to the next size class if they overflow it).
+  void link_within_block(tour* th, vertex_id h, vertex_id g, tour* tg);
   void cut_one(edge e);
+  /// cut_one's path for a one-block tour: both sides are written back as
+  /// one-block tours of their own size class.
+  void cut_within_block(tour* t, uint64_t fwd_tag, uint64_t rev_tag);
   void add_counts_one(const count_delta& d);
 
   [[nodiscard]] std::vector<std::pair<vertex_id, uint32_t>> fetch_counted(

@@ -160,6 +160,11 @@ class ett_forest {
   [[nodiscard]] size_t directory_bytes() const {
     return visit([](auto& f) { return f.directory_bytes(); });
   }
+  /// Bytes this forest holds in all: pool blocks plus the directory's
+  /// root table.
+  [[nodiscard]] size_t retained_bytes() const {
+    return visit([](auto& f) { return f.retained_bytes(); });
+  }
 
   // Read-side snapshot contract (see ett_substrate.hpp). Only blocked_ett
   // answers relaxed reads and defers frees through an epoch limbo; the

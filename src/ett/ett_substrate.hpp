@@ -15,16 +15,16 @@
 // Three substrates are provided:
 //   * substrate::skiplist — `euler_tour_forest`, batch-parallel tours over
 //     the phase-concurrent augmented skip list (Tseng et al. [62]); the
-//     paper's own representation and the default.
+//     paper's own representation.
 //   * substrate::treap   — `treap_ett`, tours over sequence treaps
 //     (Henzinger–King style); mutation batches are parallel join-based
 //     bulk operations partitioned by tour, read-only batches fan out
 //     across workers.
 //   * substrate::blocked — `blocked_ett`, tours as circular lists of
-//     cache-packed fixed-size blocks with per-block aggregates and O(1)
+//     cache-packed blocks with per-block aggregates and O(1)
 //     representative/count queries; the small-component specialist (De
-//     Man et al. 2024), and the low-level half of the per-level substrate
-//     policy (options::policy).
+//     Man et al. 2024) and the default, since small components are what
+//     most levels of the HDT hierarchy hold.
 //
 // Phase contract (every substrate): a batch mutation call is one exclusive
 // phase; read-only queries (connected / find_rep / counts / fetch) may run
@@ -72,9 +72,9 @@ namespace bdc {
 /// Which Euler-tour representation backs a forest. Selected per structure
 /// at construction (options::substrate).
 enum class substrate : uint8_t {
-  skiplist,  // batch-parallel augmented skip list (paper default)
+  skiplist,  // batch-parallel augmented skip list (the paper's)
   treap,     // sequence treaps (HDT-style)
-  blocked,   // cache-packed block-linked tours (small-component specialist)
+  blocked,   // cache-packed block-linked tours (options{} default)
 };
 
 [[nodiscard]] const char* to_string(substrate s);
@@ -168,12 +168,16 @@ concept ett_substrate =
       // Memory accounting. pool_stats/trim_pool require quiescence (no
       // phase in flight); the directory gauges are atomic counters, safe
       // anytime. trim_pool keeps up to `keep_bytes` of spare blocks (see
-      // node_pool::trim) and returns the bytes released; directory_bytes
-      // excludes tour nodes, which pool_stats accounts for.
+      // node_pool::trim) and returns the bytes released. directory_bytes
+      // is the vertex directory's root table plus its chunks (tour nodes
+      // excluded); retained_bytes is everything the forest holds, each
+      // byte once: its pool (tour nodes AND directory chunks) plus the
+      // directory's root table.
       { cf.pool_stats() } -> std::same_as<node_pool::stats_snapshot>;
       { f.trim_pool(keep_bytes) } -> std::same_as<size_t>;
       { cf.active_vertices() } -> std::same_as<uint64_t>;
       { cf.directory_bytes() } -> std::same_as<size_t>;
+      { cf.retained_bytes() } -> std::same_as<size_t>;
     };
 
 }  // namespace bdc

@@ -170,6 +170,9 @@ class treap_ett final {
   [[nodiscard]] size_t directory_bytes() const {
     return dir_.resident_bytes();
   }
+  [[nodiscard]] size_t retained_bytes() const {
+    return pool_stats().retained_bytes() + dir_.root_bytes();
+  }
 
  private:
   struct node {

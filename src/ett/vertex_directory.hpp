@@ -181,9 +181,15 @@ class vertex_directory {
   /// Bytes this directory currently retains: the fixed root table plus
   /// the installed chunks. O(1).
   [[nodiscard]] size_t resident_bytes() const {
-    return roots_.capacity() * sizeof(roots_[0]) +
+    return root_bytes() +
            static_cast<size_t>(chunks_.load(std::memory_order_relaxed)) *
                sizeof(chunk);
+  }
+
+  /// Bytes of the root table alone: the one part of the directory that is
+  /// not pool storage (chunks are counted by the pool's retained bytes).
+  [[nodiscard]] size_t root_bytes() const {
+    return roots_.capacity() * sizeof(roots_[0]);
   }
 
   [[nodiscard]] uint64_t chunk_count() const {

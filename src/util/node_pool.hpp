@@ -22,7 +22,13 @@
 //     the external driver, slots 1..P-1 the pool threads), so per-worker
 //     state needs no synchronization;
 //   * recycles freed nodes across batches via the freeing worker's
-//     freelist — a cut-then-relink workload reuses hot memory;
+//     freelist — a cut-then-relink workload reuses hot memory. A worker
+//     keeps at most 2 * kSpillNodes free nodes per size class: past
+//     that, the colder half moves to a shared depot as one chain, and a
+//     worker whose freelist is empty takes a chain from the depot before
+//     carving fresh memory. Without the depot, nodes allocated on one
+//     worker and freed on another never come back, and a multi-worker
+//     pool grows without bound under steady churn;
 //   * optionally defers frees through an epoch_manager (`bind_epochs` +
 //     `reclaim`): while concurrent readers may still observe an unlinked
 //     node, it parks on the freeing worker's limbo list stamped with the
@@ -74,6 +80,7 @@ class node_pool {
   static constexpr size_t kBlockBytes = 64 * 1024; // OS unit (aligned)
   static constexpr size_t kHeaderBytes = 64;       // per-block header area
   static constexpr size_t kRunBytes = 8 * 1024;    // per-worker carve unit
+  static constexpr uint32_t kSpillNodes = 32;      // nodes per depot chain
   static_assert((kBlockBytes & (kBlockBytes - 1)) == 0,
                 "block size must be a power of two for header lookup");
   static_assert(kRunBytes >= kMaxBytes, "a run must fit the largest node");
@@ -261,11 +268,19 @@ class node_pool {
     if (stats().outstanding() != 0) return 0;
     auto reset = [](worker_state& ws) {
       ws.freelist.fill(nullptr);
+      ws.nfree.fill(0);
       ws.cursor = nullptr;
       ws.remaining = 0;
     };
     for (worker_state& ws : workers_) reset(ws);
     reset(overflow_);
+    {
+      std::lock_guard<std::mutex> lock(depot_mutex_);
+      for (size_t cls = 0; cls < kNumClasses; ++cls) {
+        depot_[cls].clear();
+        depot_chains_[cls].store(0, std::memory_order_relaxed);
+      }
+    }
     size_t keep_blocks = (keep_bytes + kBlockBytes - 1) / kBlockBytes;
     size_t released = 0;
     {
@@ -322,21 +337,39 @@ class node_pool {
       }
     }
     if (dead.empty()) return 0;
-    auto purge = [&](worker_state& ws) {
-      for (void*& head : ws.freelist) {
-        void** link = &head;
-        while (*link != nullptr) {
-          if (dead.count(base_of(*link)) != 0)
-            *link = *static_cast<void**>(*link);  // unlink
-          else
-            link = static_cast<void**>(*link);
+    // Unlinks the nodes of dead blocks from one list; returns the count
+    // of nodes left.
+    auto purge_list = [&](void*& head) {
+      uint32_t left = 0;
+      void** link = &head;
+      while (*link != nullptr) {
+        if (dead.count(base_of(*link)) != 0) {
+          *link = *static_cast<void**>(*link);  // unlink
+        } else {
+          link = static_cast<void**>(*link);
+          ++left;
         }
       }
+      return left;
+    };
+    auto purge = [&](worker_state& ws) {
+      for (size_t cls = 0; cls < kNumClasses; ++cls)
+        ws.nfree[cls] = purge_list(ws.freelist[cls]);
     };
     for (worker_state& ws : workers_) purge(ws);
     {
       std::lock_guard<std::mutex> olock(overflow_mutex_);
       purge(overflow_);
+    }
+    {
+      std::lock_guard<std::mutex> dlock(depot_mutex_);
+      for (size_t cls = 0; cls < kNumClasses; ++cls) {
+        auto& chains = depot_[cls];
+        for (chain& c : chains) c.n = purge_list(c.head);
+        std::erase_if(chains, [](const chain& c) { return c.n == 0; });
+        depot_chains_[cls].store(static_cast<uint32_t>(chains.size()),
+                                 std::memory_order_relaxed);
+      }
     }
     size_t released = 0;
     auto keep_it = blocks_.begin();
@@ -375,6 +408,7 @@ class node_pool {
 
   struct alignas(64) worker_state {
     std::array<void*, kNumClasses> freelist{};
+    std::array<uint32_t, kNumClasses> nfree{};  // nodes on each freelist
     char* cursor = nullptr;
     size_t remaining = 0;
     std::atomic<uint64_t> fresh{0};
@@ -408,9 +442,19 @@ class node_pool {
     ::operator delete(b, std::align_val_t{kBlockBytes});
   }
 
+  /// A chain of free nodes of one class parked in the depot.
+  struct chain {
+    void* head;
+    uint32_t n;
+  };
+
   void* allocate_from(worker_state& ws, size_t cls) {
+    if (ws.freelist[cls] == nullptr &&
+        depot_chains_[cls].load(std::memory_order_relaxed) > 0)
+      take_chain(ws, cls);
     if (void* p = ws.freelist[cls]) {
       ws.freelist[cls] = *static_cast<void**>(p);
+      --ws.nfree[cls];
       ws.recycled.fetch_add(1, std::memory_order_relaxed);
       header_of(p)->live.fetch_add(1, std::memory_order_relaxed);
       return p;
@@ -454,11 +498,38 @@ class node_pool {
     shared_remaining_ -= run;
   }
 
-  static void push_free(worker_state& ws, size_t cls, void* p) {
+  void push_free(worker_state& ws, size_t cls, void* p) {
     *static_cast<void**>(p) = ws.freelist[cls];
     ws.freelist[cls] = p;
     ws.freed.fetch_add(1, std::memory_order_relaxed);
     header_of(p)->live.fetch_sub(1, std::memory_order_relaxed);
+    if (++ws.nfree[cls] >= 2 * kSpillNodes) spill_chain(ws, cls);
+  }
+
+  /// Moves every node of ws's freelist past the first kSpillNodes (the
+  /// coldest ones: the list is LIFO) to the depot as one chain.
+  void spill_chain(worker_state& ws, size_t cls) {
+    void* last_kept = ws.freelist[cls];
+    for (uint32_t i = 1; i < kSpillNodes; ++i)
+      last_kept = *static_cast<void**>(last_kept);
+    void*& rest = *static_cast<void**>(last_kept);
+    const chain c{rest, ws.nfree[cls] - kSpillNodes};
+    rest = nullptr;
+    ws.nfree[cls] = kSpillNodes;
+    std::lock_guard<std::mutex> lock(depot_mutex_);
+    depot_[cls].push_back(c);
+    depot_chains_[cls].fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Refills ws's empty freelist of class cls with a depot chain, if any.
+  void take_chain(worker_state& ws, size_t cls) {
+    std::lock_guard<std::mutex> lock(depot_mutex_);
+    auto& chains = depot_[cls];
+    if (chains.empty()) return;
+    ws.freelist[cls] = chains.back().head;
+    ws.nfree[cls] = chains.back().n;
+    chains.pop_back();
+    depot_chains_[cls].fetch_sub(1, std::memory_order_relaxed);
   }
 
   size_t slots_;
@@ -473,6 +544,11 @@ class node_pool {
   std::atomic<uint64_t> trimmed_bytes_{0};
   std::atomic<uint64_t> dead_block_trims_{0};
   std::atomic<uint64_t> limbo_nodes_{0};
+  std::mutex depot_mutex_;
+  std::array<std::vector<chain>, kNumClasses> depot_;  // depot_mutex_
+  // Chains parked per class: read unlocked as a hint, so an allocation
+  // with an empty freelist takes the lock only when the depot has some.
+  std::array<std::atomic<uint32_t>, kNumClasses> depot_chains_{};
   epoch_manager* epochs_ = nullptr;
 };
 

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <vector>
 
 #include "ett/blocked_ett.hpp"
 #include "gen/graph_gen.hpp"
+#include "util/node_pool.hpp"
 #include "obs/telemetry.hpp"
 #include "spanning/union_find.hpp"
 #include "test_workers.hpp"
@@ -29,7 +31,93 @@ void expect_healthy(const blocked_ett& f, const char* where) {
 TEST(BlockedEtt, BlockGeometry) {
   // One block must be 512 bytes of pooled storage: 8 cache lines.
   EXPECT_EQ(blocked_ett::kBlockCap, 59u);
+  EXPECT_EQ(blocked_ett::block_bytes(blocked_ett::kBlockCap), 512u);
   EXPECT_EQ(blocked_ett::kMinFill, blocked_ett::kBlockCap / 4);
+  // The first-block classes ascend to the full block, and each fills a
+  // node_pool size class exactly.
+  uint32_t prev = 0;
+  for (uint32_t cap : blocked_ett::kClassCaps) {
+    EXPECT_GT(cap, prev);
+    EXPECT_EQ(blocked_ett::block_bytes(cap) % node_pool::kGranularity, 0u);
+    prev = cap;
+  }
+  EXPECT_EQ(prev, blocked_ett::kBlockCap);
+}
+
+// A tour that fits one block holds the smallest size class that fits it:
+// growing a path one link at a time walks it up the classes into a
+// multi-block tour of full blocks, and cutting it back down walks it back
+// to the smallest class.
+TEST(BlockedEtt, SmallTourGrowsThroughSizeClasses) {
+  const vertex_id n = 200;
+  blocked_ett f(n);
+  auto expect_classed = [&](const char* phase, vertex_id k) {
+    ASSERT_EQ(f.check_consistency(), "") << phase << " k=" << k;
+    auto s = f.debug_block_stats();
+    ASSERT_EQ(s.tours, 1u) << phase << " k=" << k;
+    ASSERT_EQ(s.entries, 3u * k - 2) << phase << " k=" << k;
+    if (s.blocks == 1) {
+      EXPECT_EQ(s.bytes, blocked_ett::block_bytes(
+                             blocked_ett::class_cap(s.entries)))
+          << phase << " k=" << k;
+    } else {
+      EXPECT_EQ(s.bytes,
+                s.blocks * blocked_ett::block_bytes(blocked_ett::kBlockCap))
+          << phase << ": a multi-block tour holds a short block, k=" << k;
+    }
+  };
+  std::vector<uint32_t> caps_seen;
+  for (vertex_id k = 2; k <= n; ++k) {
+    f.batch_link(std::vector<edge>{{k - 2, k - 1}});
+    expect_classed("grow", k);
+    auto s = f.debug_block_stats();
+    if (s.blocks == 1) {
+      const uint32_t cap = blocked_ett::class_cap(s.entries);
+      if (caps_seen.empty() || caps_seen.back() != cap)
+        caps_seen.push_back(cap);
+    }
+    if (k == 2) {
+      EXPECT_LE(s.bytes, 96u) << "a 2-vertex tour's blocks";
+    }
+  }
+  // Growth passed through every class, in order.
+  EXPECT_EQ(caps_seen, std::vector<uint32_t>(std::begin(blocked_ett::kClassCaps),
+                                             std::end(blocked_ett::kClassCaps)));
+  EXPECT_GT(f.debug_block_stats().blocks, 1u);
+  for (vertex_id k = n; k > 2; --k) {
+    f.batch_cut(std::vector<edge>{{k - 2, k - 1}});
+    expect_classed("shrink", k - 1);
+  }
+  EXPECT_LE(f.debug_block_stats().bytes, 96u) << "a 2-vertex tour's blocks";
+  f.batch_cut(std::vector<edge>{{0, 1}});
+  EXPECT_EQ(f.debug_block_stats().blocks, 0u);
+  expect_healthy(f, "after the last cut");
+}
+
+// Joining two one-block tours at interior vertices rotates the guest's
+// entries into the host's block; cutting the joining edge splits them back
+// into one-block tours with their counters intact.
+TEST(BlockedEtt, OneBlockToursJoinAndSplitInPlace) {
+  blocked_ett f(32);
+  f.batch_add_counts(std::vector<count_delta>{{2, 1, 0}, {11, 0, 3}});
+  f.batch_link(std::vector<edge>{{0, 1}, {1, 2}, {2, 3}, {10, 11}, {11, 12}});
+  expect_healthy(f, "two small tours");
+  f.batch_link(std::vector<edge>{{2, 11}});
+  expect_healthy(f, "joined");
+  auto s = f.debug_block_stats();
+  EXPECT_EQ(s.tours, 1u);
+  EXPECT_EQ(s.blocks, 1u);
+  EXPECT_EQ(s.bytes, blocked_ett::block_bytes(blocked_ett::class_cap(19)));
+  EXPECT_EQ(f.component_counts(12), (ett_counts{7, 1, 3}));
+  f.batch_cut(std::vector<edge>{{11, 2}});
+  expect_healthy(f, "split");
+  EXPECT_FALSE(f.connected(0, 12));
+  EXPECT_EQ(f.component_counts(3), (ett_counts{4, 1, 0}));
+  EXPECT_EQ(f.component_counts(10), (ett_counts{3, 0, 3}));
+  s = f.debug_block_stats();
+  EXPECT_EQ(s.tours, 2u);
+  EXPECT_EQ(s.bytes, blocked_ett::block_bytes(blocked_ett::class_cap(10)) +
+                         blocked_ett::block_bytes(blocked_ett::class_cap(7)));
 }
 
 TEST(BlockedEtt, PathTourIsPacked) {

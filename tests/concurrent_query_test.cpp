@@ -103,6 +103,79 @@ void verify_records(const std::vector<std::vector<served_record>>& recs,
 // Substrate level: blocked_ett's connected_relaxed under a seqlock
 // ---------------------------------------------------------------------
 
+// The seqlock the serving layer maintains, reproduced so the raw
+// substrate can be driven without batch_dynamic_connectivity on top:
+// reader threads probe connected_relaxed() over ids [0, n) and keep only
+// answers no batch overlapped; write() brackets one batch exactly like
+// update_scope (odd version during the batch, epoch advance + limbo
+// drain after).
+class seqlocked_readers {
+ public:
+  seqlocked_readers(blocked_ett& ett, epoch_manager& em, vertex_id n,
+                    size_t readers, uint64_t seed)
+      : ett_(ett), em_(em), recs_(readers) {
+    threads_.reserve(readers);
+    for (size_t t = 0; t < readers; ++t) {
+      threads_.emplace_back([this, n, t, seed] {
+        random_stream rng(hash_combine(seed, t));
+        auto& buf = recs_[t];
+        while (!stop_.load(std::memory_order_acquire)) {
+          auto guard = em_.pin();
+          uint64_t v1 = version_.load(std::memory_order_acquire);
+          if (v1 & 1) continue;  // batch in flight: no committed boundary
+          auto u = static_cast<vertex_id>(rng.next(n));
+          auto v = static_cast<vertex_id>(rng.next(n));
+          std::optional<bool> ans = ett_.connected_relaxed(u, v);
+          ASSERT_TRUE(ans.has_value());
+          if (version_.load(std::memory_order_acquire) != v1)
+            continue;  // overlapped a batch: discard, like the serving layer
+          buf.push_back({u, v, v1 >> 1, *ans});
+          recorded_.fetch_add(1, std::memory_order_release);
+        }
+      });
+    }
+  }
+  ~seqlocked_readers() { stop(); }
+  seqlocked_readers(const seqlocked_readers&) = delete;
+  seqlocked_readers& operator=(const seqlocked_readers&) = delete;
+
+  template <typename Batch>
+  void write(Batch&& batch) {
+    em_.begin_write();
+    version_.fetch_add(1, std::memory_order_acq_rel);  // -> odd
+    batch();
+    version_.fetch_add(1, std::memory_order_release);  // -> even
+    em_.advance();
+    em_.end_write();
+    ett_.drain_limbo();
+  }
+
+  /// Batches done, version even and stable: every reader iteration now
+  /// validates. Waits until each reader has recorded something (so the
+  /// check cannot starve on a loaded machine), then joins them.
+  const std::vector<std::vector<served_record>>& finish() {
+    while (recorded_.load(std::memory_order_acquire) < recs_.size())
+      std::this_thread::yield();
+    stop();
+    return recs_;
+  }
+
+ private:
+  void stop() {
+    stop_.store(true, std::memory_order_release);
+    for (auto& th : threads_)
+      if (th.joinable()) th.join();
+  }
+
+  blocked_ett& ett_;
+  epoch_manager& em_;
+  std::atomic<uint64_t> version_{0};  // odd while a batch is in flight
+  std::atomic<bool> stop_{false};
+  std::atomic<uint64_t> recorded_{0};
+  std::vector<std::vector<served_record>> recs_;
+  std::vector<std::thread> threads_;
+};
+
 class BlockedRelaxedReads : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(BlockedRelaxedReads, SeqlockValidatedProbesMatchSomeBoundary) {
@@ -114,39 +187,9 @@ TEST_P(BlockedRelaxedReads, SeqlockValidatedProbesMatchSomeBoundary) {
   epoch_manager em;
   blocked_ett ett(n, /*seed=*/0xc0ffee);
   ett.bind_read_epochs(&em);
+  seqlocked_readers readers_of(ett, em, n, readers, 0xbead);
 
-  // The seqlock the serving layer maintains, reproduced here so the raw
-  // substrate can be driven without batch_dynamic_connectivity on top.
-  std::atomic<uint64_t> version{0};  // odd while a batch is in flight
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> recorded{0};
-
-  std::vector<std::vector<served_record>> recs(readers);
-  std::vector<std::thread> pool_threads;
-  pool_threads.reserve(readers);
-  for (size_t t = 0; t < readers; ++t) {
-    pool_threads.emplace_back([&, t] {
-      random_stream rng(hash_combine(0xbead, t));
-      auto& buf = recs[t];
-      while (!stop.load(std::memory_order_acquire)) {
-        auto guard = em.pin();
-        uint64_t v1 = version.load(std::memory_order_acquire);
-        if (v1 & 1) continue;  // batch in flight: no committed boundary
-        auto u = static_cast<vertex_id>(rng.next(n));
-        auto v = static_cast<vertex_id>(rng.next(n));
-        std::optional<bool> ans = ett.connected_relaxed(u, v);
-        ASSERT_TRUE(ans.has_value());
-        if (version.load(std::memory_order_acquire) != v1)
-          continue;  // overlapped a batch: discard, like the serving layer
-        buf.push_back({u, v, v1 >> 1, *ans});
-        recorded.fetch_add(1, std::memory_order_release);
-      }
-    });
-  }
-
-  // Writer: alternate acyclic link batches and cut batches, bracketing
-  // each exactly like update_scope (odd version during the batch, epoch
-  // advance + limbo drains after).
+  // Writer: alternate acyclic link batches and cut batches.
   std::unordered_set<uint64_t> edges;
   std::vector<std::vector<vertex_id>> states;
   states.push_back(oracle_labels(n, edges));
@@ -176,18 +219,13 @@ TEST_P(BlockedRelaxedReads, SeqlockValidatedProbesMatchSomeBoundary) {
         batch.push_back(edge_from_key(*edges.begin()));
     }
 
-    em.begin_write();
-    version.fetch_add(1, std::memory_order_acq_rel);  // -> odd
-    if (!batch.empty()) {
+    readers_of.write([&] {
+      if (batch.empty()) return;
       if (linking)
         ett.batch_link(batch);
       else
         ett.batch_cut(batch);
-    }
-    version.fetch_add(1, std::memory_order_release);  // -> even
-    em.advance();
-    em.end_write();
-    ett.drain_limbo();
+    });
 
     for (const edge& e : batch) {
       if (linking)
@@ -197,15 +235,7 @@ TEST_P(BlockedRelaxedReads, SeqlockValidatedProbesMatchSomeBoundary) {
     }
     states.push_back(oracle_labels(n, edges));
   }
-  // Batches done, version even and stable: every reader iteration now
-  // validates. Don't stop them until each has recorded something, so the
-  // check below cannot starve on a loaded machine.
-  while (recorded.load(std::memory_order_acquire) < readers)
-    std::this_thread::yield();
-  stop.store(true, std::memory_order_release);
-  for (auto& th : pool_threads) th.join();
-
-  verify_records(recs, states, "blocked_ett relaxed");
+  verify_records(readers_of.finish(), states, "blocked_ett relaxed");
   EXPECT_TRUE(ett.check_consistency().empty());
   ett.drain_limbo();
   ett.bind_read_epochs(nullptr);
@@ -231,32 +261,7 @@ TEST_P(BlockedRelaxedReads, ProbesStayValidAcrossDirectoryGrowth) {
   epoch_manager em;
   blocked_ett ett(n, /*seed=*/0xd1e);
   ett.bind_read_epochs(&em);
-
-  std::atomic<uint64_t> version{0};  // odd while a batch is in flight
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> recorded{0};
-
-  std::vector<std::vector<served_record>> recs(readers);
-  std::vector<std::thread> pool_threads;
-  pool_threads.reserve(readers);
-  for (size_t t = 0; t < readers; ++t) {
-    pool_threads.emplace_back([&, t] {
-      random_stream rng(hash_combine(0x96e4, t));
-      auto& buf = recs[t];
-      while (!stop.load(std::memory_order_acquire)) {
-        auto guard = em.pin();
-        uint64_t v1 = version.load(std::memory_order_acquire);
-        if (v1 & 1) continue;
-        auto u = static_cast<vertex_id>(rng.next(n));
-        auto v = static_cast<vertex_id>(rng.next(n));
-        std::optional<bool> ans = ett.connected_relaxed(u, v);
-        ASSERT_TRUE(ans.has_value());
-        if (version.load(std::memory_order_acquire) != v1) continue;
-        buf.push_back({u, v, v1 >> 1, *ans});
-        recorded.fetch_add(1, std::memory_order_release);
-      }
-    });
-  }
+  seqlocked_readers readers_of(ett, em, n, readers, 0x96e4);
 
   std::unordered_set<uint64_t> edges;
   std::vector<std::vector<vertex_id>> states;
@@ -273,29 +278,68 @@ TEST_P(BlockedRelaxedReads, ProbesStayValidAcrossDirectoryGrowth) {
         cuts.push_back(edge{old + i, old + i + 1}.canonical());
     }
 
-    em.begin_write();
-    version.fetch_add(1, std::memory_order_acq_rel);  // -> odd
-    ett.batch_link(links);
-    if (!cuts.empty()) ett.batch_cut(cuts);
-    version.fetch_add(1, std::memory_order_release);  // -> even
-    em.advance();
-    em.end_write();
-    ett.drain_limbo();
+    readers_of.write([&] {
+      ett.batch_link(links);
+      if (!cuts.empty()) ett.batch_cut(cuts);
+    });
 
     for (const edge& e : links) edges.insert(edge_key(e));
     for (const edge& e : cuts) edges.erase(edge_key(e));
     states.push_back(oracle_labels(n, edges));
   }
-  while (recorded.load(std::memory_order_acquire) < readers)
-    std::this_thread::yield();
-  stop.store(true, std::memory_order_release);
-  for (auto& th : pool_threads) th.join();
-
-  verify_records(recs, states, "blocked_ett directory growth");
+  verify_records(readers_of.finish(), states,
+                 "blocked_ett directory growth");
   EXPECT_TRUE(ett.check_consistency().empty());
   // Only the two newest regions are still linked; everything older was
   // deactivated and its chunks reclaimed.
   EXPECT_LE(ett.active_vertices(), 2u * kRegion);
+  ett.drain_limbo();
+  ett.bind_read_epochs(nullptr);
+}
+
+// Size-class regression: one path grows a link per batch from 2 to
+// kLength vertices and is cut back down, round after round, so its tour
+// keeps moving into a fresh block of the next size class (and, past one
+// block, into full blocks) and back down — every move re-points the
+// sentinels' vloc at a new block and retires the old one through the
+// epoch limbo while readers probe the path's vertices.
+TEST_P(BlockedRelaxedReads, ProbesStayValidWhileTourChangesSizeClass) {
+  testing::worker_pool_guard pool(GetParam());
+  const size_t rounds = std::max<size_t>(1, conc_rounds() / 10);
+  const size_t readers = conc_readers();
+  constexpr vertex_id kLength = 24;  // 70 entries: past one full block
+  const vertex_id n = kLength + 8;   // a few ids that stay singletons
+
+  epoch_manager em;
+  blocked_ett ett(n, /*seed=*/0x5c1a);
+  ett.bind_read_epochs(&em);
+  seqlocked_readers readers_of(ett, em, n, readers, 0x51e);
+
+  std::unordered_set<uint64_t> edges;
+  std::vector<std::vector<vertex_id>> states;
+  states.push_back(oracle_labels(n, edges));
+  auto step = [&](edge e, bool linking) {
+    const std::vector<edge> batch{e};
+    readers_of.write([&] {
+      if (linking)
+        ett.batch_link(batch);
+      else
+        ett.batch_cut(batch);
+    });
+    if (linking)
+      edges.insert(edge_key(e));
+    else
+      edges.erase(edge_key(e));
+    states.push_back(oracle_labels(n, edges));
+  };
+  for (size_t r = 0; r < rounds; ++r) {
+    for (vertex_id k = 1; k < kLength; ++k) step(edge{k - 1, k}, true);
+    ASSERT_EQ(ett.check_consistency(), "") << "grown, round " << r;
+    for (vertex_id k = kLength - 1; k >= 1; --k) step(edge{k - 1, k}, false);
+    ASSERT_EQ(ett.check_consistency(), "") << "shrunk, round " << r;
+  }
+  verify_records(readers_of.finish(), states, "blocked_ett size classes");
+  EXPECT_EQ(ett.active_vertices(), 0u);
   ett.drain_limbo();
   ett.bind_read_epochs(nullptr);
 }
@@ -564,10 +608,10 @@ TEST(SnapshotView, ServingDisabledByDefault) {
   batch_dynamic_connectivity s(16);
   EXPECT_FALSE(s.serving());
   EXPECT_EQ(s.read_epochs(), nullptr);
-  EXPECT_EQ(config_label({}), "skiplist");
+  EXPECT_EQ(config_label({}), "blocked");
   options o;
   o.concurrent_reads = true;
-  EXPECT_EQ(config_label(o), "skiplist+serve");
+  EXPECT_EQ(config_label(o), "blocked+serve");
 }
 
 }  // namespace

@@ -271,6 +271,27 @@ TEST(NodePool, WorkersShareOneCarveBlock) {
   EXPECT_EQ(pool.stats().outstanding(), 0u);
 }
 
+TEST(NodePool, NodesFreedOnAnotherWorkerAreReused) {
+  // Every round allocates on the calling worker and frees across the
+  // pool's workers. Nodes another worker frees must come back through the
+  // shared depot; a freelist that only its own worker can pop would make
+  // the caller carve fresh memory every round.
+  ::bdc::testing::worker_pool_guard workers(2);
+  node_pool pool;
+  constexpr size_t kBytes = 64;
+  std::vector<void*> nodes(4096);
+  uint64_t blocks_after_first_round = 0;
+  for (int round = 0; round < 32; ++round) {
+    for (void*& p : nodes) p = pool.allocate(kBytes);
+    parallel_for(
+        0, nodes.size(), [&](size_t i) { pool.deallocate(nodes[i], kBytes); },
+        1);
+    if (round == 0) blocks_after_first_round = pool.stats().blocks;
+  }
+  EXPECT_LE(pool.stats().blocks, blocks_after_first_round + 1);
+  EXPECT_EQ(pool.stats().outstanding(), 0u);
+}
+
 TEST(NodePoolEpoch, TrimPartialReleasesOnlyDeadBlocks) {
   node_pool pool;
   // ~1023 64-byte nodes fit one block; carve three blocks' worth.

@@ -380,11 +380,11 @@ TEST(SnapshotPublishEdge, NontreeInsertRelabelsNothing) {
 TEST(SnapshotPublishEdge, ConfigLabelMarksFullPublish) {
   options o;
   o.concurrent_reads = true;
-  EXPECT_EQ(config_label(o), "skiplist+serve");
+  EXPECT_EQ(config_label(o), "blocked+serve");
   o.publish = publish_mode::full;
-  EXPECT_EQ(config_label(o), "skiplist+serve!fullpub");
+  EXPECT_EQ(config_label(o), "blocked+serve!fullpub");
   o.concurrent_reads = false;  // publish mode is moot without serving
-  EXPECT_EQ(config_label(o), "skiplist");
+  EXPECT_EQ(config_label(o), "blocked");
 }
 
 TEST(SnapshotPublishEdge, TinyAndEmptyStructures) {

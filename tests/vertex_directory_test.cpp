@@ -12,7 +12,9 @@
 //   * end-to-end memory-scales-with-activity at n = 2^20 through
 //     batch_dynamic_connectivity::levels().footprint(), asserting the
 //     sparse hierarchy beats the old dense n-slots-per-materialized-level
-//     layout by at least 5x on a hub-churn-shaped workload.
+//     layout by at least 5x on a hub-churn-shaped workload, for every
+//     substrate (the blocked reading depends on the worker count, so the
+//     suite also runs under the `stress` label on 4 workers).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -192,7 +194,10 @@ INSTANTIATE_TEST_SUITE_P(Grid, SparseSubstrate,
 // End to end: memory scales with activity, not with n.
 // ---------------------------------------------------------------------
 
-TEST(SparseHierarchy, MemoryScalesWithActivityAtProductionN) {
+class SparseHierarchy
+    : public ::testing::TestWithParam<testing::ett_config> {};
+
+TEST_P(SparseHierarchy, MemoryScalesWithActivityAtProductionN) {
   const vertex_id n = 1 << 20;
   // A hub-churn trace over a tiny RMAT base: ~2^11 edges touch a few
   // thousand distinct vertices out of the 2^20 id space, and the churn
@@ -203,6 +208,7 @@ TEST(SparseHierarchy, MemoryScalesWithActivityAtProductionN) {
                             /*seed=*/6);
 
   options o;
+  o.substrate = GetParam().sub;
   batch_dynamic_connectivity s(n, o);
   uint64_t max_active = 0;
   for (const update_batch& b : stream) {
@@ -237,6 +243,10 @@ TEST(SparseHierarchy, MemoryScalesWithActivityAtProductionN) {
   auto rep = s.check_invariants();
   EXPECT_TRUE(rep.ok) << rep.message;
 }
+
+INSTANTIATE_TEST_SUITE_P(Grid, SparseHierarchy,
+                         ::testing::ValuesIn(kEttConfigs),
+                         [](const auto& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace bdc
