@@ -92,31 +92,27 @@ BENCHMARK(BM_ConcurrentServe)
     ->Unit(benchmark::kMillisecond);
 
 // BM_SnapshotPublish — per-batch snapshot publish cost as a function of n,
-// batch size, publish mode and graph shape. The base graph is a sea of
-// disjoint 16-vertex path clusters; with giant:1, the lower half of the
-// vertices is instead one random spanning tree (vertex i attaches to a
-// uniform earlier vertex). Each iteration deletes and re-inserts one
+// batch size and graph shape. The base graph is a sea of disjoint
+// 16-vertex path clusters; with giant:1, the lower half of the vertices
+// is instead one random spanning tree (vertex i attaches to a uniform
+// earlier vertex). Each iteration deletes and re-inserts one
 // batch: with giant:0 the first `batch` intra-cluster edges, touching
 // only the first batch/15-ish clusters; with giant:1 `batch` tree edges
 // evenly spaced along the attachment order, so every batch cuts pieces
-// off the giant and links them back. The incremental publisher rewrites
-// only the labels that change (giant:1: the cut-off pieces, never the
-// giant's own tour) while the --publish=full escape hatch re-walks all n,
-// so the gap between fullpub:0 and fullpub:1 at fixed (logn, batch,
-// giant) IS the headline win — read the "publish_us/batch" counter, not
-// just wall time (the batch itself costs the same on both sides).
+// off the giant and links them back. The publisher rewrites only the
+// labels that change (giant:1: the cut-off pieces, never the giant's own
+// tour), so "publish_us/batch" should track the batch size, not n, and
+// "full_walks" should not grow past the walks of the set-up inserts.
 static void BM_SnapshotPublish(benchmark::State& state) {
   const vertex_id n = vertex_id{1} << state.range(0);
   const size_t batch = static_cast<size_t>(state.range(1));
-  const bool full = state.range(2) != 0;
-  const bool giant = state.range(3) != 0;
+  const bool giant = state.range(2) != 0;
   constexpr vertex_id kCluster = 16;
   const vertex_id sea = giant ? n / 2 : 0;  // first vertex of the sea
 
   options o;
   o.substrate = substrate::blocked;
   o.concurrent_reads = true;
-  o.publish = full ? publish_mode::full : publish_mode::incremental;
   batch_dynamic_connectivity s(n, o);
   const std::vector<edge> tree =
       giant ? gen_random_tree(sea, 7) : std::vector<edge>{};
@@ -157,8 +153,8 @@ static void BM_SnapshotPublish(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_SnapshotPublish)
-    ->ArgsProduct({{16, 20}, {64, 256}, {0, 1}, {0, 1}})
-    ->ArgNames({"logn", "batch", "fullpub", "giant"})
+    ->ArgsProduct({{16, 20}, {64, 256}, {0, 1}})
+    ->ArgNames({"logn", "batch", "giant"})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

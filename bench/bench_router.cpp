@@ -176,9 +176,7 @@ static void BM_RouterMixedTrace(benchmark::State& state) {
     timer t;
     switch (id) {
       case kAuto: {
-        router_options ro;
-        ro.dynamic_opts = dyn;
-        engine_router s(kN, ro);
+        engine_router s(kN, dyn);
         last = replay_trace(s);
         state.SetIterationTime(t.elapsed());
         router_stats = s.stats();

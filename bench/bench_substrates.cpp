@@ -11,8 +11,8 @@
 //     1 = treap, 2 = blocked), so a single JSON run yields the full
 //     comparison matrix. BM_SubstrateSmallComponents isolates the
 //     small-component regime the blocked substrate targets, and
-//     BM_LevelPolicyStream runs the full dynamic structure under uniform
-//     and mixed per-level substrate configurations.
+//     BM_SubstrateStream runs the full dynamic structure on each
+//     substrate.
 #include <benchmark/benchmark.h>
 
 #include <span>
@@ -239,31 +239,17 @@ BENCHMARK(BM_SubstrateSmallComponents)
     ->ArgNames({"substrate", "comp"});
 
 // ---------------------------------------------------------------------
-// Uniform vs mixed per-level policy on the full dynamic structure: one
-// deletion stream (insert + batched deletes + queries) replayed under
-// uniform skiplist (0), uniform blocked (1), and the mixed policy (2:
-// blocked below level 8, skip list above). Arg: config.
+// The full dynamic structure on each substrate: one deletion stream
+// (insert + batched deletes + queries) replayed end to end. Arg(0):
+// substrate, as above.
 // ---------------------------------------------------------------------
 
-static void BM_LevelPolicyStream(benchmark::State& state) {
+static void BM_SubstrateStream(benchmark::State& state) {
   const vertex_id n = 1 << 12;
   auto graph = gen_erdos_renyi(n, 4 * n, 29);
   auto stream = make_deletion_stream(graph, n, 512, 256, 128, 30);
   options o;
-  o.substrate = substrate::skiplist;
-  const char* label = "skiplist";
-  switch (state.range(0)) {
-    case 1:
-      o.substrate = substrate::blocked;
-      label = "blocked";
-      break;
-    case 2:
-      o.policy = level_policy{8, substrate::blocked};
-      label = "mixed_blocked_lt8";
-      break;
-    default:
-      break;
-  }
+  o.substrate = substrate_of(state);
   size_t ops = 0;
   for (auto _ : state) {
     batch_dynamic_connectivity dc(n, o);
@@ -285,14 +271,10 @@ static void BM_LevelPolicyStream(benchmark::State& state) {
       }
     }
   }
-  state.SetLabel(label);
+  state.SetLabel(to_string(o.substrate));
   state.SetItemsProcessed(static_cast<int64_t>(ops) * state.iterations());
 }
-BENCHMARK(BM_LevelPolicyStream)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->ArgName("config");
+BENCHMARK(BM_SubstrateStream)->Arg(0)->Arg(1)->Arg(2)->ArgName("substrate");
 
 // ---------------------------------------------------------------------
 // Treap mutation scaling: the join-based bulk link/cut phases at several

@@ -55,7 +55,7 @@ void dedupe(std::vector<edge>& es) { sort_unique(es); }
 batch_dynamic_connectivity::batch_dynamic_connectivity(vertex_id n,
                                                        options opts)
     : opts_(opts),
-      ls_(n, opts.seed, opts.substrate, opts.policy),
+      ls_(n, opts.seed, opts.substrate),
       top_forest_(&ls_.forest(ls_.top())) {
   if (opts_.concurrent_reads) {
     service_ = std::make_unique<service_state>();
@@ -70,21 +70,9 @@ batch_dynamic_connectivity::batch_dynamic_connectivity(vertex_id n,
   }
 }
 
-const char* to_string(publish_mode m) {
-  return m == publish_mode::full ? "full" : "incremental";
-}
-
 std::string config_label(const options& opts) {
   std::string label = to_string(opts.substrate);
-  if (opts.policy.mixed() && opts.policy.low != opts.substrate) {
-    label += "+";
-    label += to_string(opts.policy.low);
-    label += "<" + std::to_string(opts.policy.threshold);
-  }
-  if (opts.concurrent_reads) {
-    label += "+serve";
-    if (opts.publish == publish_mode::full) label += "!fullpub";
-  }
+  if (opts.concurrent_reads) label += "+serve";
   return label;
 }
 
@@ -166,10 +154,8 @@ void batch_dynamic_connectivity::publish_snapshot(bool force_full) {
   const snapshot* prev =
       service_->published.load(std::memory_order_relaxed);
   snapshot* snap = nullptr;
-  if (!force_full && prev != nullptr &&
-      opts_.publish == publish_mode::incremental) {
+  if (!force_full && prev != nullptr)
     snap = build_incremental_snapshot(version, *prev);
-  }
   if (snap == nullptr) {
     snap = build_full_snapshot(version);
     stats_.publishes_full++;
@@ -544,7 +530,7 @@ void batch_dynamic_connectivity::batch_insert(std::span<const edge> edges) {
   // Inserted tree edges are the only top-forest mutations of this batch:
   // the incremental publish learns which components they merge, and
   // walks the ones changing label, while the tours are still apart.
-  if (tracking_delta() && !tree_edges.empty()) {
+  if (serving() && !tree_edges.empty()) {
     std::vector<vertex_id> seed(uniq.size());
     for (size_t i = 0; i < k; ++i) {
       seed[contracted[i].u] = clean[i].u;

@@ -43,60 +43,30 @@ enum class level_search_kind {
   scan_all,
 };
 
-/// How the read service rebuilds the published snapshot on batch commit
-/// (only meaningful with options::concurrent_reads).
-enum class publish_mode : uint8_t {
-  /// Rewrite only the vertices whose label changes: O(relabelled
-  /// vertices) enumeration through the substrate tours plus a
-  /// chunk-pointer copy. Of the components an insert batch merges, and
-  /// of the pieces a delete batch splits one component into, only the
-  /// one holding the resulting (smallest) label keeps its tour unwalked
-  /// — when a few small components join or leave a giant, only they are
-  /// walked. Falls back to the full walk when the vertices to walk
-  /// exceed n/4 (shatter-everything batches). Default.
-  incremental,
-  /// Always rebuild from a full O(n) components() walk (escape hatch /
-  /// A-B baseline; `stream_runner --publish=full`).
-  full,
-};
-
-[[nodiscard]] const char* to_string(publish_mode m);
-
 struct options {
   level_search_kind search = level_search_kind::interleaved;
-  /// The primary Euler-tour substrate (every level, unless `policy`
-  /// overrides the low levels). Defaults to the cache-packed blocked
-  /// tours: 2.3-2.8x the update throughput of the paper's skip-list tours
-  /// on every benchmark workload that builds from options{} (see README),
-  /// in no more memory, since a small tour holds a block of its own size
-  /// class. The skip list and the treap stay selectable here.
+  /// The Euler-tour substrate of every level's forest. Defaults to the
+  /// cache-packed blocked tours: 2.3-2.8x the update throughput of the
+  /// paper's skip-list tours on every benchmark workload that builds from
+  /// options{} (see README), in no more memory, since a small tour holds
+  /// a block of its own size class. The skip list and the treap stay
+  /// selectable here.
   bdc::substrate substrate = bdc::substrate::blocked;
-  /// Per-level substrate mixing: levels below policy.threshold use
-  /// policy.low instead of `substrate` (e.g. the cache-packed blocked
-  /// representation where components are guaranteed tiny). The default
-  /// (threshold 0) is uniform; a policy whose low substrate equals
-  /// `substrate` is normalized to uniform at construction.
-  level_policy policy;
   /// Enables the epoch-snapshot read service: snapshot_query() becomes
   /// available and may run from any thread CONCURRENTLY with
   /// batch_insert/batch_delete. Each update batch publishes an immutable
-  /// connectivity snapshot (cost governed by `publish`), plus epoch
+  /// connectivity snapshot, rewriting only the vertices whose label
+  /// changes (a full O(n) walk when those exceed n/4), plus epoch
   /// bookkeeping on the top forest's node frees. The phased API
   /// (connected / batch_connected / ...) keeps its exclusive-phase
   /// contract either way.
   bool concurrent_reads = false;
-  /// Snapshot publish strategy; see publish_mode.
-  publish_mode publish = publish_mode::incremental;
   uint64_t seed = 0xbdc5eed;
 };
 
 /// Canonical human-readable label of an options configuration for A/B
-/// reports (stream_runner, benchmarks): "<substrate>", plus
-/// "+<low><<threshold>" when a (normalized) mixed policy is active, plus
-/// "+serve" when the epoch-snapshot read service is enabled (with
-/// "!fullpub" appended when the incremental publisher is disabled).
-/// Applies the same policy normalization as construction, so a nominally
-/// mixed configuration that is actually uniform is labelled uniform.
+/// reports (stream_runner, benchmarks): "<substrate>", plus "+serve" when
+/// the epoch-snapshot read service is enabled.
 [[nodiscard]] std::string config_label(const options& opts);
 
 /// Cumulative instrumentation (bench_delete_batch's level-search ablation,
@@ -116,7 +86,7 @@ struct statistics {
   uint64_t replacements_promoted = 0;  // non-tree edges become tree edges
   // Read-service publish accounting (options::concurrent_reads only).
   uint64_t snapshots_published = 0;  // committed snapshots (incl. version 0)
-  uint64_t publishes_full = 0;       // full-walk rebuilds (mode or fallback)
+  uint64_t publishes_full = 0;       // full-walk rebuilds (set-up, fallback)
   uint64_t publish_relabeled = 0;    // vertices rewritten incrementally
   uint64_t publish_micros = 0;       // cumulative publish_snapshot() time
 };
@@ -284,9 +254,9 @@ class batch_dynamic_connectivity {
   };
 
   /// Publishes the post-batch snapshot. The incremental path applies
-  /// this batch's publish_delta; `force_full` (construction) and the
-  /// publish_mode::full escape hatch rebuild from a full walk, as does
-  /// the automatic fallback when the vertices to walk exceed n/4.
+  /// this batch's publish_delta; `force_full` (construction) rebuilds
+  /// from a full walk, as does the automatic fallback when the vertices
+  /// to walk exceed n/4.
   void publish_snapshot(bool force_full);
   /// Full O(n) rebuild (components() walk + per-label counting).
   [[nodiscard]] snapshot* build_full_snapshot(uint64_t version) const;
@@ -294,14 +264,10 @@ class batch_dynamic_connectivity {
   /// nullptr to request the full-walk fallback.
   [[nodiscard]] snapshot* build_incremental_snapshot(uint64_t version,
                                                      const snapshot& prev);
-  /// True while the incremental publisher wants this batch's delta.
-  [[nodiscard]] bool tracking_delta() const {
-    return service_ != nullptr && opts_.publish == publish_mode::incremental;
-  }
   /// Records endpoints of a top-forest cut or replacement link for the
-  /// incremental publish of a delete batch. No-op unless tracking.
+  /// incremental publish of a delete batch. No-op unless serving.
   void note_touched(edge e) {
-    if (!tracking_delta()) return;
+    if (!serving()) return;
     delta_.touched.push_back(e.u);
     delta_.touched.push_back(e.v);
   }
@@ -320,8 +286,8 @@ class batch_dynamic_connectivity {
   void plan_splits(const snapshot& prev);
 
   /// What this batch changed, as far as the incremental publish needs
-  /// to know (collected only while tracking_delta(); consumed and
-  /// cleared by publish_snapshot).
+  /// to know (collected only while serving(); consumed and cleared by
+  /// publish_snapshot).
   struct publish_delta {
     /// Delete batches: endpoints of every top-forest cut and promoted
     /// replacement. Every post-batch component whose membership changed

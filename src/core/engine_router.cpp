@@ -6,7 +6,7 @@
 
 namespace bdc {
 
-engine_router::engine_router(vertex_id n, router_options opts)
+engine_router::engine_router(vertex_id n, options opts)
     : n_(n),
       opts_(opts),
       inc_(n),
@@ -35,8 +35,7 @@ void engine_router::promote() {
   obs::trace_instant("router.promote");  // marks the one-shot hand-off
   timer t;
   std::vector<edge> accumulated = inc_.edge_list();
-  dynamic_ =
-      std::make_unique<batch_dynamic_connectivity>(n_, opts_.dynamic_opts);
+  dynamic_ = std::make_unique<batch_dynamic_connectivity>(n_, opts_);
   // One wholesale batch_insert IS the promotion: Algorithm 2 computes a
   // spanning forest of the accumulated set and registers every non-tree
   // edge directly at the top level — the batch history is never replayed.

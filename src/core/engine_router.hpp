@@ -41,11 +41,6 @@
 
 namespace bdc {
 
-struct router_options {
-  /// Configuration of the batch_dynamic_connectivity built at promotion.
-  options dynamic_opts;
-};
-
 /// Cumulative router instrumentation (stream_runner report, bench_router).
 struct router_statistics {
   uint64_t insert_batches = 0;
@@ -65,7 +60,8 @@ struct router_statistics {
 
 class engine_router {
  public:
-  explicit engine_router(vertex_id n, router_options opts = {});
+  /// `opts` configures the batch_dynamic_connectivity built at promotion.
+  explicit engine_router(vertex_id n, options opts = {});
 
   [[nodiscard]] vertex_id num_vertices() const { return n_; }
   /// Edge count of whichever engine is active (set semantics throughout).
@@ -104,7 +100,7 @@ class engine_router {
   void promote();
 
   vertex_id n_;
-  router_options opts_;
+  options opts_;
   incremental_connectivity inc_;
   std::unique_ptr<batch_dynamic_connectivity> dynamic_;
   mutable router_statistics stats_;

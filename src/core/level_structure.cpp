@@ -12,8 +12,8 @@
 namespace bdc {
 
 level_structure::level_structure(vertex_id n, uint64_t seed,
-                                 bdc::substrate sub, level_policy policy)
-    : n_(n), seed_(seed), substrate_(sub), policy_(policy), dict_(256) {
+                                 bdc::substrate sub)
+    : n_(n), seed_(seed), substrate_(sub), dict_(256) {
   if (static_cast<uint64_t>(n) > uint64_t{kMaxTourVertex} + 1) {
     std::fprintf(stderr,
                  "bdc: level_structure: n = %llu exceeds the %llu vertices "
@@ -22,10 +22,6 @@ level_structure::level_structure(vertex_id n, uint64_t seed,
                  static_cast<unsigned long long>(kMaxTourVertex) + 1);
     std::abort();
   }
-  // A "mixed" policy whose low substrate equals the primary one is
-  // uniform in everything but name; normalize it away so policy().mixed()
-  // and the configuration labels built from it cannot lie in A/B reports.
-  if (policy_.low == substrate_) policy_ = {};
   int levels = std::max(1, static_cast<int>(log2_ceil(std::max<uint64_t>(
                                2, static_cast<uint64_t>(n)))));
   levels_.resize(static_cast<size_t>(levels));
@@ -36,7 +32,7 @@ level_structure::level_structure(vertex_id n, uint64_t seed,
 ett_forest& level_structure::forest(int level) {
   auto& slot = levels_[static_cast<size_t>(level)].forest;
   if (!slot) {
-    slot.emplace(substrate_at(level), n_,
+    slot.emplace(substrate_, n_,
                  hash_combine(seed_, 0x10000u + static_cast<uint64_t>(level)));
   }
   return *slot;

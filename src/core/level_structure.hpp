@@ -26,31 +26,13 @@
 
 namespace bdc {
 
-/// Per-level substrate mixing (ROADMAP "per-level substrate mixing"): low
-/// levels hold components of at most 2^(i+1) vertices, so a cache-packed
-/// sequential representation there can beat the pointer structures the
-/// huge top-level components need. Levels strictly below `threshold` use
-/// `low`; the rest use the structure's primary substrate. threshold <= 0
-/// disables mixing. A policy whose `low` equals the primary substrate is
-/// normalized to no-mixing at construction, so `mixed()` (and every A/B
-/// label derived from it) never claims a configuration that is actually
-/// uniform.
-struct level_policy {
-  int threshold = 0;
-  bdc::substrate low = bdc::substrate::blocked;
-
-  [[nodiscard]] bool mixed() const { return threshold > 0; }
-  friend bool operator==(const level_policy&, const level_policy&) = default;
-};
-
 class level_structure {
  public:
   /// Fail-stop on n > kMaxTourVertex + 1 (ett/tour_entry.hpp), in every
   /// build type: the packed arc tags hold 31-bit vertex ids, and a larger
   /// id would alias another edge's tag. Prints a diagnostic and aborts.
   level_structure(vertex_id n, uint64_t seed,
-                  bdc::substrate sub = substrate::blocked,
-                  level_policy policy = {});
+                  bdc::substrate sub = substrate::blocked);
 
   [[nodiscard]] vertex_id num_vertices() const { return n_; }
   [[nodiscard]] int num_levels() const {
@@ -62,15 +44,10 @@ class level_structure {
     return uint64_t{1} << (level + 1);
   }
 
-  /// The primary Euler-tour representation (levels >= policy threshold).
+  /// The Euler-tour representation backing every level's forest.
   [[nodiscard]] bdc::substrate ett_substrate_kind() const {
     return substrate_;
   }
-  /// The representation backing F_level under the active policy.
-  [[nodiscard]] bdc::substrate substrate_at(int level) const {
-    return level < policy_.threshold ? policy_.low : substrate_;
-  }
-  [[nodiscard]] const level_policy& policy() const { return policy_; }
 
   /// Aggregated node-pool counters across every materialized forest.
   [[nodiscard]] node_pool::stats_snapshot pool_stats() const;
@@ -181,7 +158,6 @@ class level_structure {
   vertex_id n_;
   uint64_t seed_;
   bdc::substrate substrate_;
-  level_policy policy_;
   std::vector<level_state> levels_;
   edge_dict dict_;
 };

@@ -326,10 +326,9 @@ class blocked_ett final {
   static constexpr size_t kParallelMutationCutoff = 16;
 
   /// Scratch buffers reused across bulk-mutation calls (mutation phases
-  /// are exclusive, so reuse is race-free). The low levels of a mixed
-  /// policy see the most frequent small batches, so the per-batch
-  /// allocations matter here just as they did for the treap (PR 3's
-  /// shattered-batch constant).
+  /// are exclusive, so reuse is race-free). The low levels see the most
+  /// frequent small batches, so the per-batch allocations matter here
+  /// just as they did for the treap's shattered batches.
   struct mutation_scratch {
     std::vector<uintptr_t> rep_u, rep_v;
     link_partition_scratch<uintptr_t> part;

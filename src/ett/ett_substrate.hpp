@@ -157,10 +157,11 @@ concept ett_substrate =
       // Invokes fn(v) once per vertex of the component whose
       // representative is `r` (obtained from find_rep / batch_find_rep in
       // the same read phase), in tour order. O(component size): the
-      // blocked substrate streams its packed 512-byte block chain, the
-      // treap and skip list walk their tours node by node. This is the
-      // enumeration primitive behind incremental snapshot publishing — a
-      // touched component can be relabelled without a global O(n) scan.
+      // blocked substrate streams its chain of packed blocks (80, 144,
+      // 256 or 512 bytes by size class), the treap and skip list walk
+      // their tours node by node. This is the enumeration primitive
+      // behind incremental snapshot publishing — a touched component can
+      // be relabelled without a global O(n) scan.
       cf.for_each_tour_vertex(r, [](vertex_id) {});
       // Deep structural validation (tests). Empty string if healthy.
       { cf.check_consistency() } -> std::same_as<std::string>;

@@ -7,11 +7,10 @@
 // default — because scheduler-dependent bugs (racy batch phases, grouping
 // that silently assumes one worker) only surface when the pool actually
 // forks, and CI machines default to whatever nproc happens to be. The
-// grid is additionally crossed with the substrate configurations: each
-// uniform backend (skiplist, treap, blocked) plus the mixed per-level
-// policy for every ordered pair of distinct backends (one below a
-// threshold, the other above), so the policy hook's cross-substrate
-// handoffs get the same oracle scrutiny.
+// grid is additionally crossed with every Euler-tour backend (skiplist,
+// treap, blocked), each with the snapshot read service off and on; the
+// serving rows also hold the published labels to a from-scratch walk
+// after every batch. Every graph size runs under every level search.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -30,7 +29,8 @@
 namespace bdc {
 namespace {
 
-using ::bdc::testing::kSubConfigs;
+using ::bdc::testing::expect_snapshot_matches;
+using ::bdc::testing::kEngineConfigs;
 using ::bdc::testing::kWorkerGrid;
 using ::bdc::testing::sub_config;
 using ::bdc::testing::worker_pool_guard;
@@ -80,6 +80,7 @@ TEST_P(PropertySweep, OracleLockstep) {
           present.insert({e.canonical().u, e.canonical().v});
       auto rep = dc.check_invariants();
       ASSERT_TRUE(rep.ok) << "insert r" << round << ": " << rep.message;
+      expect_snapshot_matches(dc, "insert r" + std::to_string(round));
     }
 
     // Deletion batch.
@@ -93,6 +94,7 @@ TEST_P(PropertySweep, OracleLockstep) {
     for (auto& e : del) present.erase({e.canonical().u, e.canonical().v});
     auto rep = dc.check_invariants();
     ASSERT_TRUE(rep.ok) << "delete r" << round << ": " << rep.message;
+    expect_snapshot_matches(dc, "delete r" + std::to_string(round));
     ASSERT_TRUE(hdt.check_invariants().empty()) << "hdt r" << round;
 
     // Cross-validation: dc vs union-find vs HDT.
@@ -127,8 +129,10 @@ INSTANTIATE_TEST_SUITE_P(
             scenario{level_search_kind::scan_all, 60, 20, 80, 107},
             scenario{level_search_kind::scan_all, 200, 15, 70, 108},
             scenario{level_search_kind::interleaved, 17, 30, 75, 109},
-            scenario{level_search_kind::simple, 17, 30, 75, 110}),
-        ::testing::ValuesIn(kWorkerGrid), ::testing::ValuesIn(kSubConfigs)),
+            scenario{level_search_kind::simple, 17, 30, 75, 110},
+            scenario{level_search_kind::scan_all, 500, 12, 60, 111},
+            scenario{level_search_kind::scan_all, 17, 30, 75, 112}),
+        ::testing::ValuesIn(kWorkerGrid), ::testing::ValuesIn(kEngineConfigs)),
     [](const ::testing::TestParamInfo<std::tuple<scenario, unsigned,
                                                  sub_config>>& info) {
       const scenario& sc = std::get<0>(info.param);
@@ -155,16 +159,19 @@ TEST_P(ShatterSweep, LargeBatchLifecycle) {
     dc.batch_insert(es);
     auto rep = dc.check_invariants();
     ASSERT_TRUE(rep.ok) << rep.message;
+    expect_snapshot_matches(dc, "insert, cycle " + std::to_string(cycle));
     ASSERT_TRUE(dc.connected(0, n - 1));
     // Delete in two giant batches.
     size_t half = es.size() / 2;
     dc.batch_delete(std::span<const edge>(es.data(), half));
     rep = dc.check_invariants();
     ASSERT_TRUE(rep.ok) << rep.message;
+    expect_snapshot_matches(dc, "first half, cycle " + std::to_string(cycle));
     dc.batch_delete(
         std::span<const edge>(es.data() + half, es.size() - half));
     rep = dc.check_invariants();
     ASSERT_TRUE(rep.ok) << rep.message;
+    expect_snapshot_matches(dc, "second half, cycle " + std::to_string(cycle));
     ASSERT_EQ(dc.num_edges(), 0u);
   }
 }
@@ -175,7 +182,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          level_search_kind::simple,
                                          level_search_kind::scan_all),
                        ::testing::ValuesIn(kWorkerGrid),
-                       ::testing::ValuesIn(kSubConfigs)),
+                       ::testing::ValuesIn(kEngineConfigs)),
     [](const ::testing::TestParamInfo<
         std::tuple<level_search_kind, unsigned, sub_config>>& info) {
       return "engine" +

@@ -1,16 +1,19 @@
 // Core batch-dynamic connectivity tests: unit behaviours, edge cases, and
 // structured-graph scenarios, with full invariant validation after every
-// mutation. The whole suite is value-parameterized over the shared
-// substrate-config table (tests/test_substrates.hpp): every uniform
-// Euler-tour backend plus the mixed per-level policy for every ordered
-// pair of distinct backends. The CostModel suites hold the work counters
-// (stats()) to the paper's charging argument.
+// mutation. The suites are value-parameterized over the shared engine
+// table (tests/test_substrates.hpp): every Euler-tour backend, with the
+// snapshot read service off and on; serving rows also check the published
+// labels wherever a test checks invariants. The unit suite additionally
+// runs every level-search variant.
+// The CostModel suites hold the work counters (stats()) to the paper's
+// charging argument.
 // Randomized cross-engine property tests live in
 // connectivity_property_test.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -23,9 +26,8 @@
 namespace bdc {
 namespace {
 
-using ::bdc::testing::ett_config;
-using ::bdc::testing::kEttConfigs;
-using ::bdc::testing::kSubConfigs;
+using ::bdc::testing::expect_snapshot_matches;
+using ::bdc::testing::kEngineConfigs;
 using ::bdc::testing::sub_config;
 using ::bdc::testing::worker_pool_guard;
 
@@ -33,20 +35,36 @@ void expect_healthy(const batch_dynamic_connectivity& dc,
                     const char* where) {
   auto rep = dc.check_invariants();
   ASSERT_TRUE(rep.ok) << where << ": " << rep.message;
+  expect_snapshot_matches(dc, where);
 }
 
-class Connectivity : public ::testing::TestWithParam<sub_config> {
- protected:
-  [[nodiscard]] options opts(
-      level_search_kind k = level_search_kind::interleaved) const {
-    options o;
-    o.search = k;
-    return GetParam().apply(o);
-  }
-};
+const char* search_name(level_search_kind k) {
+  return k == level_search_kind::interleaved ? "interleaved"
+         : k == level_search_kind::simple    ? "simple"
+                                             : "scanall";
+}
 
 std::string config_name(const ::testing::TestParamInfo<sub_config>& info) {
   return info.param.name;
+}
+
+class Connectivity
+    : public ::testing::TestWithParam<
+          std::tuple<level_search_kind, sub_config>> {
+ protected:
+  [[nodiscard]] options opts() const {
+    options o;
+    o.search = std::get<0>(GetParam());
+    return std::get<1>(GetParam()).apply(o);
+  }
+};
+
+// The default search (interleaved) keeps the bare config name.
+std::string connectivity_name(
+    const ::testing::TestParamInfo<Connectivity::ParamType>& info) {
+  const auto& [search, cfg] = info.param;
+  if (search == level_search_kind::interleaved) return cfg.name;
+  return std::string(search_name(search)) + "_" + cfg.name;
 }
 
 TEST_P(Connectivity, EmptyGraph) {
@@ -261,43 +279,20 @@ TEST_P(Connectivity, ZeroVertexStructure) {
   expect_healthy(dc, "n=0");
 }
 
-INSTANTIATE_TEST_SUITE_P(Substrates, Connectivity,
-                         ::testing::ValuesIn(kSubConfigs), config_name);
+INSTANTIATE_TEST_SUITE_P(
+    Substrates, Connectivity,
+    ::testing::Combine(::testing::Values(level_search_kind::interleaved,
+                                         level_search_kind::simple,
+                                         level_search_kind::scan_all),
+                       ::testing::ValuesIn(kEngineConfigs)),
+    connectivity_name);
 
-// ---------------------------------------------------------------------
-// Configuration-label normalization (ISSUE 5 satellite): a policy whose
-// low substrate equals the primary one is uniform, and neither the
-// structure nor any label derived from it may claim otherwise.
-// ---------------------------------------------------------------------
-
-TEST(ConfigLabel, UniformPolicyIsNormalized) {
+TEST(ConfigLabel, SubstrateAndServeSuffix) {
   options o;
-  o.substrate = substrate::blocked;
-  o.policy = level_policy{8, substrate::blocked};  // nominally "mixed"
   EXPECT_EQ(config_label(o), "blocked");
-  batch_dynamic_connectivity dc(64, o);
-  EXPECT_FALSE(dc.levels().policy().mixed());
-  EXPECT_EQ(dc.levels().substrate_at(0), substrate::blocked);
-}
-
-TEST(ConfigLabel, GenuinelyMixedPolicyKeepsSuffix) {
-  options o;
-  o.substrate = substrate::skiplist;
-  o.policy = level_policy{3, substrate::blocked};
-  EXPECT_EQ(config_label(o), "skiplist+blocked<3");
-  batch_dynamic_connectivity dc(64, o);
-  EXPECT_TRUE(dc.levels().policy().mixed());
-  EXPECT_EQ(dc.levels().substrate_at(0), substrate::blocked);
-  EXPECT_EQ(dc.levels().substrate_at(dc.levels().top()),
-            substrate::skiplist);
-}
-
-TEST(ConfigLabel, VirtualBridgeSuffixAndThresholdZero) {
-  // No configuration carries a dispatch suffix; threshold 0 is uniform.
-  options o;
   o.substrate = substrate::treap;
-  o.policy = level_policy{0, substrate::blocked};
-  EXPECT_EQ(config_label(o), "treap");
+  o.concurrent_reads = true;
+  EXPECT_EQ(config_label(o), "treap+serve");
 }
 
 class EngineSweep
@@ -331,11 +326,8 @@ TEST_P(EngineSweep, DenseThenFullDeletion) {
 std::string engine_name(
     const ::testing::TestParamInfo<
         std::tuple<level_search_kind, sub_config>>& info) {
-  level_search_kind engine = std::get<0>(info.param);
-  const char* e = engine == level_search_kind::interleaved ? "interleaved"
-                  : engine == level_search_kind::simple    ? "simple"
-                                                           : "scanall";
-  return std::string(e) + "_" + std::get<1>(info.param).name;
+  return std::string(search_name(std::get<0>(info.param))) + "_" +
+         std::get<1>(info.param).name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -343,7 +335,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(level_search_kind::interleaved,
                                          level_search_kind::simple,
                                          level_search_kind::scan_all),
-                       ::testing::ValuesIn(kSubConfigs)),
+                       ::testing::ValuesIn(kEngineConfigs)),
     engine_name);
 
 // ---------------------------------------------------------------------
@@ -374,9 +366,9 @@ TEST_P(CostModel, PushesBoundedByInsertsTimesTop) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Substrates, CostModel,
-                         ::testing::ValuesIn(kSubConfigs), config_name);
+                         ::testing::ValuesIn(kEngineConfigs), config_name);
 
-class CostModelAblation : public ::testing::TestWithParam<ett_config> {};
+class CostModelAblation : public ::testing::TestWithParam<sub_config> {};
 
 // Calibrated at this test's size over ten graph/stream seeds on every
 // uniform substrate: scan_all fetched 27x-41x the larger of the two
@@ -399,8 +391,8 @@ TEST_P(CostModelAblation, ScanAllFetchesMoreThanDoubling) {
                     level_search_kind::scan_all}) {
     options o;
     o.search = kind;
-    o.substrate = GetParam().sub;
-    dcs.push_back(std::make_unique<batch_dynamic_connectivity>(n, o));
+    dcs.push_back(
+        std::make_unique<batch_dynamic_connectivity>(n, GetParam().apply(o)));
   }
   for (size_t i = 0; i < stream.size(); ++i) {
     for (auto& dc : dcs) {
@@ -412,6 +404,8 @@ TEST_P(CostModelAblation, ScanAllFetchesMoreThanDoubling) {
     auto want = dcs[0]->components();
     ASSERT_EQ(dcs[1]->components(), want) << "simple, batch " << i;
     ASSERT_EQ(dcs[2]->components(), want) << "scan_all, batch " << i;
+    for (auto& dc : dcs)
+      expect_snapshot_matches(*dc, "batch " + std::to_string(i));
   }
   const uint64_t interleaved = dcs[0]->stats().edges_fetched;
   const uint64_t simple = dcs[1]->stats().edges_fetched;
@@ -423,7 +417,7 @@ TEST_P(CostModelAblation, ScanAllFetchesMoreThanDoubling) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Uniform, CostModelAblation,
-                         ::testing::ValuesIn(kEttConfigs),
+                         ::testing::ValuesIn(kEngineConfigs),
                          [](const auto& info) {
                            return std::string(info.param.name);
                          });

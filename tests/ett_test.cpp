@@ -20,10 +20,10 @@
 namespace bdc {
 namespace {
 
-using ::bdc::testing::ett_config;
-using ::bdc::testing::kEttConfigs;
+using ::bdc::testing::kSubConfigs;
+using ::bdc::testing::sub_config;
 
-class EttSubstrate : public ::testing::TestWithParam<ett_config> {
+class EttSubstrate : public ::testing::TestWithParam<sub_config> {
  protected:
   [[nodiscard]] ett_forest make(vertex_id n,
                                 uint64_t seed = 0xe77e77) const {
@@ -31,7 +31,7 @@ class EttSubstrate : public ::testing::TestWithParam<ett_config> {
   }
 };
 
-std::string config_name(const ::testing::TestParamInfo<ett_config>& info) {
+std::string config_name(const ::testing::TestParamInfo<sub_config>& info) {
   return info.param.name;
 }
 
@@ -162,11 +162,11 @@ TEST_P(EttSubstrate, HoistedVisitMatchesForwarders) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Substrates, EttSubstrate,
-                         ::testing::ValuesIn(kEttConfigs), config_name);
+                         ::testing::ValuesIn(kSubConfigs), config_name);
 
 class EttRandomSweep
     : public ::testing::TestWithParam<
-          std::tuple<std::pair<int, int>, ett_config>> {};
+          std::tuple<std::pair<int, int>, sub_config>> {};
 
 TEST_P(EttRandomSweep, BatchesAgainstUnionFindOracle) {
   auto [trial_n, cfg] = GetParam();
@@ -227,7 +227,7 @@ TEST_P(EttRandomSweep, BatchesAgainstUnionFindOracle) {
 
 std::string sweep_name(
     const ::testing::TestParamInfo<
-        std::tuple<std::pair<int, int>, ett_config>>& info) {
+        std::tuple<std::pair<int, int>, sub_config>>& info) {
   const auto& trial_n = std::get<0>(info.param);
   return std::string(std::get<1>(info.param).name) + "_t" +
          std::to_string(trial_n.first) + "_n" +
@@ -244,7 +244,7 @@ INSTANTIATE_TEST_SUITE_P(
                           std::pair<int, int>{4, 100},
                           std::pair<int, int>{5, 400},
                           std::pair<int, int>{6, 1000}),
-        ::testing::ValuesIn(kEttConfigs)),
+        ::testing::ValuesIn(kSubConfigs)),
     sweep_name);
 
 }  // namespace

@@ -78,9 +78,8 @@ TEST_P(RouterDifferential, PhaseSkewedTraceLockstep) {
       stream[0].edges.push_back(stream[0].edges[0]);      // duplicate
   }
 
-  router_options ro;
-  engine_router router(p.n, ro);
-  batch_dynamic_connectivity dynamic(p.n, ro.dynamic_opts);
+  engine_router router(p.n);
+  batch_dynamic_connectivity dynamic(p.n);
   hdt_connectivity hdt(p.n);
   static_recompute_connectivity stat(p.n);
 

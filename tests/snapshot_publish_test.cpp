@@ -4,12 +4,12 @@
 // suites pin down the contract from the outside:
 //
 //   * Differential: after EVERY committed batch, the published snapshot's
-//     labels must equal a from-scratch components() walk — across all
-//     substrate configs and both publish modes, with and without a giant
-//     component. This is the direct check that the publish delta (the
-//     merges an insert batch records before its link, the pieces a
-//     delete batch cuts) reaches every component whose membership
-//     changed.
+//     labels must equal a from-scratch components() walk — on every
+//     substrate and level search, with and without a giant component.
+//     This is the direct
+//     check that the publish delta (the merges an insert batch records
+//     before its link, the pieces a delete batch cuts) reaches every
+//     component whose membership changed.
 //   * Cost: the GiantPublish suite counts the rewrites of single batches
 //     against a giant component (only guests, or only split-off pieces,
 //     relabel).
@@ -29,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -63,22 +64,43 @@ void expect_snapshot_fresh(batch_dynamic_connectivity& dc,
   }
 }
 
+// The level searches find replacements in different rounds and orders,
+// so a delete batch's relinks, and the publish delta they leave, differ
+// per search.
+const char* search_name(level_search_kind k) {
+  return k == level_search_kind::interleaved ? "interleaved"
+         : k == level_search_kind::simple    ? "simple"
+                                             : "scanall";
+}
+
+// The default search (interleaved) keeps the bare substrate name.
+std::string publish_name(const sub_config& sc, level_search_kind search) {
+  std::string name = sc.name;
+  if (search != level_search_kind::interleaved)
+    name += std::string("_") + search_name(search);
+  return name;
+}
+
+const auto kSearches =
+    ::testing::Values(level_search_kind::interleaved,
+                      level_search_kind::simple, level_search_kind::scan_all);
+
 class SnapshotPublish
     : public ::testing::TestWithParam<
-          std::tuple<sub_config, publish_mode, bool>> {};
+          std::tuple<sub_config, level_search_kind, bool>> {};
 
 // The core differential: a randomized insert/delete stream; after every
-// batch the incremental (or full) snapshot must match a from-scratch
-// components() walk, labels and sizes both. The giant rows insert a
-// spanning path first, so every later batch links to or cuts from one
-// component holding the whole graph, and its path edges join the pool
-// the deletes draw from.
+// batch the published snapshot must match a from-scratch components()
+// walk, labels and sizes both. The giant rows insert a spanning path
+// first, so every later batch links to or cuts from one component
+// holding the whole graph, and its path edges join the pool the deletes
+// draw from.
 TEST_P(SnapshotPublish, MatchesFromScratchAfterEveryBatch) {
-  const auto& [sc, pub, giant] = GetParam();
+  const auto& [sc, search, giant] = GetParam();
   const vertex_id n = 600;
   options o = sc.apply({});
+  o.search = search;
   o.concurrent_reads = true;
-  o.publish = pub;
   batch_dynamic_connectivity dc(n, o);
   expect_snapshot_fresh(dc, 0, "construction");
 
@@ -124,14 +146,11 @@ TEST_P(SnapshotPublish, MatchesFromScratchAfterEveryBatch) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, SnapshotPublish,
-    ::testing::Combine(::testing::ValuesIn(kSubConfigs),
-                       ::testing::Values(publish_mode::incremental,
-                                         publish_mode::full),
+    ::testing::Combine(::testing::ValuesIn(kSubConfigs), kSearches,
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<SnapshotPublish::ParamType>& info) {
-      return std::string(std::get<0>(info.param).name) + "_" +
-             to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_giant" : "");
+      return publish_name(std::get<0>(info.param), std::get<1>(info.param)) +
+             "_incremental" + (std::get<2>(info.param) ? "_giant" : "");
     });
 
 // Writes that straddle label-table chunk boundaries (4096 entries per
@@ -246,13 +265,16 @@ TEST(SnapshotPublishEdge, ShatterFallsBackToFullWalk) {
 // A publish rewrites only the vertices whose label changes. The giant
 // suites build one large path plus a few small clusters and count the
 // rewrites of each batch that links to or cuts from the path, on every
-// substrate; none of them may fall back to the full walk.
-class GiantPublish : public ::testing::TestWithParam<sub_config> {
+// substrate and level search; none of them may fall back to the full
+// walk.
+class GiantPublish : public ::testing::TestWithParam<
+                         std::tuple<sub_config, level_search_kind>> {
  protected:
   static constexpr vertex_id kN = 4096;
 
   void SetUp() override {
-    options o = GetParam().apply({});
+    options o = std::get<0>(GetParam()).apply({});
+    o.search = std::get<1>(GetParam());
     o.concurrent_reads = true;
     dc_ = std::make_unique<batch_dynamic_connectivity>(kN, o);
   }
@@ -330,9 +352,10 @@ TEST_P(GiantPublish, SplitWhereLabelLeavesTheGiant) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Substrates, GiantPublish, ::testing::ValuesIn(kSubConfigs),
-    [](const ::testing::TestParamInfo<sub_config>& info) {
-      return std::string(info.param.name);
+    Substrates, GiantPublish,
+    ::testing::Combine(::testing::ValuesIn(kSubConfigs), kSearches),
+    [](const ::testing::TestParamInfo<GiantPublish::ParamType>& info) {
+      return publish_name(std::get<0>(info.param), std::get<1>(info.param));
     });
 
 // An update batch that commits nothing still publishes a fresh version —
@@ -375,16 +398,6 @@ TEST(SnapshotPublishEdge, NontreeInsertRelabelsNothing) {
   dc.batch_delete({{edge{0, 3}}});
   EXPECT_EQ(dc.stats().publish_relabeled, relabeled);
   expect_snapshot_fresh(dc, 3, "non-tree delete");
-}
-
-TEST(SnapshotPublishEdge, ConfigLabelMarksFullPublish) {
-  options o;
-  o.concurrent_reads = true;
-  EXPECT_EQ(config_label(o), "blocked+serve");
-  o.publish = publish_mode::full;
-  EXPECT_EQ(config_label(o), "blocked+serve!fullpub");
-  o.concurrent_reads = false;  // publish mode is moot without serving
-  EXPECT_EQ(config_label(o), "blocked");
 }
 
 TEST(SnapshotPublishEdge, TinyAndEmptyStructures) {

@@ -11,8 +11,8 @@
 //     every query, edge count, and component size.
 //   * BdcDifferential — batch_dynamic_connectivity end-to-end (inserts
 //     and deletes with non-tree edges, replacement searches, level
-//     pushes) under every uniform substrate plus the mixed per-level
-//     policy, in lockstep with a from-scratch union-find oracle. Every
+//     pushes) under every substrate, in lockstep with a from-scratch
+//     union-find oracle. Every
 //     config runs with the read service on, and after every committed
 //     batch the incrementally published snapshot is compared against a
 //     from-scratch components() walk. The adaptive engine_router rides
@@ -303,10 +303,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------
 // End-to-end differential: batch_dynamic_connectivity under every
-// uniform substrate plus the mixed per-level policy, on one identical
-// insert/delete/query stream WITH non-tree edges — so replacement
-// searches, level pushes, and promotions all hit every backend. The oracle is a union-find rebuilt from scratch
-// each round.
+// substrate, on one identical insert/delete/query stream WITH non-tree
+// edges — so replacement searches, level pushes, and promotions all hit
+// every backend. The oracle is a union-find rebuilt from scratch each
+// round.
 //
 // The stream is materialized up front (its generation never depends on
 // structure responses), so when a run trips, the failing batch list is
@@ -368,7 +368,7 @@ bdc_stream make_bdc_stream(vertex_id n, uint64_t seed, size_t batch,
   return stream;
 }
 
-/// Replays `stream` under every kSubConfigs configuration in lockstep
+/// Replays `stream` under every kSubConfigs substrate in lockstep
 /// with a from-scratch union-find oracle. Returns "" when clean, else a
 /// description of the first divergence. `thorough` validates invariants
 /// after every batch (used while minimizing, so the repro shrinks to the
@@ -389,10 +389,9 @@ std::string replay_bdc(vertex_id n, uint64_t seed, const bdc_stream& stream,
   // The adaptive router replays the same stream. Its promoted engine uses
   // the first kSubConfigs entry's options so a divergence still pins a
   // config.
-  router_options ro;
-  ro.dynamic_opts.seed = seed ^ 0x200;
-  ro.dynamic_opts = kSubConfigs[0].apply(ro.dynamic_opts);
-  engine_router router(n, ro);
+  options router_opts;
+  router_opts.seed = seed ^ 0x200;
+  engine_router router(n, kSubConfigs[0].apply(router_opts));
   std::set<std::pair<vertex_id, vertex_id>> present;
   auto check_all = [&](size_t bi) -> std::string {
     for (size_t ci = 0; ci < dcs.size(); ++ci) {

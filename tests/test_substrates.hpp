@@ -1,11 +1,22 @@
-// Shared test helper: the substrate configurations the differential
-// suites sweep — every uniform backend plus the mixed per-level policy
-// for every ordered (primary, low) pair of distinct backends.
-// One table, included by ett_test, connectivity_test,
-// connectivity_property_test, and substrate_fuzz_test, so the
-// parameterized suites and the fuzz differential can never drift onto
-// different grids when a substrate or policy shape is added.
+// Shared test helper: the substrate grid the differential suites sweep —
+// every Euler-tour backend, one row each. One table, included by
+// ett_test, connectivity_test, connectivity_property_test,
+// snapshot_publish_test, substrate_fuzz_test and vertex_directory_test,
+// so the parameterized suites and the fuzz differential can never drift
+// onto different grids when a substrate is added.
+//
+// The engine suites (connectivity_test, connectivity_property_test) sweep
+// kEngineConfigs instead: every backend with the snapshot read service
+// off and on. Serving changes the update path itself (each batch records
+// its publish delta and publishes a snapshot), so those rows also check
+// the published labels against a from-scratch walk wherever the suite
+// checks its invariants (expect_snapshot_matches).
 #pragma once
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/batch_connectivity.hpp"
 #include "ett/ett_forest.hpp"
@@ -13,46 +24,40 @@
 
 namespace bdc::testing {
 
-// A substrate configuration: a uniform backend, or the mixed per-level
-// policy (options::policy) handing the levels below the threshold to a
-// second backend. Each mixed pair keeps a different pair of substrates
-// side by side in one hierarchy, so edges pushed down across the
-// threshold move between those two representations.
 struct sub_config {
   const char* name;
   substrate sub;
-  level_policy policy;
+  bool serve = false;  // turns options::concurrent_reads on
 
   [[nodiscard]] options apply(options o) const {
     o.substrate = sub;
-    o.policy = policy;
+    if (serve) o.concurrent_reads = true;
     return o;
   }
 };
 
 inline constexpr sub_config kSubConfigs[] = {
-    {"skiplist", substrate::skiplist, {}},
-    {"treap", substrate::treap, {}},
-    {"blocked", substrate::blocked, {}},
-    {"mixed", substrate::skiplist, {4, substrate::blocked}},
-    {"mixed_skiplist_treap", substrate::skiplist, {4, substrate::treap}},
-    {"mixed_treap_blocked", substrate::treap, {4, substrate::blocked}},
-    {"mixed_treap_skiplist", substrate::treap, {4, substrate::skiplist}},
-    {"mixed_blocked_skiplist", substrate::blocked, {4, substrate::skiplist}},
-    {"mixed_blocked_treap", substrate::blocked, {4, substrate::treap}},
-};
-
-// The substrate-surface grid for suites that drive an ett_forest
-// directly (no level structure / policy): every backend.
-struct ett_config {
-  const char* name;
-  substrate sub;
-};
-
-inline constexpr ett_config kEttConfigs[] = {
     {"skiplist", substrate::skiplist},
     {"treap", substrate::treap},
     {"blocked", substrate::blocked},
 };
+
+inline constexpr sub_config kEngineConfigs[] = {
+    {"skiplist", substrate::skiplist},
+    {"treap", substrate::treap},
+    {"blocked", substrate::blocked},
+    {"skiplist_serve", substrate::skiplist, true},
+    {"treap_serve", substrate::treap, true},
+    {"blocked_serve", substrate::blocked, true},
+};
+
+/// When `dc` serves reads, asserts its published snapshot labels equal a
+/// from-scratch components() walk. No-op otherwise.
+inline void expect_snapshot_matches(const batch_dynamic_connectivity& dc,
+                                    const std::string& where) {
+  if (!dc.serving()) return;
+  std::vector<vertex_id> published = dc.snapshot_query().components();
+  ASSERT_EQ(published, dc.components()) << where << ": stale snapshot";
+}
 
 }  // namespace bdc::testing

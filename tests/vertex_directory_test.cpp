@@ -32,7 +32,7 @@
 namespace bdc {
 namespace {
 
-using ::bdc::testing::kEttConfigs;
+using ::bdc::testing::kSubConfigs;
 
 using dir8 = vertex_directory<uint64_t>;
 
@@ -122,7 +122,7 @@ TEST(VertexDirectory, ParallelActivationSharingChunks) {
 // Substrate-level activation hygiene, over every substrate.
 // ---------------------------------------------------------------------
 
-class SparseSubstrate : public ::testing::TestWithParam<testing::ett_config> {
+class SparseSubstrate : public ::testing::TestWithParam<testing::sub_config> {
 };
 
 TEST_P(SparseSubstrate, ActiveVerticesTrackTouchedSet) {
@@ -187,7 +187,7 @@ TEST_P(SparseSubstrate, HighVertexIdMidStreamFirstTouch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, SparseSubstrate,
-                         ::testing::ValuesIn(kEttConfigs),
+                         ::testing::ValuesIn(kSubConfigs),
                          [](const auto& info) { return info.param.name; });
 
 // ---------------------------------------------------------------------
@@ -195,7 +195,7 @@ INSTANTIATE_TEST_SUITE_P(Grid, SparseSubstrate,
 // ---------------------------------------------------------------------
 
 class SparseHierarchy
-    : public ::testing::TestWithParam<testing::ett_config> {};
+    : public ::testing::TestWithParam<testing::sub_config> {};
 
 TEST_P(SparseHierarchy, MemoryScalesWithActivityAtProductionN) {
   const vertex_id n = 1 << 20;
@@ -245,7 +245,7 @@ TEST_P(SparseHierarchy, MemoryScalesWithActivityAtProductionN) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, SparseHierarchy,
-                         ::testing::ValuesIn(kEttConfigs),
+                         ::testing::ValuesIn(kSubConfigs),
                          [](const auto& info) { return info.param.name; });
 
 }  // namespace

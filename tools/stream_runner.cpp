@@ -4,29 +4,30 @@
 // profiling real workloads without writing C++.
 //
 // Usage:
-//   stream_runner gen [--stream=deletion|mixed|window]
+//   stream_runner gen [--stream=deletion|mixed|window|hub]
 //                     <erdos|rmat|grid> <n> <m> <batch> <seed> <out>
 //   stream_runner run [--engine=auto|dynamic|dynamic-simple|dynamic-scanall|
 //                      hdt|static|incremental]
 //                     [--substrate=skiplist|treap|blocked]
-//                     [--policy=<substrate>:<threshold>]
-//                     [--workers=N]
+//                     [--workers=N] [--serve-queries=T]
+//                     [--metrics=FILE] [--trace=FILE]
+//                     [--assert-gauge-max=NAME:MAX]
 //                     [--check] <stream-file>
-//   stream_runner            (no args: self-demo on a generated stream)
+//   stream_runner            (no args: self-demo on a generated stream;
+//                             flags apply)
 //
+// --stream picks the generated workload: deletion (insert everything,
+// then delete in batches, with query batches between), mixed (the
+// phase-skewed trace engine_router targets), window (a sliding window of
+// m/2 edges) or hub (bursts of hub-edge deletions and re-insertions).
 // --engine picks the structure (default dynamic). `auto` is the
 // workload-adaptive engine_router: union-find during insert-only epochs,
 // one-shot bulk-load promotion to the HDT structure at the first
 // effective deletion, per-epoch rep memo for query floods; its routing
 // statistics (phase switches, promotion cost, cache hit rate) join the
 // report. --substrate selects the Euler-tour backend of the dynamic
-// structures (and of auto's promoted engine);
-// --policy=<substrate>:<threshold> additionally hands every level below
-// <threshold> to <substrate> (per-level substrate mixing, e.g.
-// --policy=blocked:8 for blocked tours on the bottom eight levels); a
-// policy naming the primary substrate is uniform and is reported as such.
-// Without either flag each engine keeps its library default (options{}
-// for the dynamic engines, router_options{} for auto). --workers
+// structures (and of auto's promoted engine); without it each engine
+// keeps the library default, options{} (blocked tours). --workers
 // rebuilds the scheduler pool before the replay (equivalent to
 // BDC_NUM_WORKERS, but scoped to this run).
 // --serve-queries=T enables the epoch-snapshot read service and spawns T
@@ -47,6 +48,9 @@
 // configuration; see obs/exporters.hpp for the schema), and
 // --trace=FILE writes a Chrome trace-event timeline of the per-batch
 // phase spans, viewable in chrome://tracing or ui.perfetto.dev.
+// --assert-gauge-max=NAME:MAX fails the run (exit 1) if gauge NAME
+// exceeds MAX in any reported snapshot (e.g. levels.bytes, the level
+// hierarchy's retained memory).
 //
 // Vertex ids in a stream file need not be < the header's n: every
 // structure validates its inputs at the public API (out-of-range updates
@@ -54,13 +58,15 @@
 // an unsigned decimal of at most 2^32 - 1, and each batch line must hold
 // an even number of them, and the header's n may not exceed 2^31 (the
 // most the Euler-tour tags hold); any other line fails the run with a
-// "file:line:" error instead of being truncated or wrapped.
+// "file:line:" error (with ":col:" of the offending token for a bad id or
+// an unknown tag) instead of being truncated or wrapped.
 //
 // Stream file format (text): first line "n <N>", then one line per batch:
 //   I <u1> <v1> <u2> <v2> ...     insertion batch
 //   D <u1> <v1> ...               deletion batch
 //   Q <u1> <v1> ...               connectivity-query batch
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cinttypes>
@@ -69,7 +75,6 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -153,7 +158,8 @@ std::optional<vertex_id> parse_id(std::string_view tok) {
 /// Parses a text stream file. Returns "" on success, else a located
 /// "path:line: reason" error: a signed, garbage or out-of-range token, an
 /// odd id count or an unknown tag rejects the whole file rather than
-/// ending a batch early.
+/// ending a batch early. A bad id or tag is located as "path:line:col:",
+/// with the 1-based column of the token.
 std::string read_stream(const std::string& path, vertex_id& n,
                         update_stream& stream) {
   std::ifstream in(path);
@@ -161,20 +167,39 @@ std::string read_stream(const std::string& path, vertex_id& n,
   std::string line;
   size_t line_no = 0;
   bool have_header = false;
-  auto located = [&](const std::string& why) {
-    return path + ":" + std::to_string(line_no) + ": " + why;
+  auto located = [&](const std::string& why, size_t col = 0) {
+    std::string at = path + ":" + std::to_string(line_no) + ":";
+    if (col != 0) at += std::to_string(col) + ":";
+    return at + " " + why;
+  };
+  // Whitespace-separated tokens of one line, each with its 1-based column.
+  std::vector<std::pair<std::string_view, size_t>> toks;
+  auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
   };
   while (std::getline(in, line)) {
     ++line_no;
-    std::istringstream ls(line);
-    std::string tag, tok;
-    if (!(ls >> tag)) continue;  // blank line
+    toks.clear();
+    for (size_t i = 0; i < line.size();) {
+      if (is_space(line[i])) {
+        ++i;
+        continue;
+      }
+      size_t j = i;
+      while (j < line.size() && !is_space(line[j])) ++j;
+      toks.emplace_back(std::string_view(line).substr(i, j - i), i + 1);
+      i = j;
+    }
+    if (toks.empty()) continue;  // blank line
+    const auto [tag, tag_col] = toks[0];
     std::vector<vertex_id> ids;
-    while (ls >> tok) {
-      auto id = parse_id(tok);
+    for (size_t t = 1; t < toks.size(); ++t) {
+      auto id = parse_id(toks[t].first);
       if (!id) {
-        return located("'" + tok +
-                       "' is not a vertex id (unsigned, at most 4294967295)");
+        return located("'" + std::string(toks[t].first) +
+                           "' is not a vertex id (unsigned, at most "
+                           "4294967295)",
+                       toks[t].second);
       }
       ids.push_back(*id);
     }
@@ -199,7 +224,9 @@ std::string read_stream(const std::string& path, vertex_id& n,
     } else if (tag == "Q") {
       b.op = update_batch::kind::query;
     } else {
-      return located("unknown batch tag '" + tag + "' (expected I, D or Q)");
+      return located("unknown batch tag '" + std::string(tag) +
+                         "' (expected I, D or Q)",
+                     tag_col);
     }
     if (ids.size() % 2 != 0)
       return located("odd number of vertex ids (" +
@@ -576,8 +603,8 @@ int finish_check(const oracle_checker* chk) {
 }
 
 int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
-                  std::optional<substrate> sub,
-                  std::optional<level_policy> policy, unsigned serve_threads, publish_mode pub, bool check) {
+                  std::optional<substrate> sub, unsigned serve_threads,
+                  bool check) {
   oracle_checker chk;
   chk.n = n;
   chk.track_deletes = eng != engine_kind::incremental;
@@ -595,12 +622,8 @@ int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
                    ? level_search_kind::simple
                    : level_search_kind::scan_all;
     if (sub) o.substrate = *sub;
-    if (policy) o.policy = *policy;
     o.concurrent_reads = serve_threads > 0;
-    o.publish = pub;
     batch_dynamic_connectivity s(n, o);
-    // config_label applies the library's policy normalization, so a
-    // --policy naming the primary substrate reads as uniform here.
     std::string label = std::string(which) + "/" + config_label(o);
     // Per-run registry baseline: self-demo replays several
     // configurations in one process, and each report should cover only
@@ -637,11 +660,10 @@ int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
                  "structures; ignoring\n");
   }
   if (eng == engine_kind::auto_router) {
-    router_options ro;
-    if (sub) ro.dynamic_opts.substrate = *sub;
-    if (policy) ro.dynamic_opts.policy = *policy;
-    engine_router s(n, ro);
-    std::string label = "auto/" + config_label(ro.dynamic_opts);
+    options o;
+    if (sub) o.substrate = *sub;
+    engine_router s(n, o);
+    std::string label = "auto/" + config_label(o);
     obs::metric_registry::global().reset();
     obs::metrics_snapshot snap;
     replay_report rep = replay(s, stream, cp);
@@ -687,37 +709,29 @@ int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
   return finish_check(cp);
 }
 
-int self_demo(unsigned serve_threads, publish_mode pub) {
+int self_demo(unsigned serve_threads) {
   std::printf("stream_runner self-demo: n=4096, m=16384, deletion stream "
               "with batch 512 + queries%s\n",
               serve_threads > 0 ? " (+ concurrent query serving)" : "");
   const vertex_id n = 4096;
   auto graph = gen_erdos_renyi(n, 4 * n, 1);
   auto stream = make_deletion_stream(graph, n, 1024, 512, 256, 2);
-  // The dynamic structure runs once per substrate plus once under the
-  // mixed per-level policy (a built-in uniform-vs-mixed A/B pass). With
+  // The dynamic structure runs once per substrate. With
   // --serve-queries, every dynamic pass additionally serves (and
   // differential-checks) concurrent reads — the skip-list/treap passes
   // exercise the snapshot path, the blocked pass the live seqlock probe.
   for (substrate sub :
        {substrate::skiplist, substrate::treap, substrate::blocked}) {
     if (int rc = run_structure(engine_kind::dynamic, n, stream, sub,
-                               std::nullopt, serve_threads, pub,
-                               /*check=*/false);
+                               serve_threads, /*check=*/false);
         rc != 0)
       return rc;
   }
-  if (int rc = run_structure(engine_kind::dynamic, n, stream,
-                             substrate::skiplist,
-                             level_policy{8, substrate::blocked},
-                             serve_threads, pub, /*check=*/false);
-      rc != 0)
-    return rc;
   for (engine_kind eng :
        {engine_kind::dynamic_simple, engine_kind::hdt,
         engine_kind::static_recompute, engine_kind::auto_router}) {
-    if (int rc = run_structure(eng, n, stream, std::nullopt, std::nullopt,
-                               0, pub, /*check=*/false);
+    if (int rc = run_structure(eng, n, stream, std::nullopt, 0,
+                               /*check=*/false);
         rc != 0)
       return rc;
   }
@@ -732,9 +746,8 @@ int usage(const char* prog) {
                "  %s run [--engine=auto|dynamic|dynamic-simple|"
                "dynamic-scanall|hdt|static|incremental] "
                "[--substrate=skiplist|treap|blocked] "
-               "[--policy=<substrate>:<threshold>] "
                "[--workers=N] "
-               "[--serve-queries=T] [--publish=incremental|full] "
+               "[--serve-queries=T] "
                "[--metrics=FILE] [--trace=FILE] "
                "[--assert-gauge-max=NAME:MAX] "
                "[--check] <stream-file>\n"
@@ -769,14 +782,12 @@ int finish_run(int rc) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 1) return self_demo(0, publish_mode::incremental);
+  if (argc == 1) return self_demo(0);
 
   // Flags may appear anywhere; everything else is positional.
   engine_kind eng = engine_kind::dynamic;
   std::optional<substrate> sub;
-  std::optional<level_policy> policy;
   unsigned serve_threads = 0;
-  publish_mode pub = publish_mode::incremental;
   bool check = false;
   std::string stream_kind = "deletion";
   std::vector<std::string> args;
@@ -796,27 +807,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       sub = *parsed;
-    } else if (a.rfind("--policy=", 0) == 0) {
-      std::string spec = a.substr(9);
-      size_t colon = spec.find(':');
-      auto parsed = substrate_from_string(spec.substr(0, colon));
-      int threshold = 0;
-      if (colon != std::string::npos) {
-        char* end = nullptr;
-        errno = 0;
-        long t = std::strtol(spec.c_str() + colon + 1, &end, 10);
-        if (errno == 0 && end != spec.c_str() + colon + 1 && *end == '\0' &&
-            t > 0 && t <= 64)
-          threshold = static_cast<int>(t);
-      }
-      if (!parsed || threshold == 0) {
-        std::fprintf(stderr,
-                     "bad --policy value '%s' (want <substrate>:<level "
-                     "threshold>, e.g. blocked:8)\n",
-                     spec.c_str());
-        return 2;
-      }
-      policy = level_policy{threshold, *parsed};
     } else if (a.rfind("--workers=", 0) == 0) {
       const char* value = a.c_str() + 10;
       char* end = nullptr;
@@ -841,18 +831,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       serve_threads = static_cast<unsigned>(t);
-    } else if (a.rfind("--publish=", 0) == 0) {
-      std::string value = a.substr(10);
-      if (value == "incremental") {
-        pub = publish_mode::incremental;
-      } else if (value == "full") {
-        pub = publish_mode::full;
-      } else {
-        std::fprintf(stderr,
-                     "bad --publish value '%s' (want incremental|full)\n",
-                     value.c_str());
-        return 2;
-      }
     } else if (a.rfind("--stream=", 0) == 0) {
       stream_kind = a.substr(9);
       if (stream_kind != "deletion" && stream_kind != "mixed" &&
@@ -915,7 +893,7 @@ int main(int argc, char** argv) {
   }
   if (!g_trace_path.empty()) obs::trace_recorder::global().enable();
 
-  if (args.empty()) return finish_run(self_demo(serve_threads, pub));
+  if (args.empty()) return finish_run(self_demo(serve_threads));
 
   const std::string& cmd = args[0];
   if (cmd == "gen" && args.size() == 7) {
@@ -966,8 +944,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", err.c_str());
       return 2;
     }
-    return finish_run(run_structure(eng, n, stream, sub, policy,
-                                    serve_threads, pub, check));
+    return finish_run(
+        run_structure(eng, n, stream, sub, serve_threads, check));
   }
   return usage(argv[0]);
 }
