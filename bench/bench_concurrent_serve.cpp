@@ -3,7 +3,7 @@
 // epoch-snapshot read service enabled churns insert/delete batches while
 // R reader threads (started once, OUTSIDE the timing loop) hammer
 // snapshot_query()->connected(). The sweep crosses R in {0, 2, 4} with
-// the skiplist substrate (readers served from the per-batch snapshot)
+// the treap substrate (readers served from the per-batch snapshot)
 // and the blocked substrate (readers take the seqlock-validated live
 // probe between batches). R=0 isolates the serving overhead itself: the
 // snapshot publish every batch plus epoch bookkeeping.
@@ -33,7 +33,7 @@ constexpr size_t kBatch = 512;
 static void BM_ConcurrentServe(benchmark::State& state) {
   const auto readers = static_cast<unsigned>(state.range(0));
   const substrate sub =
-      state.range(1) == 0 ? substrate::skiplist : substrate::blocked;
+      state.range(1) == 0 ? substrate::treap : substrate::blocked;
   auto graph = gen_erdos_renyi(kN, kM, 7);
   std::vector<std::vector<edge>> batches;
   for (size_t i = 0; i < graph.size(); i += kBatch) {

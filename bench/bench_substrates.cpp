@@ -4,19 +4,23 @@
 //     [24], parallel dictionary [23], spanning forest [22], scan/pack
 //     [34]) should show flat-ish per-element costs as input size grows.
 //
-//  2. Head-to-head Euler-tour substrate A/B (skiplist vs treap vs
-//     blocked) on the identical batch_link / batch_cut / batch_connected
-//     workloads, plus pooled vs heap node allocation. Every substrate
-//     benchmark takes the substrate as its first argument (0 = skiplist,
-//     1 = treap, 2 = blocked), so a single JSON run yields the full
-//     comparison matrix. BM_SubstrateSmallComponents isolates the
-//     small-component regime the blocked substrate targets, and
-//     BM_SubstrateStream runs the full dynamic structure on each
-//     substrate.
+//  2. Head-to-head Euler-tour substrate A/B (treap vs blocked) on the
+//     identical batch_link / batch_cut / batch_connected workloads, plus
+//     pooled vs heap node allocation. Every substrate benchmark takes the
+//     substrate as its first argument (0 = treap, 1 = blocked, the order
+//     of `enum class substrate`), so a single JSON run yields the full
+//     comparison matrix. BM_SubstrateLinkCut and
+//     BM_SubstrateBatchConnected sweep k from 1 up (Theorem 2: the
+//     per-edge cost should fall as k grows at fixed n),
+//     BM_SubstrateSmallComponents isolates the small-component regime the
+//     blocked substrate targets, BM_SubstrateGiantTour batches link/cut
+//     inside one giant tour, and BM_SubstrateStream runs the full dynamic
+//     structure on each substrate.
 #include <benchmark/benchmark.h>
 
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/batch_connectivity.hpp"
@@ -84,8 +88,8 @@ static void BM_ScanPack(benchmark::State& state) {
 BENCHMARK(BM_ScanPack)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 // ---------------------------------------------------------------------
-// Euler-tour substrate A/B. Arg(0): substrate (0 = skiplist, 1 = treap,
-// 2 = blocked); Arg(1): batch size k. Every timed loop runs on the
+// Euler-tour substrate A/B. Arg(0): substrate (0 = treap, 1 = blocked);
+// Arg(1): batch size k. Every timed loop runs on the
 // concrete substrate inside one ett_forest::visit, so neither the
 // per-call dispatch nor ett_forest's phase spans enter the rows.
 // ---------------------------------------------------------------------
@@ -94,20 +98,14 @@ namespace {
 constexpr vertex_id kEttN = 1 << 14;
 
 substrate substrate_of(const benchmark::State& state) {
-  switch (state.range(0)) {
-    case 1:
-      return substrate::treap;
-    case 2:
-      return substrate::blocked;
-    default:
-      return substrate::skiplist;
-  }
+  return static_cast<substrate>(state.range(0));
 }
 
-/// Builds the Arg(0) substrate over kEttN vertices and runs `body` on it.
+/// Builds the Arg(0) substrate over n vertices and runs `body` on it.
 template <typename Body>
-void with_substrate(benchmark::State& state, uint64_t seed, Body&& body) {
-  ett_forest forest(substrate_of(state), kEttN, seed);
+void with_substrate(benchmark::State& state, uint64_t seed, Body&& body,
+                    vertex_id n = kEttN) {
+  ett_forest forest(substrate_of(state), n, seed);
   forest.visit(body);
   state.SetLabel(to_string(substrate_of(state)));
 }
@@ -129,7 +127,7 @@ static void BM_SubstrateLinkCut(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_SubstrateLinkCut)
-    ->ArgsProduct({{0, 1, 2}, {16, 256, 4096}})
+    ->ArgsProduct({{0, 1}, {1, 16, 256, 4096, 16384}})
     ->ArgNames({"substrate", "k"});
 
 static void BM_SubstrateBatchConnected(benchmark::State& state) {
@@ -142,7 +140,7 @@ static void BM_SubstrateBatchConnected(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(k) * state.iterations());
 }
 BENCHMARK(BM_SubstrateBatchConnected)
-    ->ArgsProduct({{0, 1, 2}, {256, 4096, 65536}})
+    ->ArgsProduct({{0, 1}, {1, 16, 256, 4096, 65536}})
     ->ArgNames({"substrate", "k"});
 
 static void BM_SubstrateCountsAndFetch(benchmark::State& state) {
@@ -161,11 +159,7 @@ static void BM_SubstrateCountsAndFetch(benchmark::State& state) {
   });
   state.SetItemsProcessed(512 * state.iterations());
 }
-BENCHMARK(BM_SubstrateCountsAndFetch)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->ArgName("substrate");
+BENCHMARK(BM_SubstrateCountsAndFetch)->Arg(0)->Arg(1)->ArgName("substrate");
 
 // Per-element queries: N direct find_rep / connected calls per
 // iteration, the regime where a per-call indirection would show.
@@ -183,7 +177,7 @@ static void BM_SubstrateFindRep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(vs.size()) *
                           state.iterations());
 }
-BENCHMARK(BM_SubstrateFindRep)->Arg(0)->Arg(1)->Arg(2)->ArgName("substrate");
+BENCHMARK(BM_SubstrateFindRep)->Arg(0)->Arg(1)->ArgName("substrate");
 
 static void BM_SubstrateConnected(benchmark::State& state) {
   auto qs = make_query_batch(kEttN, 4096, 37);
@@ -195,15 +189,15 @@ static void BM_SubstrateConnected(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(qs.size()) *
                           state.iterations());
 }
-BENCHMARK(BM_SubstrateConnected)->Arg(0)->Arg(1)->Arg(2)->ArgName("substrate");
+BENCHMARK(BM_SubstrateConnected)->Arg(0)->Arg(1)->ArgName("substrate");
 
 // ---------------------------------------------------------------------
 // The small-component regime (De Man et al. 2024): a forest of many
 // components of size S under intra-component link/cut churn plus
 // connectivity queries. This is where the HDT hierarchy's low levels
 // live (level i caps components at 2^(i+1)), i.e. the regime the
-// per-level policy hands to the blocked substrate. Arg(0): substrate;
-// Arg(1): component size S.
+// blocked substrate's packed blocks target. Arg(0): substrate; Arg(1):
+// component size S.
 // ---------------------------------------------------------------------
 
 static void BM_SubstrateSmallComponents(benchmark::State& state) {
@@ -235,8 +229,43 @@ static void BM_SubstrateSmallComponents(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_SubstrateSmallComponents)
-    ->ArgsProduct({{0, 1, 2}, {4, 16, 64, 256}})
+    ->ArgsProduct({{0, 1}, {4, 16, 64, 256}})
     ->ArgNames({"substrate", "comp"});
+
+// ---------------------------------------------------------------------
+// The opposite regime: one giant tour. A random 2^18-vertex tree is
+// linked once; each iteration cuts k of its edges, then re-links them,
+// so every batch splits and splices the same tour k times (the top
+// level of the HDT hierarchy on a connected graph). Arg(0): substrate;
+// Arg(1): k. Real time: the batches fan out across the worker pool.
+// ---------------------------------------------------------------------
+
+static void BM_SubstrateGiantTour(benchmark::State& state) {
+  constexpr vertex_id kGiantN = 1 << 18;
+  size_t k = static_cast<size_t>(state.range(1));
+  auto tree = gen_random_tree(kGiantN, 41);
+  // A seeded Fisher-Yates prefix: k distinct tree edges spread over the
+  // whole tour.
+  random_stream rs(42);
+  for (size_t i = 0; i < k; ++i)
+    std::swap(tree[i], tree[i + rs.next(tree.size() - i)]);
+  std::span<const edge> batch(tree.data(), k);
+  with_substrate(
+      state, 43,
+      [&](auto& f) {
+        f.batch_link(tree);
+        for (auto _ : state) {
+          f.batch_cut(batch);
+          f.batch_link(batch);
+        }
+      },
+      kGiantN);
+  state.SetItemsProcessed(static_cast<int64_t>(2 * k) * state.iterations());
+}
+BENCHMARK(BM_SubstrateGiantTour)
+    ->ArgsProduct({{0, 1}, {1 << 8, 1 << 12, 1 << 16}})
+    ->ArgNames({"substrate", "k"})
+    ->UseRealTime();
 
 // ---------------------------------------------------------------------
 // The full dynamic structure on each substrate: one deletion stream
@@ -274,7 +303,7 @@ static void BM_SubstrateStream(benchmark::State& state) {
   state.SetLabel(to_string(o.substrate));
   state.SetItemsProcessed(static_cast<int64_t>(ops) * state.iterations());
 }
-BENCHMARK(BM_SubstrateStream)->Arg(0)->Arg(1)->Arg(2)->ArgName("substrate");
+BENCHMARK(BM_SubstrateStream)->Arg(0)->Arg(1)->ArgName("substrate");
 
 // ---------------------------------------------------------------------
 // Treap mutation scaling: the join-based bulk link/cut phases at several
@@ -318,7 +347,9 @@ BENCHMARK(BM_TreapMutationWorkers)
 // ---------------------------------------------------------------------
 
 static void BM_NodePoolAllocFree(benchmark::State& state) {
-  constexpr size_t kNodeBytes = 96;  // typical low-height skip-list node
+  // Between the treap's 72-byte tour node and the blocked substrate's
+  // 144-byte block class.
+  constexpr size_t kNodeBytes = 96;
   node_pool pool;
   std::vector<void*> ps(4096);
   for (auto _ : state) {

@@ -46,11 +46,9 @@ enum class level_search_kind {
 struct options {
   level_search_kind search = level_search_kind::interleaved;
   /// The Euler-tour substrate of every level's forest. Defaults to the
-  /// cache-packed blocked tours: 2.3-2.8x the update throughput of the
-  /// paper's skip-list tours on every benchmark workload that builds from
-  /// options{} (see README), in no more memory, since a small tour holds
-  /// a block of its own size class. The skip list and the treap stay
-  /// selectable here.
+  /// cache-packed blocked tours, the fastest substrate on every
+  /// benchmark workload (see README); a small tour holds a block of its
+  /// own size class. The treap stays selectable here.
   bdc::substrate substrate = bdc::substrate::blocked;
   /// Enables the epoch-snapshot read service: snapshot_query() becomes
   /// available and may run from any thread CONCURRENTLY with

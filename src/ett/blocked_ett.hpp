@@ -12,7 +12,7 @@
 // sentinels it holds, and a per-tour descriptor carries the
 // component-wide sums — so `find_rep`, `connected`, `component_counts`
 // and `batch_add_counts` are all O(1) per element (vs O(lg n) for the
-// skip-list and treap substrates), and the first-ℓ fetch walk prunes
+// treap substrate), and the first-ℓ fetch walk prunes
 // whole blocks by their aggregates.
 //
 // Block sizes: a tour that fits one block holds the smallest size class

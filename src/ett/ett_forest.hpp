@@ -2,7 +2,7 @@
 // `ett_substrate` concept (ett_substrate.hpp), chosen at runtime
 // (options::substrate).
 //
-// Every forwarder dispatches with `std::visit`, and because all three
+// Every forwarder dispatches with `std::visit`, and because both
 // substrates are concrete `final` classes, the calls inside each visit
 // arm are direct (inlinable) member calls. Callers with per-element loops
 // should hoist the dispatch once around the whole loop instead of paying
@@ -32,7 +32,6 @@
 #include "ett/blocked_ett.hpp"
 #include "ett/ett_counts.hpp"
 #include "ett/ett_substrate.hpp"
-#include "ett/euler_tour_tree.hpp"
 #include "ett/treap_ett.hpp"
 #include "obs/telemetry.hpp"
 #include "util/node_pool.hpp"
@@ -78,7 +77,7 @@ class ett_forest {
   }
 
   // The three mutating batch ops carry phase spans: instrumenting the
-  // forwarder covers all three substrates at once, and the empty-batch
+  // forwarder covers both substrates at once, and the empty-batch
   // guard keeps the no-op calls that pepper the level loop out of the
   // histograms (a span on a 0-edge batch is pure noise).
   void batch_link(std::span<const edge> links) {
@@ -168,8 +167,8 @@ class ett_forest {
 
   // Read-side snapshot contract (see ett_substrate.hpp). Only blocked_ett
   // answers relaxed reads and defers frees through an epoch limbo; the
-  // other substrates return nullopt / ignore the epoch calls, and their
-  // concurrent readers are served from the published snapshot instead.
+  // treap returns nullopt / ignores the epoch calls, and its concurrent
+  // readers are served from the published snapshot instead.
   [[nodiscard]] bool supports_relaxed_reads() const {
     return visit([](auto& f) { return relaxed_reads<decltype(f)>; });
   }
@@ -194,8 +193,7 @@ class ett_forest {
   }
 
  private:
-  using impl = std::variant<std::unique_ptr<euler_tour_forest>,
-                            std::unique_ptr<treap_ett>,
+  using impl = std::variant<std::unique_ptr<treap_ett>,
                             std::unique_ptr<blocked_ett>>;
 
   template <typename F>
@@ -203,15 +201,8 @@ class ett_forest {
       std::is_same_v<std::remove_cvref_t<F>, blocked_ett>;
 
   static impl make(bdc::substrate s, vertex_id n, uint64_t seed) {
-    switch (s) {
-      case substrate::treap:
-        return std::make_unique<treap_ett>(n, seed);
-      case substrate::blocked:
-        return std::make_unique<blocked_ett>(n, seed);
-      case substrate::skiplist:
-        break;
-    }
-    return std::make_unique<euler_tour_forest>(n, seed);
+    if (s == substrate::treap) return std::make_unique<treap_ett>(n, seed);
+    return std::make_unique<blocked_ett>(n, seed);
   }
 
   impl impl_;

@@ -4,8 +4,6 @@ namespace bdc {
 
 const char* to_string(substrate s) {
   switch (s) {
-    case substrate::skiplist:
-      return "skiplist";
     case substrate::treap:
       return "treap";
     case substrate::blocked:
@@ -15,7 +13,6 @@ const char* to_string(substrate s) {
 }
 
 std::optional<substrate> substrate_from_string(std::string_view name) {
-  if (name == "skiplist") return substrate::skiplist;
   if (name == "treap") return substrate::treap;
   if (name == "blocked") return substrate::blocked;
   return std::nullopt;

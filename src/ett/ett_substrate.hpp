@@ -12,10 +12,7 @@
 // runtime (options::substrate), and so substrates can be benchmarked
 // head-to-head on identical workloads (bench_substrates).
 //
-// Three substrates are provided:
-//   * substrate::skiplist — `euler_tour_forest`, batch-parallel tours over
-//     the phase-concurrent augmented skip list (Tseng et al. [62]); the
-//     paper's own representation.
+// Two substrates are provided:
 //   * substrate::treap   — `treap_ett`, tours over sequence treaps
 //     (Henzinger–King style); mutation batches are parallel join-based
 //     bulk operations partitioned by tour, read-only batches fan out
@@ -46,9 +43,9 @@
 // mutation batch runs; such an answer is only meaningful after the caller
 // revalidates a version/seqlock it brackets around the read (the
 // batch_dynamic_connectivity service layer does exactly that and discards
-// answers that overlapped a batch). For the other substrates concurrent
-// readers are served from the service's published immutable snapshot
-// instead — a raw concurrent find_rep walk on a pointer structure can
+// answers that overlapped a batch). For the treap, concurrent readers
+// are served from the service's published immutable snapshot instead —
+// a raw concurrent find_rep walk on a pointer structure can
 // resolve u via a stale path and v via a fresh one to the same
 // representative, producing an answer matching NEITHER the pre- nor the
 // post-batch state.
@@ -72,9 +69,8 @@ namespace bdc {
 /// Which Euler-tour representation backs a forest. Selected per structure
 /// at construction (options::substrate).
 enum class substrate : uint8_t {
-  skiplist,  // batch-parallel augmented skip list (the paper's)
-  treap,     // sequence treaps (HDT-style)
-  blocked,   // cache-packed block-linked tours (options{} default)
+  treap,    // sequence treaps (HDT-style)
+  blocked,  // cache-packed block-linked tours (options{} default)
 };
 
 [[nodiscard]] const char* to_string(substrate s);
@@ -158,10 +154,10 @@ concept ett_substrate =
       // representative is `r` (obtained from find_rep / batch_find_rep in
       // the same read phase), in tour order. O(component size): the
       // blocked substrate streams its chain of packed blocks (80, 144,
-      // 256 or 512 bytes by size class), the treap and skip list walk
-      // their tours node by node. This is the enumeration primitive
-      // behind incremental snapshot publishing — a touched component can
-      // be relabelled without a global O(n) scan.
+      // 256 or 512 bytes by size class), the treap walks its tour node by
+      // node. This is the enumeration primitive behind incremental
+      // snapshot publishing — a touched component can be relabelled
+      // without a global O(n) scan.
       cf.for_each_tour_vertex(r, [](vertex_id) {});
       // Deep structural validation (tests). Empty string if healthy.
       { cf.check_consistency() } -> std::same_as<std::string>;

@@ -705,7 +705,7 @@ bool treap_ett::connected(vertex_id u, vertex_id v) const {
 
 std::vector<bool> treap_ett::batch_connected(
     std::span<const std::pair<vertex_id, vertex_id>> queries) const {
-  // Byte staging as in the skip-list forest: std::vector<bool> packs bits.
+  // Byte staging: std::vector<bool> packs bits, so parallel writes race.
   std::vector<uint8_t> bits(queries.size());
   parallel_for(
       0, queries.size(),
@@ -800,8 +800,8 @@ std::vector<std::pair<vertex_id, uint32_t>> treap_ett::fetch_counted(
   node* s = sentinel(v);
   if (s == nullptr) return out;  // inactive singleton: no counters
   // In-order (= tour-order) descent pruned by the subtree aggregates, so
-  // the walk touches O(result * lg n) nodes, matching the skip-list
-  // substrate's collect_first contract.
+  // the walk touches O(result * lg n) nodes (Appendix 9's first-ℓ fetch
+  // bound).
   std::vector<std::pair<node*, bool>> stack{{root_of(s), false}};
   uint64_t left = want;
   while (!stack.empty() && left > 0) {

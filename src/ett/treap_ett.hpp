@@ -24,7 +24,7 @@
 // batch queries (batch_connected, batch_find_rep) fan out across workers,
 // since concurrent root walks on an unchanging treap are safe.
 //
-// The treap forest shares no code with the skip-list forest, so the two
+// The treap forest shares no code with the blocked forest, so the two
 // substrates cross-validate each other in the parameterized test and fuzz
 // suites; the sequential HDT baseline (`hdt_connectivity`) additionally
 // drives the per-edge primitives (link/cut/add_counts/find_*_slot)

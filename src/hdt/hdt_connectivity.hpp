@@ -7,7 +7,7 @@
 // structure via substrate::treap), edge records live in the library's
 // phase-concurrent dictionary, and adjacency lists are flat per-vertex
 // arrays — no private bookkeeping containers. Because the treap substrate
-// is shared with (and cross-validated against) the skip-list forest, this
+// is shared with (and cross-validated against) the blocked forest, this
 // baseline doubles as a correctness oracle for the parallel structure in
 // tests.
 #pragma once

@@ -182,7 +182,7 @@ void parallel_for_rec(size_t lo, size_t hi, size_t grain, const F& f) {
 }  // namespace internal
 
 /// Grain for loops whose every iteration is a pointer walk of O(lg n)
-/// cache misses (a skip-list representative walk, a tour splice): about
+/// cache misses (a treap representative walk, a tour splice): about
 /// a microsecond each, so a leaf of this many pays for its fork.
 inline constexpr size_t kWalkGrain = 16;
 

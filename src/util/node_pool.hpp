@@ -1,5 +1,5 @@
-// Per-worker pooled node allocation for the ETT substrates (skip-list,
-// treap, and blocked-tour nodes).
+// Per-worker pooled node allocation for the ETT substrates (treap nodes
+// and blocked-tour blocks).
 //
 // Both substrates allocate and free huge numbers of small nodes: every
 // batch_link creates arc nodes, every batch_cut releases them, and a

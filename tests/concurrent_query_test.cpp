@@ -11,7 +11,7 @@
 //   * batch_dynamic_connectivity with options::concurrent_reads — readers
 //     use the public snapshot_query() view (live + pinned paths) across
 //     batch_insert/batch_delete, same oracle-agreement check, across
-//     substrates (skiplist exercises the snapshot path, blocked the live
+//     substrates (treap exercises the snapshot path, blocked the live
 //     seqlock probe) and worker-pool sizes (a forced multi-worker pool
 //     plus the hardware default).
 //
@@ -448,7 +448,7 @@ TEST_P(ConcurrentServe, ViewsAgreeWithTheirCommittedOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, ConcurrentServe,
-    ::testing::Combine(::testing::Values(substrate::skiplist,
+    ::testing::Combine(::testing::Values(substrate::treap,
                                          substrate::blocked),
                        ::testing::Values(2u, 0u)),
     [](const ::testing::TestParamInfo<ServeParam>& info) {

@@ -6,11 +6,12 @@
 // Every scenario runs at three worker-pool sizes — 1, 2, and the hardware
 // default — because scheduler-dependent bugs (racy batch phases, grouping
 // that silently assumes one worker) only surface when the pool actually
-// forks, and CI machines default to whatever nproc happens to be. The
-// grid is additionally crossed with every Euler-tour backend (skiplist,
-// treap, blocked), each with the snapshot read service off and on; the
-// serving rows also hold the published labels to a from-scratch walk
-// after every batch. Every graph size runs under every level search.
+// forks, and CI machines default to whatever nproc happens to be (the
+// suite's stress.* twin pins "hw" to 4). The grid is additionally crossed
+// with both Euler-tour backends (treap, blocked), each with the snapshot
+// read service off and on; the serving rows also hold the published
+// labels to a from-scratch walk after every batch. Every graph size runs
+// under every level search.
 #include <gtest/gtest.h>
 
 #include <set>

@@ -1,5 +1,5 @@
-// Euler-tour substrate tests, value-parameterized over every backend
-// (skip list, treap, blocked) behind ett_forest: model-based randomized
+// Euler-tour substrate tests, value-parameterized over both backends
+// (treap, blocked) behind ett_forest: model-based randomized
 // batches of links/cuts against a union-find oracle, augmentation
 // counters, fetch primitives, and internal consistency after every batch.
 // Every backend must satisfy the identical forest contract.

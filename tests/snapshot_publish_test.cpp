@@ -384,7 +384,7 @@ TEST(SnapshotPublishEdge, NoopBatchPublishesCheaply) {
 TEST(SnapshotPublishEdge, NontreeInsertRelabelsNothing) {
   const vertex_id n = 128;
   options o;
-  o.substrate = substrate::skiplist;
+  o.substrate = substrate::treap;
   o.concurrent_reads = true;
   batch_dynamic_connectivity dc(n, o);
   dc.batch_insert({{edge{0, 1}, edge{1, 2}, edge{2, 3}}});

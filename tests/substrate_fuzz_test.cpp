@@ -6,9 +6,9 @@
 //   * OracleLockstep — every round's query batch is verified against a
 //     union-find oracle REBUILT from scratch from the current tree-edge
 //     set, so an oracle bug cannot track a substrate bug.
-//   * CrossSubstrate — the skip-list, treap, and blocked forests (which
-//     share no code) replay identical batch streams and must agree on
-//     every query, edge count, and component size.
+//   * CrossSubstrate — the treap and blocked forests (which share no
+//     code) replay identical batch streams and must agree on every
+//     query, edge count, and component size.
 //   * BdcDifferential — batch_dynamic_connectivity end-to-end (inserts
 //     and deletes with non-tree edges, replacement searches, level
 //     pushes) under every substrate, in lockstep with a from-scratch
@@ -203,12 +203,6 @@ TEST_P(OracleLockstep, MixedStream) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, OracleLockstep,
     ::testing::Values(
-        fuzz_params{substrate::skiplist, 1, 4},
-        fuzz_params{substrate::skiplist, 1, 64},
-        fuzz_params{substrate::skiplist, 2, 32},
-        fuzz_params{substrate::skiplist, 2, 256},
-        fuzz_params{substrate::skiplist, 0, 64},
-        fuzz_params{substrate::skiplist, 0, 256},
         fuzz_params{substrate::treap, 1, 4},
         fuzz_params{substrate::treap, 1, 64},
         fuzz_params{substrate::treap, 2, 32},
@@ -228,9 +222,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Cross-substrate differential: skiplist vs treap vs blocked on
-// identical streams. The three forests share no code, so any divergence
-// pins a bug on one of them.
+// Cross-substrate differential: treap vs blocked on identical streams.
+// The two forests share no code, so any divergence pins a bug on one of
+// them.
 // ---------------------------------------------------------------------
 
 class CrossSubstrate
@@ -241,8 +235,7 @@ TEST_P(CrossSubstrate, IdenticalStreams) {
   worker_pool_guard pool(workers);
   const vertex_id n = n_for_batch(batch);
   const int rounds = fuzz_rounds();
-  constexpr substrate kSubs[] = {substrate::skiplist, substrate::treap,
-                                 substrate::blocked};
+  constexpr substrate kSubs[] = {substrate::treap, substrate::blocked};
   for (int s = 0; s < fuzz_seeds(); ++s) {
     uint64_t seed = hash_combine(workers * 977 + 3, batch * 31 + 11) +
                     static_cast<uint64_t>(s);

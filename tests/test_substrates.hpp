@@ -1,12 +1,12 @@
 // Shared test helper: the substrate grid the differential suites sweep —
-// every Euler-tour backend, one row each. One table, included by
-// ett_test, connectivity_test, connectivity_property_test,
+// both Euler-tour backends (treap, blocked), one row each. One table,
+// included by ett_test, connectivity_test, connectivity_property_test,
 // snapshot_publish_test, substrate_fuzz_test and vertex_directory_test,
 // so the parameterized suites and the fuzz differential can never drift
 // onto different grids when a substrate is added.
 //
 // The engine suites (connectivity_test, connectivity_property_test) sweep
-// kEngineConfigs instead: every backend with the snapshot read service
+// kEngineConfigs instead: both backends with the snapshot read service
 // off and on. Serving changes the update path itself (each batch records
 // its publish delta and publishes a snapshot), so those rows also check
 // the published labels against a from-scratch walk wherever the suite
@@ -37,16 +37,13 @@ struct sub_config {
 };
 
 inline constexpr sub_config kSubConfigs[] = {
-    {"skiplist", substrate::skiplist},
     {"treap", substrate::treap},
     {"blocked", substrate::blocked},
 };
 
 inline constexpr sub_config kEngineConfigs[] = {
-    {"skiplist", substrate::skiplist},
     {"treap", substrate::treap},
     {"blocked", substrate::blocked},
-    {"skiplist_serve", substrate::skiplist, true},
     {"treap_serve", substrate::treap, true},
     {"blocked_serve", substrate::blocked, true},
 };

@@ -54,8 +54,8 @@ TEST(Random, BoundedDrawsAreUniformIsh) {
 }
 
 TEST(Random, Hash64AvalanchesLowBits) {
-  // Consecutive inputs must produce well-spread low bits (the skip list
-  // derives node heights from them).
+  // Consecutive inputs must produce well-spread low bits (the
+  // phase-concurrent map and the semisort buckets index by them).
   std::set<uint64_t> low;
   for (uint64_t i = 0; i < 256; ++i) low.insert(hash64(i) & 0xff);
   EXPECT_GT(low.size(), 150u);

@@ -20,7 +20,7 @@ def write_run(path, times):
         json.dump(doc, f)
 
 
-def write_counters(path, values, label="dynamic/skiplist"):
+def write_counters(path, values, label="dynamic/blocked"):
     """One stream_runner-style JSONL snapshot; values of None become a
     histogram row with that key's count carried in a `count` field."""
     with open(path, "w") as f:
@@ -128,9 +128,9 @@ def main():
         rc, out = run(cold, cnew, "--counters", "--threshold", "10")
         check("counters.advisory_exit0", rc == 0, out)
         check("counters.flags_increase",
-              "CHANGED dynamic/skiplist/publish.full_walks" in out, out)
+              "CHANGED dynamic/blocked/publish.full_walks" in out, out)
         check("counters.flags_decrease",
-              "CHANGED dynamic/skiplist/router.cache_hits" in out, out)
+              "CHANGED dynamic/blocked/router.cache_hits" in out, out)
         check("counters.stable_histogram_not_flagged",
               "span.batch.delete.us" not in out, out)
 
@@ -146,7 +146,7 @@ def main():
                                "span.batch.delete.us": ("histogram", 20)})
         rc, out = run(czero, cnew, "--counters", "--threshold", "10")
         check("counters.zero_crossing_flagged",
-              rc == 0 and "CHANGED dynamic/skiplist/publish.full_walks"
+              rc == 0 and "CHANGED dynamic/blocked/publish.full_walks"
               in out, out)
 
         # History mode composes with --counters (.jsonl files in DIR).
@@ -158,7 +158,7 @@ def main():
         rc, out = run(cnew, "--counters", "--history", chist,
                       "--median-of", "3")
         check("counters.history_median",
-              rc == 0 and "CHANGED dynamic/skiplist/router.cache_hits"
+              rc == 0 and "CHANGED dynamic/blocked/router.cache_hits"
               in out, out)
 
     if failures:

@@ -8,7 +8,7 @@
 //                     <erdos|rmat|grid> <n> <m> <batch> <seed> <out>
 //   stream_runner run [--engine=auto|dynamic|dynamic-simple|dynamic-scanall|
 //                      hdt|static|incremental]
-//                     [--substrate=skiplist|treap|blocked]
+//                     [--substrate=treap|blocked]
 //                     [--workers=N] [--serve-queries=T]
 //                     [--metrics=FILE] [--trace=FILE]
 //                     [--assert-gauge-max=NAME:MAX]
@@ -718,10 +718,9 @@ int self_demo(unsigned serve_threads) {
   auto stream = make_deletion_stream(graph, n, 1024, 512, 256, 2);
   // The dynamic structure runs once per substrate. With
   // --serve-queries, every dynamic pass additionally serves (and
-  // differential-checks) concurrent reads — the skip-list/treap passes
-  // exercise the snapshot path, the blocked pass the live seqlock probe.
-  for (substrate sub :
-       {substrate::skiplist, substrate::treap, substrate::blocked}) {
+  // differential-checks) concurrent reads — the treap pass exercises
+  // the snapshot path, the blocked pass the live seqlock probe.
+  for (substrate sub : {substrate::treap, substrate::blocked}) {
     if (int rc = run_structure(engine_kind::dynamic, n, stream, sub,
                                serve_threads, /*check=*/false);
         rc != 0)
@@ -745,7 +744,7 @@ int usage(const char* prog) {
                "<erdos|rmat|grid> <n> <m> <batch> <seed> <out>\n"
                "  %s run [--engine=auto|dynamic|dynamic-simple|"
                "dynamic-scanall|hdt|static|incremental] "
-               "[--substrate=skiplist|treap|blocked] "
+               "[--substrate=treap|blocked] "
                "[--workers=N] "
                "[--serve-queries=T] "
                "[--metrics=FILE] [--trace=FILE] "
