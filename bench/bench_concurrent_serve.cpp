@@ -2,11 +2,11 @@
 // serving (ISSUE 6). A persistent batch_dynamic_connectivity with the
 // epoch-snapshot read service enabled churns insert/delete batches while
 // R reader threads (started once, OUTSIDE the timing loop) hammer
-// snapshot_query()->connected(). The sweep crosses R in {0, 2, 4} with
-// the treap substrate (readers served from the per-batch snapshot)
-// and the blocked substrate (readers take the seqlock-validated live
-// probe between batches). R=0 isolates the serving overhead itself: the
-// snapshot publish every batch plus epoch bookkeeping.
+// snapshot_query()->connected(). The sweep runs R in {0, 2, 4}; readers
+// take the seqlock-validated live probe between batches and the
+// per-batch snapshot when a batch overlaps. R=0 isolates the serving
+// overhead itself: the snapshot publish every batch plus epoch
+// bookkeeping.
 //
 // Counters: "served" is the total number of concurrent queries answered
 // across the whole run; "served/s" the rate against benchmark time.
@@ -32,8 +32,6 @@ constexpr size_t kBatch = 512;
 
 static void BM_ConcurrentServe(benchmark::State& state) {
   const auto readers = static_cast<unsigned>(state.range(0));
-  const substrate sub =
-      state.range(1) == 0 ? substrate::treap : substrate::blocked;
   auto graph = gen_erdos_renyi(kN, kM, 7);
   std::vector<std::vector<edge>> batches;
   for (size_t i = 0; i < graph.size(); i += kBatch) {
@@ -44,7 +42,6 @@ static void BM_ConcurrentServe(benchmark::State& state) {
   }
 
   options o;
-  o.substrate = sub;
   o.concurrent_reads = true;
   batch_dynamic_connectivity s(kN, o);
 
@@ -86,8 +83,10 @@ static void BM_ConcurrentServe(benchmark::State& state) {
       static_cast<double>(served.load()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ConcurrentServe)
-    ->ArgsProduct({{0, 2, 4}, {0, 1}})
-    ->ArgNames({"readers", "blocked"})
+    ->Arg(0)
+    ->Arg(2)
+    ->Arg(4)
+    ->ArgName("readers")
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -111,7 +110,6 @@ static void BM_SnapshotPublish(benchmark::State& state) {
   const vertex_id sea = giant ? n / 2 : 0;  // first vertex of the sea
 
   options o;
-  o.substrate = substrate::blocked;
   o.concurrent_reads = true;
   batch_dynamic_connectivity s(n, o);
   const std::vector<edge> tree =

@@ -170,20 +170,18 @@ static void BM_RouterMixedTrace(benchmark::State& state) {
 
   trace_result last{};
   router_statistics router_stats{};
-  options dyn;
-  dyn.substrate = substrate::blocked;
   for (auto _ : state) {
     timer t;
     switch (id) {
       case kAuto: {
-        engine_router s(kN, dyn);
+        engine_router s(kN);
         last = replay_trace(s);
         state.SetIterationTime(t.elapsed());
         router_stats = s.stats();
         break;
       }
       case kDynamic: {
-        batch_dynamic_connectivity s(kN, dyn);
+        batch_dynamic_connectivity s(kN);
         last = replay_trace(s);
         state.SetIterationTime(t.elapsed());
         break;

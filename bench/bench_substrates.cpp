@@ -4,27 +4,22 @@
 //     [24], parallel dictionary [23], spanning forest [22], scan/pack
 //     [34]) should show flat-ish per-element costs as input size grows.
 //
-//  2. Head-to-head Euler-tour substrate A/B (treap vs blocked) on the
-//     identical batch_link / batch_cut / batch_connected workloads, plus
-//     pooled vs heap node allocation. Every substrate benchmark takes the
-//     substrate as its first argument (0 = treap, 1 = blocked, the order
-//     of `enum class substrate`), so a single JSON run yields the full
-//     comparison matrix. BM_SubstrateLinkCut and
-//     BM_SubstrateBatchConnected sweep k from 1 up (Theorem 2: the
-//     per-edge cost should fall as k grows at fixed n),
-//     BM_SubstrateSmallComponents isolates the small-component regime the
-//     blocked substrate targets, BM_SubstrateGiantTour batches link/cut
+//  2. The Euler-tour forest (blocked_ett) on batch_link / batch_cut /
+//     batch_connected workloads, plus pooled vs heap node allocation.
+//     BM_SubstrateLinkCut and BM_SubstrateBatchConnected sweep k from 1
+//     up (Theorem 2: the per-edge cost should fall as k grows at fixed
+//     n), BM_SubstrateSmallComponents isolates the small-component regime
+//     the packed blocks target, BM_SubstrateGiantTour batches link/cut
 //     inside one giant tour, and BM_SubstrateStream runs the full dynamic
-//     structure on each substrate.
+//     structure. Rows compare across BDC_NUM_WORKERS=1/2/4 runs.
 #include <benchmark/benchmark.h>
 
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/batch_connectivity.hpp"
-#include "ett/ett_forest.hpp"
+#include "ett/blocked_ett.hpp"
 #include "gen/graph_gen.hpp"
 #include "gen/update_stream.hpp"
 #include "hashtable/phase_concurrent_map.hpp"
@@ -88,60 +83,41 @@ static void BM_ScanPack(benchmark::State& state) {
 BENCHMARK(BM_ScanPack)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 // ---------------------------------------------------------------------
-// Euler-tour substrate A/B. Arg(0): substrate (0 = treap, 1 = blocked);
-// Arg(1): batch size k. Every timed loop runs on the
-// concrete substrate inside one ett_forest::visit, so neither the
-// per-call dispatch nor ett_forest's phase spans enter the rows.
+// The Euler-tour forest. Arg(0): batch size k. Every mutating batch call
+// includes its ett.* phase span, as it does inside the structure.
 // ---------------------------------------------------------------------
 
-namespace {
 constexpr vertex_id kEttN = 1 << 14;
 
-substrate substrate_of(const benchmark::State& state) {
-  return static_cast<substrate>(state.range(0));
-}
-
-/// Builds the Arg(0) substrate over n vertices and runs `body` on it.
-template <typename Body>
-void with_substrate(benchmark::State& state, uint64_t seed, Body&& body,
-                    vertex_id n = kEttN) {
-  ett_forest forest(substrate_of(state), n, seed);
-  forest.visit(body);
-  state.SetLabel(to_string(substrate_of(state)));
-}
-}  // namespace
-
 static void BM_SubstrateLinkCut(benchmark::State& state) {
-  size_t k = static_cast<size_t>(state.range(1));
+  size_t k = static_cast<size_t>(state.range(0));
   auto forest_edges =
       gen_random_forest(kEttN, kEttN / 2 >= k ? kEttN - k : 1, 12);
   forest_edges.resize(std::min(forest_edges.size(), k));
   std::span<const edge> batch(forest_edges.data(), forest_edges.size());
-  with_substrate(state, 11, [&](auto& f) {
-    for (auto _ : state) {
-      f.batch_link(batch);
-      f.batch_cut(batch);
-    }
-  });
+  blocked_ett f(kEttN);
+  for (auto _ : state) {
+    f.batch_link(batch);
+    f.batch_cut(batch);
+  }
   state.SetItemsProcessed(static_cast<int64_t>(2 * batch.size()) *
                           state.iterations());
 }
 BENCHMARK(BM_SubstrateLinkCut)
-    ->ArgsProduct({{0, 1}, {1, 16, 256, 4096, 16384}})
-    ->ArgNames({"substrate", "k"});
+    ->ArgsProduct({{1, 16, 256, 4096, 16384}})
+    ->ArgNames({"k"});
 
 static void BM_SubstrateBatchConnected(benchmark::State& state) {
-  size_t k = static_cast<size_t>(state.range(1));
+  size_t k = static_cast<size_t>(state.range(0));
   auto qs = make_query_batch(kEttN, k, 15);
-  with_substrate(state, 13, [&](auto& f) {
-    f.batch_link(gen_random_forest(kEttN, 16, 14));
-    for (auto _ : state) benchmark::DoNotOptimize(f.batch_connected(qs));
-  });
+  blocked_ett f(kEttN);
+  f.batch_link(gen_random_forest(kEttN, 16, 14));
+  for (auto _ : state) benchmark::DoNotOptimize(f.batch_connected(qs));
   state.SetItemsProcessed(static_cast<int64_t>(k) * state.iterations());
 }
 BENCHMARK(BM_SubstrateBatchConnected)
-    ->ArgsProduct({{0, 1}, {1, 16, 256, 4096, 65536}})
-    ->ArgNames({"substrate", "k"});
+    ->ArgsProduct({{1, 16, 256, 4096, 65536}})
+    ->ArgNames({"k"});
 
 static void BM_SubstrateCountsAndFetch(benchmark::State& state) {
   std::vector<count_delta> up(256), down(256);
@@ -149,100 +125,95 @@ static void BM_SubstrateCountsAndFetch(benchmark::State& state) {
     up[i] = {i * 5, 0, 2};
     down[i] = {i * 5, 0, -2};
   }
-  with_substrate(state, 16, [&](auto& f) {
-    f.batch_link(gen_random_tree(kEttN, 17));
-    for (auto _ : state) {
-      f.batch_add_counts(up);
-      benchmark::DoNotOptimize(f.fetch_nontree(7, 128));
-      f.batch_add_counts(down);
-    }
-  });
+  blocked_ett f(kEttN);
+  f.batch_link(gen_random_tree(kEttN, 17));
+  for (auto _ : state) {
+    f.batch_add_counts(up);
+    benchmark::DoNotOptimize(f.fetch_nontree(7, 128));
+    f.batch_add_counts(down);
+  }
   state.SetItemsProcessed(512 * state.iterations());
 }
-BENCHMARK(BM_SubstrateCountsAndFetch)->Arg(0)->Arg(1)->ArgName("substrate");
+BENCHMARK(BM_SubstrateCountsAndFetch);
 
 // Per-element queries: N direct find_rep / connected calls per
-// iteration, the regime where a per-call indirection would show.
+// iteration.
 static void BM_SubstrateFindRep(benchmark::State& state) {
   // Shuffled probe order: real fetch/expand loops walk scattered ids.
   std::vector<vertex_id> vs(kEttN);
   bdc::random r(33);
   for (size_t i = 0; i < vs.size(); ++i)
     vs[i] = static_cast<vertex_id>(r.ith_rand(i, kEttN));
-  with_substrate(state, 31, [&](auto& f) {
-    f.batch_link(gen_random_forest(kEttN, 64, 32));
-    for (auto _ : state)
-      for (vertex_id v : vs) benchmark::DoNotOptimize(f.find_rep(v));
-  });
+  blocked_ett f(kEttN);
+  f.batch_link(gen_random_forest(kEttN, 64, 32));
+  for (auto _ : state)
+    for (vertex_id v : vs) benchmark::DoNotOptimize(f.find_rep(v));
   state.SetItemsProcessed(static_cast<int64_t>(vs.size()) *
                           state.iterations());
 }
-BENCHMARK(BM_SubstrateFindRep)->Arg(0)->Arg(1)->ArgName("substrate");
+BENCHMARK(BM_SubstrateFindRep);
 
 static void BM_SubstrateConnected(benchmark::State& state) {
   auto qs = make_query_batch(kEttN, 4096, 37);
-  with_substrate(state, 35, [&](auto& f) {
-    f.batch_link(gen_random_forest(kEttN, 64, 36));
-    for (auto _ : state)
-      for (auto& [u, v] : qs) benchmark::DoNotOptimize(f.connected(u, v));
-  });
+  blocked_ett f(kEttN);
+  f.batch_link(gen_random_forest(kEttN, 64, 36));
+  for (auto _ : state)
+    for (auto& [u, v] : qs) benchmark::DoNotOptimize(f.connected(u, v));
   state.SetItemsProcessed(static_cast<int64_t>(qs.size()) *
                           state.iterations());
 }
-BENCHMARK(BM_SubstrateConnected)->Arg(0)->Arg(1)->ArgName("substrate");
+BENCHMARK(BM_SubstrateConnected);
 
 // ---------------------------------------------------------------------
 // The small-component regime (De Man et al. 2024): a forest of many
 // components of size S under intra-component link/cut churn plus
 // connectivity queries. This is where the HDT hierarchy's low levels
 // live (level i caps components at 2^(i+1)), i.e. the regime the
-// blocked substrate's packed blocks target. Arg(0): substrate; Arg(1):
-// component size S.
+// packed blocks target. Arg(0): component size S.
 // ---------------------------------------------------------------------
 
 static void BM_SubstrateSmallComponents(benchmark::State& state) {
-  size_t comp = static_cast<size_t>(state.range(1));
+  size_t comp = static_cast<size_t>(state.range(0));
   // Cross-component queries (always disconnected: worst-case walks).
   std::vector<std::pair<vertex_id, vertex_id>> qs(kEttN / comp);
   bdc::random qr(23);
   for (size_t i = 0; i < qs.size(); ++i)
     qs[i] = {static_cast<vertex_id>(qr.ith_rand(2 * i, kEttN)),
              static_cast<vertex_id>(qr.ith_rand(2 * i + 1, kEttN))};
-  with_substrate(state, 19, [&](auto& f) {
-    // Paths of `comp` vertices; cut/relink each component's middle edge.
-    std::vector<edge> middles;
-    for (vertex_id base = 0; base + comp <= kEttN;
-         base += static_cast<vertex_id>(comp)) {
-      std::vector<edge> path;
-      for (vertex_id i = 0; i + 1 < comp; ++i)
-        path.push_back({base + i, base + i + 1});
-      f.batch_link(path);
-      middles.push_back(path[path.size() / 2]);
-    }
-    for (auto _ : state) {
-      f.batch_cut(middles);
-      f.batch_link(middles);
-      benchmark::DoNotOptimize(f.batch_connected(qs));
-    }
-  });
+  blocked_ett f(kEttN);
+  // Paths of `comp` vertices; cut/relink each component's middle edge.
+  std::vector<edge> middles;
+  for (vertex_id base = 0; base + comp <= kEttN;
+       base += static_cast<vertex_id>(comp)) {
+    std::vector<edge> path;
+    for (vertex_id i = 0; i + 1 < comp; ++i)
+      path.push_back({base + i, base + i + 1});
+    f.batch_link(path);
+    middles.push_back(path[path.size() / 2]);
+  }
+  for (auto _ : state) {
+    f.batch_cut(middles);
+    f.batch_link(middles);
+    benchmark::DoNotOptimize(f.batch_connected(qs));
+  }
   state.SetItemsProcessed(static_cast<int64_t>(3 * qs.size()) *
                           state.iterations());
 }
 BENCHMARK(BM_SubstrateSmallComponents)
-    ->ArgsProduct({{0, 1}, {4, 16, 64, 256}})
-    ->ArgNames({"substrate", "comp"});
+    ->ArgsProduct({{4, 16, 64, 256}})
+    ->ArgNames({"comp"});
 
 // ---------------------------------------------------------------------
 // The opposite regime: one giant tour. A random 2^18-vertex tree is
 // linked once; each iteration cuts k of its edges, then re-links them,
 // so every batch splits and splices the same tour k times (the top
-// level of the HDT hierarchy on a connected graph). Arg(0): substrate;
-// Arg(1): k. Real time: the batches fan out across the worker pool.
+// level of the HDT hierarchy on a connected graph). Arg(0): k. Real
+// time: the batches fan out across the worker pool.
 // ---------------------------------------------------------------------
 
 static void BM_SubstrateGiantTour(benchmark::State& state) {
   constexpr vertex_id kGiantN = 1 << 18;
-  size_t k = static_cast<size_t>(state.range(1));
+  size_t k = static_cast<size_t>(state.range(0));
   auto tree = gen_random_tree(kGiantN, 41);
   // A seeded Fisher-Yates prefix: k distinct tree edges spread over the
   // whole tour.
@@ -250,38 +221,31 @@ static void BM_SubstrateGiantTour(benchmark::State& state) {
   for (size_t i = 0; i < k; ++i)
     std::swap(tree[i], tree[i + rs.next(tree.size() - i)]);
   std::span<const edge> batch(tree.data(), k);
-  with_substrate(
-      state, 43,
-      [&](auto& f) {
-        f.batch_link(tree);
-        for (auto _ : state) {
-          f.batch_cut(batch);
-          f.batch_link(batch);
-        }
-      },
-      kGiantN);
+  blocked_ett f(kGiantN);
+  f.batch_link(tree);
+  for (auto _ : state) {
+    f.batch_cut(batch);
+    f.batch_link(batch);
+  }
   state.SetItemsProcessed(static_cast<int64_t>(2 * k) * state.iterations());
 }
 BENCHMARK(BM_SubstrateGiantTour)
-    ->ArgsProduct({{0, 1}, {1 << 8, 1 << 12, 1 << 16}})
-    ->ArgNames({"substrate", "k"})
+    ->ArgsProduct({{1 << 8, 1 << 12, 1 << 16}})
+    ->ArgNames({"k"})
     ->UseRealTime();
 
 // ---------------------------------------------------------------------
-// The full dynamic structure on each substrate: one deletion stream
-// (insert + batched deletes + queries) replayed end to end. Arg(0):
-// substrate, as above.
+// The full dynamic structure: one deletion stream (insert + batched
+// deletes + queries) replayed end to end.
 // ---------------------------------------------------------------------
 
 static void BM_SubstrateStream(benchmark::State& state) {
   const vertex_id n = 1 << 12;
   auto graph = gen_erdos_renyi(n, 4 * n, 29);
   auto stream = make_deletion_stream(graph, n, 512, 256, 128, 30);
-  options o;
-  o.substrate = substrate_of(state);
   size_t ops = 0;
   for (auto _ : state) {
-    batch_dynamic_connectivity dc(n, o);
+    batch_dynamic_connectivity dc(n);
     ops = 0;
     for (const auto& b : stream) {
       switch (b.op) {
@@ -300,45 +264,9 @@ static void BM_SubstrateStream(benchmark::State& state) {
       }
     }
   }
-  state.SetLabel(to_string(o.substrate));
   state.SetItemsProcessed(static_cast<int64_t>(ops) * state.iterations());
 }
-BENCHMARK(BM_SubstrateStream)->Arg(0)->Arg(1)->ArgName("substrate");
-
-// ---------------------------------------------------------------------
-// Treap mutation scaling: the join-based bulk link/cut phases at several
-// worker-pool sizes. workers=1 takes the substrate's sequential
-// split/merge fallback, so the 1-worker row IS the pre-join baseline and
-// the ≥2-worker rows measure the parallel speedup on identical batches.
-// ---------------------------------------------------------------------
-
-static void BM_TreapMutationWorkers(benchmark::State& state) {
-  unsigned workers = static_cast<unsigned>(state.range(0));
-  size_t k = static_cast<size_t>(state.range(1));
-  unsigned before = num_workers();
-  set_num_workers(workers);
-  {
-    // Scope the forest so its worker-sliced node pool dies before the
-    // pool size is restored.
-    treap_ett f(kEttN, 21);
-    auto forest_edges =
-        gen_random_forest(kEttN, kEttN / 2 >= k ? kEttN - k : 1, 22);
-    forest_edges.resize(std::min(forest_edges.size(), k));
-    std::span<const edge> batch(forest_edges.data(), forest_edges.size());
-    for (auto _ : state) {
-      f.batch_link(batch);
-      f.batch_cut(batch);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(2 * batch.size()) *
-                            state.iterations());
-  }
-  set_num_workers(before);
-}
-BENCHMARK(BM_TreapMutationWorkers)
-    ->ArgsProduct({{1, 2, 4, 8}, {256, 4096}})
-    ->ArgNames({"workers", "k"})
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
+BENCHMARK(BM_SubstrateStream);
 
 // ---------------------------------------------------------------------
 // Pooled vs per-node heap allocation (the acceptance gate for
@@ -347,8 +275,7 @@ BENCHMARK(BM_TreapMutationWorkers)
 // ---------------------------------------------------------------------
 
 static void BM_NodePoolAllocFree(benchmark::State& state) {
-  // Between the treap's 72-byte tour node and the blocked substrate's
-  // 144-byte block class.
+  // Between the blocked tours' 80-byte and 144-byte block classes.
   constexpr size_t kNodeBytes = 96;
   node_pool pool;
   std::vector<void*> ps(4096);

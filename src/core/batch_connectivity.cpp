@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cassert>
 #include <tuple>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -34,7 +33,7 @@ namespace {
 /// endpoint outside [0, n). The range check is the public API's only
 /// defense: an out-of-range id that slips through (e.g. from a truncated
 /// or hand-edited stream file) would flow into batch_find_rep and index
-/// past the substrates' sparse vertex directories (sized for ids < n).
+/// past the forests' sparse vertex directories (sized for ids < n).
 std::vector<edge> sanitize(std::span<const edge> edges, vertex_id n) {
   std::vector<edge> clean(edges.size());
   parallel_for(0, edges.size(),
@@ -55,7 +54,7 @@ void dedupe(std::vector<edge>& es) { sort_unique(es); }
 batch_dynamic_connectivity::batch_dynamic_connectivity(vertex_id n,
                                                        options opts)
     : opts_(opts),
-      ls_(n, opts.seed, opts.substrate),
+      ls_(n, opts.seed),
       top_forest_(&ls_.forest(ls_.top())) {
   if (opts_.concurrent_reads) {
     service_ = std::make_unique<service_state>();
@@ -71,9 +70,7 @@ batch_dynamic_connectivity::batch_dynamic_connectivity(vertex_id n,
 }
 
 std::string config_label(const options& opts) {
-  std::string label = to_string(opts.substrate);
-  if (opts.concurrent_reads) label += "+serve";
-  return label;
+  return opts.concurrent_reads ? "blocked+serve" : "blocked";
 }
 
 // ---------------------------------------------------------------------
@@ -206,7 +203,7 @@ batch_dynamic_connectivity::build_full_snapshot(uint64_t version) const {
 }
 
 void batch_dynamic_connectivity::note_merges(
-    const ett_forest& top, std::span<const rep> members,
+    const blocked_ett& top, std::span<const rep> members,
     std::span<const vertex_id> member_seed, std::span<const uint32_t> group) {
   const snapshot& prev = *service_->published.load(std::memory_order_relaxed);
   // Members ordered by group; singleton groups merge nothing.
@@ -221,37 +218,35 @@ void batch_dynamic_connectivity::note_merges(
     rep handle;
   };
   std::vector<member> g;
-  top.visit([&](auto& f) {
-    for (size_t st = 0; st < order.size();) {
-      g.clear();
-      for (const uint32_t grp = order[st].first;
-           st < order.size() && order[st].first == grp; ++st) {
-        const vertex_id seed = member_seed[order[st].second];
-        g.push_back({f.component_counts(seed).vertices, prev.label_of(seed),
-                     members[order[st].second]});
-      }
-      if (g.size() < 2) continue;
-      // The member holding the group minimum keeps it; every other
-      // member's vertices change label and are walked.
-      uint32_t total = 0;
-      const member* keeper = &g[0];
-      for (const member& m : g) {
-        total += m.size;
-        if (m.label < keeper->label) keeper = &m;
-      }
-      walked += total - keeper->size;
-      if (walked > budget) {
-        delta_.full = true;
-        return;
-      }
-      for (const member& m : g)
-        if (&m != keeper)
-          f.for_each_tour_vertex(m.handle, [&](vertex_id v) {
-            delta_.relabel.push_back({v, keeper->label});
-          });
-      delta_.resize.push_back({keeper->label, total});
+  for (size_t st = 0; st < order.size();) {
+    g.clear();
+    for (const uint32_t grp = order[st].first;
+         st < order.size() && order[st].first == grp; ++st) {
+      const vertex_id seed = member_seed[order[st].second];
+      g.push_back({top.component_counts(seed).vertices, prev.label_of(seed),
+                   members[order[st].second]});
     }
-  });
+    if (g.size() < 2) continue;
+    // The member holding the group minimum keeps it; every other
+    // member's vertices change label and are walked.
+    uint32_t total = 0;
+    const member* keeper = &g[0];
+    for (const member& m : g) {
+      total += m.size;
+      if (m.label < keeper->label) keeper = &m;
+    }
+    walked += total - keeper->size;
+    if (walked > budget) {
+      delta_.full = true;
+      return;
+    }
+    for (const member& m : g)
+      if (&m != keeper)
+        top.for_each_tour_vertex(m.handle, [&](vertex_id v) {
+          delta_.relabel.push_back({v, keeper->label});
+        });
+    delta_.resize.push_back({keeper->label, total});
+  }
 }
 
 void batch_dynamic_connectivity::plan_splits(const snapshot& prev) {
@@ -285,38 +280,37 @@ void batch_dynamic_connectivity::plan_splits(const snapshot& prev) {
   std::sort(pieces.begin(), pieces.end());
   uint64_t walk = 0;
   size_t np = 0;
-  top_forest_->visit([&](auto& f) {
-    rep keeper{};
-    for (size_t i = 0; i < pieces.size(); ++i) {
-      const touched_piece& p = pieces[i];
-      if (i == 0 || p.old_label != pieces[i - 1].old_label) {
-        keeper = f.find_rep(p.old_label);
-        delta_.resize.push_back(
-            {p.old_label, f.component_counts(p.old_label).vertices});
-      } else if (p.handle == pieces[i - 1].handle) {
-        continue;
-      }
-      if (p.handle == keeper) continue;
-      walk += f.component_counts(p.seed).vertices;
-      pieces[np++] = p;
+  const blocked_ett& f = *top_forest_;
+  rep keeper{};
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    const touched_piece& p = pieces[i];
+    if (i == 0 || p.old_label != pieces[i - 1].old_label) {
+      keeper = f.find_rep(p.old_label);
+      delta_.resize.push_back(
+          {p.old_label, f.component_counts(p.old_label).vertices});
+    } else if (p.handle == pieces[i - 1].handle) {
+      continue;
     }
-    // Walk budget: when the batch moved more than a quarter of the
-    // graph (shatter-everything deletes), the parallel full walk beats
-    // chasing tours one by one — fall back.
-    if (walk > num_vertices() / 4) {
-      delta_.full = true;
-      return;
-    }
-    std::vector<vertex_id> verts;
-    for (size_t i = 0; i < np; ++i) {
-      verts.clear();
-      f.for_each_tour_vertex(pieces[i].handle,
-                             [&](vertex_id v) { verts.push_back(v); });
-      const vertex_id mn = *std::min_element(verts.begin(), verts.end());
-      for (vertex_id v : verts) delta_.relabel.push_back({v, mn});
-      delta_.resize.push_back({mn, static_cast<uint32_t>(verts.size())});
-    }
-  });
+    if (p.handle == keeper) continue;
+    walk += f.component_counts(p.seed).vertices;
+    pieces[np++] = p;
+  }
+  // Walk budget: when the batch moved more than a quarter of the
+  // graph (shatter-everything deletes), the parallel full walk beats
+  // chasing tours one by one — fall back.
+  if (walk > num_vertices() / 4) {
+    delta_.full = true;
+    return;
+  }
+  std::vector<vertex_id> verts;
+  for (size_t i = 0; i < np; ++i) {
+    verts.clear();
+    f.for_each_tour_vertex(pieces[i].handle,
+                           [&](vertex_id v) { verts.push_back(v); });
+    const vertex_id mn = *std::min_element(verts.begin(), verts.end());
+    for (vertex_id v : verts) delta_.relabel.push_back({v, mn});
+    delta_.resize.push_back({mn, static_cast<uint32_t>(verts.size())});
+  }
 }
 
 batch_dynamic_connectivity::snapshot*
@@ -386,18 +380,17 @@ bool batch_dynamic_connectivity::snapshot_view::connected(
     return false;
   }
   const service_state& s = *owner_->service_;
-  // Live fast path: when no batch is in flight and the top forest
-  // supports relaxed reads (blocked substrate), probe it directly and
-  // seqlock-validate. A probe overlapped by a batch is discarded — the
-  // release stores inside the batch pair with the probe's acquire loads,
-  // forcing the revalidation to observe the odd (or later) phase.
+  // Live fast path: when no batch is in flight, probe the top forest
+  // directly and seqlock-validate. A probe overlapped by a batch is
+  // discarded — the release stores inside the batch pair with the
+  // probe's acquire loads, forcing the revalidation to observe the odd
+  // (or later) phase.
   uint64_t v1 = s.phase.load(std::memory_order_acquire);
-  if ((v1 & 1) == 0 && owner_->top_forest_->supports_relaxed_reads()) {
-    std::optional<bool> live = owner_->top_forest_->connected_relaxed(u, v);
-    if (live.has_value() &&
-        s.phase.load(std::memory_order_acquire) == v1) {
+  if ((v1 & 1) == 0) {
+    bool live = owner_->top_forest_->connected_relaxed(u, v);
+    if (s.phase.load(std::memory_order_acquire) == v1) {
       if (state != nullptr) *state = v1 >> 1;
-      return *live;
+      return live;
     }
   }
   if (state != nullptr) *state = snap_->version;
@@ -425,7 +418,7 @@ std::vector<bool> batch_dynamic_connectivity::batch_connected(
     if (queries[i].first >= n || queries[i].second >= n)
       any_hostile.store(true, std::memory_order_relaxed);
   });
-  const ett_forest* top = ls_.forest_if(ls_.top());
+  const blocked_ett* top = ls_.forest_if(ls_.top());
   if (!any_hostile.load(std::memory_order_relaxed))
     return top->batch_connected(queries);
   // Slow path: remap out-of-range queries onto a harmless probe, then
@@ -443,21 +436,17 @@ std::vector<bool> batch_dynamic_connectivity::batch_connected(
 
 size_t batch_dynamic_connectivity::component_size(vertex_id v) const {
   if (v >= num_vertices()) return 0;
-  return ls_.forest_if(ls_.top())->component_size(v);
+  return ls_.forest_if(ls_.top())->component_counts(v).vertices;
 }
 
 std::vector<vertex_id> batch_dynamic_connectivity::components() const {
   size_t n = num_vertices();
-  const ett_forest* top = ls_.forest_if(ls_.top());
+  const blocked_ett* top = ls_.forest_if(ls_.top());
   std::vector<std::pair<uint64_t, vertex_id>> rep_vertex(n);
-  // One dispatch for the whole scan; find_rep is a direct (and for the
-  // blocked substrate O(1)) call inside the loop.
-  top->visit([&](auto& f) {
-    parallel_for(0, n, [&](size_t v) {
-      rep_vertex[v] = {reinterpret_cast<uint64_t>(
-                           f.find_rep(static_cast<vertex_id>(v))),
-                       static_cast<vertex_id>(v)};
-    });
+  parallel_for(0, n, [&](size_t v) {
+    rep_vertex[v] = {reinterpret_cast<uint64_t>(
+                         top->find_rep(static_cast<vertex_id>(v))),
+                     static_cast<vertex_id>(v)};
   });
   auto groups = group_by_key(std::move(rep_vertex));
   std::vector<vertex_id> labels(n);
@@ -496,7 +485,7 @@ void batch_dynamic_connectivity::batch_insert(std::span<const edge> edges) {
   if (k == 0) return;
 
   int top = ls_.top();
-  ett_forest& f = ls_.forest(top);
+  blocked_ett& f = ls_.forest(top);
 
   // Contract current components and find which edges grow the forest.
   std::vector<vertex_id> endpoints(2 * k);
@@ -646,7 +635,7 @@ void batch_dynamic_connectivity::batch_delete(std::span<const edge> edges) {
 std::vector<batch_dynamic_connectivity::piece>
 batch_dynamic_connectivity::resolve_pieces(
     int level, std::span<const vertex_id> seeds) const {
-  const ett_forest* f = ls_.forest_if(level);
+  const blocked_ett* f = ls_.forest_if(level);
   assert(f != nullptr);
   auto reps = f->batch_find_rep(seeds);
   // Dedupe by representative, keeping one seed per piece.
@@ -660,24 +649,22 @@ batch_dynamic_connectivity::resolve_pieces(
     if (i > 0 && pairs[i].first == pairs[i - 1].first) continue;
     out.push_back({pairs[i].second, pairs[i].first, 0, 0, 0});
   }
-  f->visit([&](auto& fc) {
-    parallel_for(
-        0, out.size(),
-        [&](size_t i) {
-          ett_counts c = fc.component_counts(out[i].seed);
-          out[i].size = c.vertices;
-          out[i].nontree_slots = c.nontree_edges;
-          out[i].tree_slots = c.tree_edges;
-        },
-        kWalkGrain);
-  });
+  parallel_for(
+      0, out.size(),
+      [&](size_t i) {
+        ett_counts c = f->component_counts(out[i].seed);
+        out[i].size = c.vertices;
+        out[i].nontree_slots = c.nontree_edges;
+        out[i].tree_slots = c.tree_edges;
+      },
+      kWalkGrain);
   return out;
 }
 
 void batch_dynamic_connectivity::push_tree_edges(
     int level, const std::vector<piece>& active) {
   if (level == 0 || active.empty()) return;
-  ett_forest& f = ls_.forest(level);
+  blocked_ett& f = ls_.forest(level);
   // Gather every level-`level` tree edge of every active piece.
   std::vector<std::vector<edge>> per_piece(active.size());
   parallel_for(
@@ -718,7 +705,7 @@ std::vector<edge> batch_dynamic_connectivity::fetch_nontree_edges(
 void batch_dynamic_connectivity::level_search_simple(
     int level, std::span<const vertex_id> seeds, std::vector<edge>& buffered,
     bool scan_all) {
-  ett_forest& f = ls_.forest(level);
+  blocked_ett& f = ls_.forest(level);
   f.batch_link(buffered);  // line 2: commit lower-level discoveries
 
   uint64_t active_cap = ls_.capacity(level) / 2;
@@ -759,22 +746,18 @@ void batch_dynamic_connectivity::level_search_simple(
         auto ec = fetch_nontree_edges(level, p, csz);
         res[i].fetched += ec.size();
         // First replacement: endpoints in different pieces of F_level.
-        // One dispatch for the whole probe scan (the per-element
-        // connectivity checks are direct calls inside the visit arm).
         std::atomic<size_t> first{ec.size()};
-        f.visit([&](auto& fc) {
-          parallel_for(
-              0, ec.size(),
-              [&](size_t j) {
-                if (!fc.connected(ec[j].u, ec[j].v)) {
-                  size_t cur = first.load(std::memory_order_relaxed);
-                  while (j < cur && !first.compare_exchange_weak(
-                                        cur, j, std::memory_order_relaxed)) {
-                  }
+        parallel_for(
+            0, ec.size(),
+            [&](size_t j) {
+              if (!f.connected(ec[j].u, ec[j].v)) {
+                size_t cur = first.load(std::memory_order_relaxed);
+                while (j < cur && !first.compare_exchange_weak(
+                                      cur, j, std::memory_order_relaxed)) {
                 }
-              },
-              kWalkGrain);
-        });
+              }
+            },
+            kWalkGrain);
         size_t fi = first.load(std::memory_order_relaxed);
         if (fi < ec.size()) {
           res[i].found = true;
@@ -862,7 +845,7 @@ void batch_dynamic_connectivity::level_search_simple(
 void batch_dynamic_connectivity::level_search_interleaved(
     int level, std::span<const vertex_id> seeds,
     std::vector<edge>& buffered) {
-  ett_forest& f = ls_.forest(level);
+  blocked_ett& f = ls_.forest(level);
   f.batch_link(buffered);  // line 2
 
   uint64_t active_cap = ls_.capacity(level) / 2;
@@ -928,19 +911,15 @@ void batch_dynamic_connectivity::level_search_interleaved(
 
     // Identify replacement edges (endpoints in different F_level pieces;
     // F_level is static for the whole level, so reps never go stale).
-    // One dispatch for the whole phase: the per-edge connectivity checks
-    // inside the filter are direct calls in the visit arm.
     std::vector<std::vector<edge>> repl_chunks(probes.size());
-    f.visit([&](auto& fc) {
-      parallel_for(
-          0, probes.size(),
-          [&](size_t j) {
-            repl_chunks[j] = filter(probes[j].ec, [&](const edge& e) {
-              return !fc.connected(e.u, e.v);
-            });
-          },
-          kWalkGrain);
-    });
+    parallel_for(
+        0, probes.size(),
+        [&](size_t j) {
+          repl_chunks[j] = filter(probes[j].ec, [&](const edge& e) {
+            return !f.connected(e.u, e.v);
+          });
+        },
+        kWalkGrain);
     std::vector<edge> repl = flatten(repl_chunks);
     dedupe(repl);
     std::unordered_set<uint64_t> repl_keys;
@@ -1111,7 +1090,7 @@ invariant_report batch_dynamic_connectivity::check_invariants() const {
 
   // Substrate health + per-level structural checks.
   for (int i = 0; i <= top; ++i) {
-    const ett_forest* f = ls_.forest_if(i);
+    const blocked_ett* f = ls_.forest_if(i);
     if (f == nullptr) continue;
     if (auto err = f->check_consistency(); !err.empty())
       return fail("level " + std::to_string(i) + " ETT: " + err);
@@ -1132,7 +1111,7 @@ invariant_report batch_dynamic_connectivity::check_invariants() const {
     // the level's counters). With sparse activation this is EXACTLY the
     // set of vertices holding a directory slot in F_i; every other
     // vertex is a tourless singleton with zero counters, whose checks
-    // the substrate's own check_consistency already covers. Sweeping
+    // the forest's own check_consistency already covers. Sweeping
     // `touched` instead of [0, n) keeps the invariant walk O(edges) per
     // level — the same bound the structure itself now obeys.
     std::vector<vertex_id> touched;
@@ -1184,14 +1163,14 @@ invariant_report batch_dynamic_connectivity::check_invariants() const {
     edge e = edge_from_key(key);
     if (rec.level < 0 || rec.level > top) return fail("bad edge level");
     for (int i = 0; i <= top; ++i) {
-      const ett_forest* f = ls_.forest_if(i);
+      const blocked_ett* f = ls_.forest_if(i);
       bool should = rec.is_tree && rec.level <= i;
       bool present = f != nullptr && f->has_edge(e);
       if (should != present)
         return fail("edge placement violated at level " + std::to_string(i));
     }
     if (!rec.is_tree) {
-      const ett_forest* f = ls_.forest_if(rec.level);
+      const blocked_ett* f = ls_.forest_if(rec.level);
       if (f == nullptr || !f->connected(e.u, e.v))
         return fail("non-tree edge's endpoints not connected at its level "
                     "(Invariant 2)");

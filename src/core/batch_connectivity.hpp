@@ -45,11 +45,6 @@ enum class level_search_kind {
 
 struct options {
   level_search_kind search = level_search_kind::interleaved;
-  /// The Euler-tour substrate of every level's forest. Defaults to the
-  /// cache-packed blocked tours, the fastest substrate on every
-  /// benchmark workload (see README); a small tour holds a block of its
-  /// own size class. The treap stays selectable here.
-  bdc::substrate substrate = bdc::substrate::blocked;
   /// Enables the epoch-snapshot read service: snapshot_query() becomes
   /// available and may run from any thread CONCURRENTLY with
   /// batch_insert/batch_delete. Each update batch publishes an immutable
@@ -63,8 +58,9 @@ struct options {
 };
 
 /// Canonical human-readable label of an options configuration for A/B
-/// reports (stream_runner, benchmarks): "<substrate>", plus "+serve" when
-/// the epoch-snapshot read service is enabled.
+/// reports (stream_runner, benchmarks): "blocked" (the Euler-tour forest
+/// every level uses), plus "+serve" when the epoch-snapshot read service
+/// is enabled.
 [[nodiscard]] std::string config_label(const options& opts);
 
 /// Cumulative instrumentation (bench_delete_batch's level-search ablation,
@@ -135,7 +131,7 @@ class batch_dynamic_connectivity {
   [[nodiscard]] const statistics& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  /// Deep validation of every paper invariant plus substrate consistency
+  /// Deep validation of every paper invariant plus forest consistency
   /// (tests; cost O(m lg n + n) — the per-level sweeps walk only the
   /// vertices the level's edges touch, the O(n) is the one global
   /// union-find cross-check).
@@ -164,18 +160,18 @@ class batch_dynamic_connectivity {
   // snapshot_query() pins an epoch and returns a view that may be used
   // from any thread WHILE update batches run. Two consistency levels:
   //   * connected(u, v[, &state]) — freshest committed answer. Fast
-  //     path: if no batch is mid-flight (seqlock version even) and the
-  //     top forest supports relaxed reads (blocked substrate), a live
-  //     two-load probe answers in O(1) without touching the O(n)
-  //     label array; the version is revalidated after the probe and a
+  //     path: if no batch is mid-flight (seqlock version even), a live
+  //     two-load probe of the top forest answers in O(1) without
+  //     touching the O(n) label array; the version is revalidated
+  //     after the probe and a
   //     batch-overlapped answer is discarded in favor of the snapshot.
   //     `state` receives the committed batch count the answer reflects.
   //   * connected_pinned / components / component_size — frozen at the
   //     snapshot the view pinned; stable across later batches.
   // Every answer corresponds to SOME committed batch boundary — never a
-  // torn mid-batch state (a bdc batch makes several substrate calls;
+  // torn mid-batch state (a bdc batch makes several forest calls;
   // intermediate forests match neither boundary, hence the bdc-level
-  // seqlock rather than substrate-level versioning).
+  // seqlock rather than forest-level versioning).
   //
   // Views pin an epoch, which defers node reclamation: keep them
   // short-lived, and never let one outlive the structure.
@@ -275,7 +271,7 @@ class batch_dynamic_connectivity {
   /// published snapshot) and walks every member but the one holding it.
   /// `members` are the contracted components' reps, `member_seed` any
   /// vertex of each, and `group[c]` names c's merge group.
-  void note_merges(const ett_forest& top, std::span<const rep> members,
+  void note_merges(const blocked_ett& top, std::span<const rep> members,
                    std::span<const vertex_id> member_seed,
                    std::span<const uint32_t> group);
   /// Delete batches, at publish: turns the touched endpoints into the
@@ -309,7 +305,7 @@ class batch_dynamic_connectivity {
   mutable statistics stats_;
   std::unique_ptr<service_state> service_;
   publish_delta delta_;
-  ett_forest* top_forest_ = nullptr;  // cached &ls_.forest(top); stable
+  blocked_ett* top_forest_ = nullptr;  // cached &ls_.forest(top); stable
 
   /// A still-disconnected component ("piece") during a level search.
   struct piece {

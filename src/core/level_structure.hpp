@@ -14,13 +14,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "adjacency/leveled_adjacency.hpp"
-#include "ett/ett_forest.hpp"
-#include "ett/ett_substrate.hpp"
+#include "ett/blocked_ett.hpp"
 #include "util/bits.hpp"
 #include "util/types.hpp"
 
@@ -31,8 +29,7 @@ class level_structure {
   /// Fail-stop on n > kMaxTourVertex + 1 (ett/tour_entry.hpp), in every
   /// build type: the packed arc tags hold 31-bit vertex ids, and a larger
   /// id would alias another edge's tag. Prints a diagnostic and aborts.
-  level_structure(vertex_id n, uint64_t seed,
-                  bdc::substrate sub = substrate::blocked);
+  level_structure(vertex_id n, uint64_t seed);
 
   [[nodiscard]] vertex_id num_vertices() const { return n_; }
   [[nodiscard]] int num_levels() const {
@@ -44,18 +41,13 @@ class level_structure {
     return uint64_t{1} << (level + 1);
   }
 
-  /// The Euler-tour representation backing every level's forest.
-  [[nodiscard]] bdc::substrate ett_substrate_kind() const {
-    return substrate_;
-  }
-
   /// Aggregated node-pool counters across every materialized forest.
   [[nodiscard]] node_pool::stats_snapshot pool_stats() const;
   /// Hierarchy footprint (safe anytime: atomic counters + pool stats):
   /// materialized forest count, active directory slots summed across
   /// them, and the bytes those forests retain (each forest's pool, which
   /// holds its tour nodes and directory chunks, plus its directory root
-  /// table; see ett_forest::retained_bytes). This is what the levels.*
+  /// table; see blocked_ett::retained_bytes). This is what the levels.*
   /// gauges report — with sparse activation it scales with the touched
   /// vertices per level, not with n * materialized levels.
   struct hierarchy_stats {
@@ -69,18 +61,16 @@ class level_structure {
   /// total bytes released. Quiescence required.
   size_t trim_pools(size_t keep_bytes = 0);
 
-  /// F_i; materializes it if needed. The returned ett_forest pins the
-  /// concrete substrate type, so hot paths can hoist dispatch with
-  /// forest(i).visit(...).
-  ett_forest& forest(int level);
+  /// F_i; materializes it if needed. A forest's address is stable for
+  /// the structure's lifetime (epoch binding and relaxed readers hold
+  /// on to the top one).
+  blocked_ett& forest(int level);
   /// F_i if materialized, else nullptr (read paths).
-  [[nodiscard]] const ett_forest* forest_if(int level) const {
-    const auto& slot = levels_[static_cast<size_t>(level)].forest;
-    return slot ? &*slot : nullptr;
+  [[nodiscard]] const blocked_ett* forest_if(int level) const {
+    return levels_[static_cast<size_t>(level)].forest.get();
   }
-  [[nodiscard]] ett_forest* forest_if(int level) {
-    auto& slot = levels_[static_cast<size_t>(level)].forest;
-    return slot ? &*slot : nullptr;
+  [[nodiscard]] blocked_ett* forest_if(int level) {
+    return levels_[static_cast<size_t>(level)].forest.get();
   }
 
   leveled_adjacency& adj(int level);
@@ -145,7 +135,7 @@ class level_structure {
 
  private:
   struct level_state {
-    std::optional<ett_forest> forest;
+    std::unique_ptr<blocked_ett> forest;
     std::unique_ptr<leveled_adjacency> adjacency;
   };
 
@@ -157,7 +147,6 @@ class level_structure {
 
   vertex_id n_;
   uint64_t seed_;
-  bdc::substrate substrate_;
   std::vector<level_state> levels_;
   edge_dict dict_;
 };

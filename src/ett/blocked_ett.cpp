@@ -671,18 +671,22 @@ void blocked_ett::add_counts_one(const count_delta& d) {
 }
 
 // ---------------------------------------------------------------------
-// Batch surface. Mutations follow the treap substrate's phase structure:
-// read-only resolution of the touched tours, a partition of the batch
-// into groups over disjoint tours, then concurrent per-group sequential
-// splices. Arc-map phase safety: placeholders for new edges are inserted
-// in a dedicated phase up front, group processing only reads slots and
-// updates values of its own keys, and cut erasures happen in one batch
-// after every group has finished.
+// Batch surface. Mutations run in phases: read-only resolution of the
+// touched tours, a partition of the batch into groups over disjoint
+// tours, then concurrent per-group sequential splices. Arc-map phase
+// safety: placeholders for new edges are inserted in a dedicated phase
+// up front, group processing only reads slots and updates values of its
+// own keys, and cut erasures happen in one batch after every group has
+// finished.
 // ---------------------------------------------------------------------
 
+// Each mutating batch records one phase span; the empty-batch guard keeps
+// the no-op calls that pepper the level loop out of the histograms (a
+// span on a 0-edge batch is pure noise).
 void blocked_ett::batch_link(std::span<const edge> links) {
   size_t k = links.size();
   if (k == 0) return;
+  BDC_PHASE_SPAN(sp, "ett.batch_link");
   arcs_.reserve_for(k);
   if (k < kParallelMutationCutoff || num_workers() <= 1) {
     for (const edge& e : links) {
@@ -709,9 +713,9 @@ void blocked_ett::batch_link(std::span<const edge> links) {
   });
 
   // Phase 3: partition the batch into groups whose merged components
-  // are disjoint (ett/link_partition.hpp — shared with the treap
-  // substrate). All-distinct fast path: each link is a singleton group.
-  auto part = partition_links<uintptr_t>(rep_u, rep_v, scratch_.part);
+  // are disjoint (ett/link_partition.hpp). All-distinct fast path: each
+  // link is a singleton group.
+  auto part = partition_links(rep_u, rep_v, scratch_.part);
   if (part.all_distinct) {
     parallel_for(
         0, k, [&](size_t i) { link_one(links[i].u, links[i].v); },
@@ -736,6 +740,7 @@ void blocked_ett::batch_link(std::span<const edge> links) {
 void blocked_ett::batch_cut(std::span<const edge> cuts) {
   size_t c = cuts.size();
   if (c == 0) return;
+  BDC_PHASE_SPAN(sp, "ett.batch_cut");
   auto& keys = scratch_.keys;
   keys.resize(c);
   if (c < kParallelMutationCutoff || num_workers() <= 1) {
@@ -780,6 +785,8 @@ void blocked_ett::batch_cut(std::span<const edge> cuts) {
 
 void blocked_ett::batch_add_counts(std::span<const count_delta> deltas) {
   size_t k = deltas.size();
+  if (k == 0) return;
+  BDC_PHASE_SPAN(sp, "ett.batch_add_counts");
   if (k < kParallelMutationCutoff || num_workers() <= 1) {
     for (const count_delta& d : deltas) add_counts_one(d);
     dir_.sweep_pending();
@@ -822,8 +829,7 @@ bool blocked_ett::connected(vertex_id u, vertex_id v) const {
   return find_rep(u) == find_rep(v);
 }
 
-std::optional<bool> blocked_ett::connected_relaxed(vertex_id u,
-                                                   vertex_id v) const {
+bool blocked_ett::connected_relaxed(vertex_id u, vertex_id v) const {
   // Acquire pairs with the writers' release stores: if any load observes
   // a mid-batch store, the caller's seqlock revalidation is guaranteed
   // to observe the odd version and discard the answer; if all observe

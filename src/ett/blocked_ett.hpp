@@ -1,8 +1,9 @@
-// Cache-packed block-linked Euler tours — the blocked substrate
-// (substrate::blocked, the default of options::substrate; De Man, Łącki
-// & Dhulipala 2024 report sequence-compressed / block-linked tour
-// representations winning decisively at small component sizes, which is
-// exactly the regime the HDT hierarchy's low levels live in).
+// Cache-packed block-linked Euler tours — the forest behind every level
+// of the HDT hierarchy (De Man, Łącki & Dhulipala 2024 report
+// sequence-compressed / block-linked tour representations winning
+// decisively at small component sizes, which is exactly the regime the
+// HDT hierarchy's low levels live in). Its value types and phase rules
+// are in ett/ett_contract.hpp.
 //
 // Each tree's Euler tour is a CIRCULAR doubly-linked list of blocks; a
 // block packs up to kBlockCap 8-byte tour entries (one sentinel per
@@ -11,9 +12,8 @@
 // element. Every block carries the aggregate HDT counters of the
 // sentinels it holds, and a per-tour descriptor carries the
 // component-wide sums — so `find_rep`, `connected`, `component_counts`
-// and `batch_add_counts` are all O(1) per element (vs O(lg n) for the
-// treap substrate), and the first-ℓ fetch walk prunes
-// whole blocks by their aggregates.
+// and `batch_add_counts` are all O(1) per element, and the first-ℓ
+// fetch walk prunes whole blocks by their aggregates.
 //
 // Block sizes: a tour that fits one block holds the smallest size class
 // (kClassCaps) that fits its entries, so a 2-vertex tree's 4 entries take
@@ -40,15 +40,14 @@
 // smaller side's block owners, i.e. O(min side / B) per mutation
 // (counted by the `ett.relabeled_blocks` telemetry counter); on the small
 // components that dominate every level below the top, this linear term
-// is cheaper in practice than the polylogarithmic pointer structures it
-// replaces.
+// is cheap.
 //
-// Batch mutations follow the treap substrate's phase structure: a
-// read-only phase resolves every touched tour, the batch is partitioned
-// into groups touching disjoint tours, and groups proceed concurrently
-// under the scheduler (arc-map writes stay phase-safe: placeholders are
-// inserted up front, groups only update values of their own keys).
-// Read-only batch queries fan out across workers unconditionally.
+// Batch mutations run in phases: a read-only phase resolves every
+// touched tour, the batch is partitioned into groups touching disjoint
+// tours, and groups proceed concurrently under the scheduler (arc-map
+// writes stay phase-safe: placeholders are inserted up front, groups only
+// update values of their own keys). Read-only batch queries fan out
+// across workers unconditionally.
 //
 // Blocks and tour descriptors come from the shared per-worker pool
 // (util/node_pool.hpp): cut blocks are recycled by later links, and an
@@ -57,13 +56,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "ett/ett_substrate.hpp"
+#include "ett/ett_contract.hpp"
 #include "ett/link_partition.hpp"
 #include "ett/tour_entry.hpp"
 #include "ett/vertex_directory.hpp"
@@ -109,6 +107,14 @@ class blocked_ett final {
   [[nodiscard]] size_t num_vertices() const { return n_; }
   [[nodiscard]] size_t num_edges() const { return arcs_.size(); }
 
+  // Updates (each call is one exclusive mutation phase; a non-empty call
+  // records an `ett.batch_link` / `ett.batch_cut` / `ett.batch_add_counts`
+  // phase span). batch_link's edges are non-self-loop, distinct as
+  // undirected pairs, absent, and keep the forest acyclic (the caller runs
+  // a spanning-forest pass first; Algorithms 2, 4, 5 all guarantee this).
+  // batch_cut's edges are distinct present tree edges. batch_add_counts
+  // takes at most one delta per vertex and repairs the component-wide
+  // augmentation.
   void batch_link(std::span<const edge> links);
   void batch_cut(std::span<const edge> cuts);
   void batch_add_counts(std::span<const count_delta> deltas);
@@ -124,19 +130,30 @@ class blocked_ett final {
   [[nodiscard]] std::vector<ett_rep> batch_find_rep(
       std::span<const vertex_id> vs) const;
 
+  /// Component-wide augmented sums for v's tree, and v's own stored
+  /// counters (validation).
   [[nodiscard]] ett_counts component_counts(vertex_id v) const;
   [[nodiscard]] ett_counts vertex_counts(vertex_id v) const;
 
+  /// Fetches, in tour order, vertices covering the first `want` incident
+  /// non-tree (resp. tree) edge slots of v's component. Each result entry
+  /// (x, c) means "take c edges from x's level-i non-tree (tree) adjacency
+  /// list". Sum of takes == min(want, component total). (Appendix 9.)
   [[nodiscard]] std::vector<std::pair<vertex_id, uint32_t>> fetch_nontree(
       vertex_id v, uint64_t want) const;
   [[nodiscard]] std::vector<std::pair<vertex_id, uint32_t>> fetch_tree(
       vertex_id v, uint64_t want) const;
 
+  /// All vertices of v's component, in tour order (diagnostics / tests).
   [[nodiscard]] std::vector<vertex_id> component_vertices(
       vertex_id v) const;
 
-  /// Streams the packed block chain of the tour descriptor `r`; a tagged
-  /// singleton rep decodes to its vertex.
+  /// Invokes fn(v) once per vertex of the component whose representative
+  /// is `r` (from find_rep / batch_find_rep in the same read phase), in
+  /// tour order, by streaming its chain of packed blocks; a tagged
+  /// singleton rep decodes to its vertex. O(component size): the
+  /// enumeration primitive behind incremental snapshot publishing — a
+  /// touched component is relabelled without a global O(n) scan.
   template <typename Fn>
   void for_each_tour_vertex(ett_rep r, Fn&& fn) const {
     if (is_singleton_rep(r)) {
@@ -158,6 +175,14 @@ class blocked_ett final {
   /// registration of every sentinel and arc. Empty string if healthy.
   [[nodiscard]] std::string check_consistency() const;
 
+  // Memory accounting. pool_stats/trim_pool require quiescence (no phase
+  // in flight); the directory gauges are atomic counters, safe anytime.
+  // trim_pool keeps up to `keep_bytes` of spare blocks (see
+  // node_pool::trim) and returns the bytes released. directory_bytes is
+  // the vertex directory's root table plus its chunks (tour nodes
+  // excluded); retained_bytes is everything the forest holds, each byte
+  // once: its pool (tour nodes AND directory chunks) plus the directory's
+  // root table.
   [[nodiscard]] node_pool::stats_snapshot pool_stats() const {
     return pool_.stats();
   }
@@ -174,7 +199,7 @@ class blocked_ett final {
     return pool_stats().retained_bytes() + dir_.root_bytes();
   }
 
-  // Epoch-snapshot read contract (see ett_substrate.hpp): the reader-visible
+  // Epoch-snapshot read contract (see ett_contract.hpp): the reader-visible
   // pointer chain — directory chunk (vertex -> slot), slot vloc (vertex
   // -> block) and block::owner (block -> tour descriptor) — is all
   // atomics; every writer-side update is a release store and every
@@ -186,8 +211,7 @@ class blocked_ett final {
   // being recycled, which is what makes the probe's dereference of a
   // just-unlinked block or just-swept chunk safe and rules out
   // descriptor-address ABA within a pinned epoch.
-  [[nodiscard]] std::optional<bool> connected_relaxed(
-      vertex_id u, vertex_id v) const;
+  [[nodiscard]] bool connected_relaxed(vertex_id u, vertex_id v) const;
   void bind_read_epochs(epoch_manager* em) {
     pool_.bind_epochs(em);
   }
@@ -327,11 +351,11 @@ class blocked_ett final {
 
   /// Scratch buffers reused across bulk-mutation calls (mutation phases
   /// are exclusive, so reuse is race-free). The low levels see the most
-  /// frequent small batches, so the per-batch allocations matter here
-  /// just as they did for the treap's shattered batches.
+  /// frequent small batches (shattered deletions), so the per-batch
+  /// allocations matter here.
   struct mutation_scratch {
     std::vector<uintptr_t> rep_u, rep_v;
-    link_partition_scratch<uintptr_t> part;
+    link_partition_scratch part;
     std::vector<uint64_t> keys;
   };
   mutation_scratch scratch_;
@@ -344,7 +368,5 @@ class blocked_ett final {
   // activation/deactivation never moves a representative.
   vertex_directory<vslot> dir_;
 };
-
-static_assert(ett_substrate<blocked_ett>);
 
 }  // namespace bdc

@@ -1,14 +1,14 @@
-// Shared batch-link partitioning for the tour substrates. A link batch
-// must be split into groups whose merged components are disjoint before
-// groups can mutate concurrently: dense ids are assigned to the touched
-// tour representatives (sort + unique + binary search — cheaper than a
-// hash map at batch sizes), a union-find over the ids joins links that
-// share a tour, and a semisort groups the batch by leader. When every
+// Batch-link partitioning for blocked_ett. A link batch must be split
+// into groups whose merged components are disjoint before groups can
+// mutate concurrently: dense ids are assigned to the touched tour
+// representatives (sort + unique + binary search — cheaper than a hash
+// map at batch sizes), a union-find over the ids joins links that share a
+// tour, and a semisort groups the batch by leader. When every
 // representative is distinct the partition is trivial — each link is its
 // own singleton group — and the union-find and semisort are skipped
-// entirely (the dominant shape of shattered deletion batches, the PR-3
-// constant). Parameterized on the representative type so the treap
-// (node*) and blocked (uintptr_t) substrates share one copy.
+// entirely (the dominant shape of shattered deletion batches).
+// Representatives are tour-descriptor addresses (or tagged singleton
+// values) as integers.
 #pragma once
 
 #include <algorithm>
@@ -25,14 +25,12 @@
 namespace bdc {
 
 /// Reusable buffers for partition_links (mutation phases are exclusive,
-/// so a substrate can keep one instance across batches).
-template <typename Rep>
+/// so a forest can keep one instance across batches).
 struct link_partition_scratch {
-  std::vector<Rep> roots;
+  std::vector<uintptr_t> roots;
   std::vector<uint32_t> tid_u, tid_v;
 };
 
-template <typename Rep>
 struct link_groups {
   /// Every endpoint lives in its own tour: each link is a singleton
   /// group; `groups` is left empty.
@@ -41,10 +39,9 @@ struct link_groups {
   grouped_records<uint32_t, uint32_t> groups;
 };
 
-template <typename Rep>
-link_groups<Rep> partition_links(std::span<const Rep> rep_u,
-                                 std::span<const Rep> rep_v,
-                                 link_partition_scratch<Rep>& scratch) {
+inline link_groups partition_links(std::span<const uintptr_t> rep_u,
+                                   std::span<const uintptr_t> rep_v,
+                                   link_partition_scratch& scratch) {
   size_t k = rep_u.size();
   auto& roots = scratch.roots;
   roots.resize(2 * k);
@@ -54,7 +51,7 @@ link_groups<Rep> partition_links(std::span<const Rep> rep_u,
   });
   parallel_sort(roots);
   roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
-  link_groups<Rep> out;
+  link_groups out;
   if (roots.size() == 2 * k) {
     out.all_distinct = true;
     return out;

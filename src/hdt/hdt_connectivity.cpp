@@ -22,10 +22,10 @@ hdt_connectivity::hdt_connectivity(vertex_id n, uint64_t seed)
   (void)forest(top());
 }
 
-treap_ett& hdt_connectivity::forest(int level) {
+blocked_ett& hdt_connectivity::forest(int level) {
   auto& slot = levels_[static_cast<size_t>(level)].forest;
   if (!slot) {
-    slot = std::make_unique<treap_ett>(
+    slot = std::make_unique<blocked_ett>(
         n_, hash_combine(seed_, static_cast<uint64_t>(level)));
   }
   return *slot;
@@ -42,8 +42,7 @@ void hdt_connectivity::add_adj(int level, edge c, bool is_tree) {
   };
   append(c.u, 0);
   append(c.v, 1);
-  forest(level).add_counts(c.u, is_tree ? 1 : 0, is_tree ? 0 : 1);
-  forest(level).add_counts(c.v, is_tree ? 1 : 0, is_tree ? 0 : 1);
+  add_counts(level, c, is_tree, 1);
 }
 
 void hdt_connectivity::remove_adj(int level, edge c) {
@@ -64,8 +63,14 @@ void hdt_connectivity::remove_adj(int level, edge c) {
   };
   detach(c.u, 0);
   detach(c.v, 1);
-  forest(level).add_counts(c.u, is_tree ? -1 : 0, is_tree ? 0 : -1);
-  forest(level).add_counts(c.v, is_tree ? -1 : 0, is_tree ? 0 : -1);
+  add_counts(level, c, is_tree, -1);
+}
+
+void hdt_connectivity::add_counts(int level, edge c, bool is_tree,
+                                  int32_t d) {
+  const count_delta deltas[2] = {{c.u, is_tree ? d : 0, is_tree ? 0 : d},
+                                 {c.v, is_tree ? d : 0, is_tree ? 0 : d}};
+  forest(level).batch_add_counts(deltas);
 }
 
 edge hdt_connectivity::first_adj(int level, vertex_id w, bool is_tree) const {
@@ -89,7 +94,7 @@ void hdt_connectivity::insert(edge e) {
   records_.insert(edge_key(c), {static_cast<int16_t>(t),
                                 static_cast<uint8_t>(is_tree ? 1 : 0),
                                 {0, 0}});
-  if (is_tree) forest(t).link(c.u, c.v);
+  if (is_tree) forest(t).batch_link({&c, 1});
   add_adj(t, c, is_tree);
 }
 
@@ -105,41 +110,44 @@ void hdt_connectivity::erase(edge e) {
   records_.erase(edge_key(c));
   if (!was_tree) return;
   stats_.tree_edges_deleted++;
-  for (int i = level; i <= top(); ++i) forest(i).cut(c.u, c.v);
+  for (int i = level; i <= top(); ++i) forest(i).batch_cut({&c, 1});
   replace(level, c.u, c.v);
 }
 
 void hdt_connectivity::replace(int level, vertex_id u, vertex_id v) {
   for (int i = level; i <= top(); ++i) {
     stats_.levels_searched++;
-    treap_ett& f = forest(i);
+    blocked_ett& f = forest(i);
     // Search the smaller side (size <= capacity(i)/2 = capacity(i-1)).
-    vertex_id x = f.component_size(u) <= f.component_size(v) ? u : v;
+    vertex_id x = f.component_counts(u).vertices <=
+                          f.component_counts(v).vertices
+                      ? u
+                      : v;
     // Push the smaller side's level-i tree edges down (Invariant 2 prep).
     if (i > 0) {
       while (true) {
-        vertex_id w = f.find_tree_slot(x);
-        if (w == kNoVertex) break;
-        edge te = first_adj(i, w, /*is_tree=*/true);
+        auto slot = f.fetch_tree(x, 1);
+        if (slot.empty()) break;
+        edge te = first_adj(i, slot[0].first, /*is_tree=*/true);
         remove_adj(i, te);
         records_.find(edge_key(te))->level = static_cast<int16_t>(i - 1);
         add_adj(i - 1, te, /*is_tree=*/true);
-        forest(i - 1).link(te.u, te.v);
+        forest(i - 1).batch_link({&te, 1});
         stats_.edges_pushed++;
       }
     }
     // Examine level-i non-tree edges one at a time.
     while (true) {
-      vertex_id w = f.find_nontree_slot(x);
-      if (w == kNoVertex) break;  // exhausted: ascend
-      edge ne = first_adj(i, w, /*is_tree=*/false);
+      auto slot = f.fetch_nontree(x, 1);
+      if (slot.empty()) break;  // exhausted: ascend
+      edge ne = first_adj(i, slot[0].first, /*is_tree=*/false);
       if (!f.connected(ne.u, ne.v)) {
         // Replacement found: promote to a tree edge at level i and relink
         // every forest from i to the top.
         remove_adj(i, ne);
         records_.find(edge_key(ne))->is_tree = 1;
         add_adj(i, ne, /*is_tree=*/true);
-        for (int j = i; j <= top(); ++j) forest(j).link(ne.u, ne.v);
+        for (int j = i; j <= top(); ++j) forest(j).batch_link({&ne, 1});
         stats_.replacements_promoted++;
         return;
       }
@@ -191,13 +199,13 @@ std::vector<bool> hdt_connectivity::batch_connected(
 
 std::string hdt_connectivity::check_invariants() const {
   for (int i = 0; i <= top(); ++i) {
-    const treap_ett* f = forest_if(i);
+    const blocked_ett* f = forest_if(i);
     if (f == nullptr) continue;
     if (auto err = f->check_consistency(); !err.empty())
-      return "level " + std::to_string(i) + " treap: " + err;
+      return "level " + std::to_string(i) + " forest: " + err;
     // Invariant 1.
     for (vertex_id v = 0; v < n_; ++v) {
-      if (f->component_size(v) > capacity(i))
+      if (f->component_counts(v).vertices > capacity(i))
         return "Invariant 1 violated at level " + std::to_string(i);
     }
     // Counters match adjacency lists.
@@ -217,14 +225,14 @@ std::string hdt_connectivity::check_invariants() const {
   for (auto& [key, rec] : records_.entries()) {
     edge c = edge_from_key(key);
     for (int i = 0; i <= top(); ++i) {
-      const treap_ett* f = forest_if(i);
+      const blocked_ett* f = forest_if(i);
       bool should = rec.is_tree && rec.level <= i;
-      bool present = f != nullptr && f->has_edge(c.u, c.v);
+      bool present = f != nullptr && f->has_edge(c);
       if (should != present)
         return "edge placement violated at level " + std::to_string(i);
     }
     if (!rec.is_tree) {
-      const treap_ett* f = forest_if(rec.level);
+      const blocked_ett* f = forest_if(rec.level);
       if (f == nullptr || !f->connected(c.u, c.v))
         return "Invariant 2 violated (non-tree edge disconnected at its "
                "level)";

@@ -2,14 +2,15 @@
 // (paper §2.2; [31]) — the baseline the parallel algorithm is measured
 // against. O(lg^2 n) amortized per edge update, O(lg n) per query.
 //
-// A thin client of the shared Euler-tour layer: each level's forest is the
-// treap substrate from src/ett/ (which also plugs into the parallel
-// structure via substrate::treap), edge records live in the library's
+// A thin client of the shared Euler-tour layer: each level's forest is a
+// blocked_ett (the forest the parallel structure uses), driven through
+// its batch surface one element at a time — one-edge link/cut spans,
+// one-delta counter updates, and fetch_tree / fetch_nontree with want = 1
+// for the slot search. Edge records live in the library's
 // phase-concurrent dictionary, and adjacency lists are flat per-vertex
-// arrays — no private bookkeeping containers. Because the treap substrate
-// is shared with (and cross-validated against) the blocked forest, this
-// baseline doubles as a correctness oracle for the parallel structure in
-// tests.
+// arrays — no private bookkeeping containers. Its sequential HDT search
+// shares no code with the parallel level search, so this baseline
+// doubles as a correctness oracle for the parallel structure in tests.
 #pragma once
 
 #include <array>
@@ -19,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "ett/treap_ett.hpp"
+#include "ett/blocked_ett.hpp"
 #include "hashtable/phase_concurrent_map.hpp"
 #include "util/types.hpp"
 
@@ -80,12 +81,12 @@ class hdt_connectivity {
     std::vector<std::array<std::vector<edge>, 2>> lists;
   };
   struct level_state {
-    std::unique_ptr<treap_ett> forest;
+    std::unique_ptr<blocked_ett> forest;
     level_adj adjacency;
   };
 
-  treap_ett& forest(int level);
-  [[nodiscard]] const treap_ett* forest_if(int level) const {
+  blocked_ett& forest(int level);
+  [[nodiscard]] const blocked_ett* forest_if(int level) const {
     return levels_[static_cast<size_t>(level)].forest.get();
   }
   [[nodiscard]] uint64_t capacity(int level) const {
@@ -95,6 +96,8 @@ class hdt_connectivity {
 
   void add_adj(int level, edge c, bool is_tree);
   void remove_adj(int level, edge c);
+  /// Adds +-1 to both endpoints' tree (or non-tree) counters at `level`.
+  void add_counts(int level, edge c, bool is_tree, int32_t d);
   /// First edge of the given kind incident to w at `level`.
   [[nodiscard]] edge first_adj(int level, vertex_id w, bool is_tree) const;
 

@@ -121,26 +121,6 @@ T exclusive_scan(std::vector<T>& a) {
   return total;
 }
 
-/// Order-preserving balanced divide-and-conquer reduction over [lo, hi):
-/// ranges of at most `grain` elements are folded by leaf(lo, hi), and
-/// adjacent results are combined left-to-right by the associative (but not
-/// necessarily commutative) `combine` in a balanced fork-join tree. Unlike
-/// reduce_index, `combine` may be expensive — each level's combines run in
-/// parallel across subtrees — which is what the treap substrate's bulk tour
-/// rebuilds need: combine = O(lg n) treap join, depth O(lg k · lg n).
-template <typename T, typename Leaf, typename Combine>
-T fork_join_reduce(size_t lo, size_t hi, size_t grain, const Leaf& leaf,
-                   const Combine& combine) {
-  assert(grain > 0 && lo < hi);
-  if (hi - lo <= grain) return leaf(lo, hi);
-  size_t mid = lo + (hi - lo) / 2;
-  T a, b;
-  parallel_invoke(
-      [&] { a = fork_join_reduce<T>(lo, mid, grain, leaf, combine); },
-      [&] { b = fork_join_reduce<T>(mid, hi, grain, leaf, combine); });
-  return combine(a, b);
-}
-
 namespace internal {
 /// Output slots of a pack: offsets[i] is the number of kept indices below
 /// i, so index i is kept iff offsets[i + 1] != offsets[i] (and offsets[n]

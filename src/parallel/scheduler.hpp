@@ -181,8 +181,8 @@ void parallel_for_rec(size_t lo, size_t hi, size_t grain, const F& f) {
 
 }  // namespace internal
 
-/// Grain for loops whose every iteration is a pointer walk of O(lg n)
-/// cache misses (a treap representative walk, a tour splice): about
+/// Grain for loops whose every iteration is a pointer walk of several
+/// cache misses (a tour splice, a fetch walk over a tour's blocks): about
 /// a microsecond each, so a leaf of this many pays for its fork.
 inline constexpr size_t kWalkGrain = 16;
 

@@ -1,8 +1,8 @@
-// Per-worker pooled node allocation for the ETT substrates (treap nodes
-// and blocked-tour blocks).
+// Per-worker pooled node allocation for the Euler-tour forests (blocked
+// tours' blocks and tour descriptors, and their directory chunks).
 //
-// Both substrates allocate and free huge numbers of small nodes: every
-// batch_link creates arc nodes, every batch_cut releases them, and a
+// A forest allocates and frees huge numbers of small nodes: batch_link
+// grows and splices blocks, batch_cut splits and releases them, and a
 // long-running stream churns through millions. Routing each node through
 // the global heap costs a malloc/free round trip per node and scatters the
 // tour across the address space. This pool instead:

@@ -1,5 +1,5 @@
 // Invariant and consistency-walk suite for the blocked (cache-packed
-// block-linked) Euler-tour substrate: block occupancy bounds, per-block
+// block-linked) Euler-tour forest: block occupancy bounds, per-block
 // and per-tour aggregate sums, tour orientation through splice-heavy
 // shapes, singleton collapse, and pool recycling/trimming. The generic
 // contract is exercised by ett_test / substrate_fuzz_test; this suite

@@ -10,10 +10,10 @@
 //     union-find oracle of the exact committed batch count it claims.
 //   * batch_dynamic_connectivity with options::concurrent_reads — readers
 //     use the public snapshot_query() view (live + pinned paths) across
-//     batch_insert/batch_delete, same oracle-agreement check, across
-//     substrates (treap exercises the snapshot path, blocked the live
-//     seqlock probe) and worker-pool sizes (a forced multi-worker pool
-//     plus the hardware default).
+//     batch_insert/batch_delete, same oracle-agreement check (the live
+//     seqlock probe, and the snapshot path it falls back to when a batch
+//     overlaps it), across worker-pool sizes (1 and 2 workers plus the
+//     hardware default).
 //
 // Iteration counts widen via BDC_CONC_ROUNDS / BDC_CONC_READERS (the TSan
 // CI job raises them); defaults keep the suite quick for local runs.
@@ -21,10 +21,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -100,11 +98,11 @@ void verify_records(const std::vector<std::vector<served_record>>& recs,
 }
 
 // ---------------------------------------------------------------------
-// Substrate level: blocked_ett's connected_relaxed under a seqlock
+// Forest level: blocked_ett's connected_relaxed under a seqlock
 // ---------------------------------------------------------------------
 
 // The seqlock the serving layer maintains, reproduced so the raw
-// substrate can be driven without batch_dynamic_connectivity on top:
+// forest can be driven without batch_dynamic_connectivity on top:
 // reader threads probe connected_relaxed() over ids [0, n) and keep only
 // answers no batch overlapped; write() brackets one batch exactly like
 // update_scope (odd version during the batch, epoch advance + limbo
@@ -125,11 +123,10 @@ class seqlocked_readers {
           if (v1 & 1) continue;  // batch in flight: no committed boundary
           auto u = static_cast<vertex_id>(rng.next(n));
           auto v = static_cast<vertex_id>(rng.next(n));
-          std::optional<bool> ans = ett_.connected_relaxed(u, v);
-          ASSERT_TRUE(ans.has_value());
+          bool ans = ett_.connected_relaxed(u, v);
           if (version_.load(std::memory_order_acquire) != v1)
             continue;  // overlapped a batch: discard, like the serving layer
-          buf.push_back({u, v, v1 >> 1, *ans});
+          buf.push_back({u, v, v1 >> 1, ans});
           recorded_.fetch_add(1, std::memory_order_release);
         }
       });
@@ -354,19 +351,15 @@ INSTANTIATE_TEST_SUITE_P(
 // Structure level: snapshot_query() across update batches
 // ---------------------------------------------------------------------
 
-using ServeParam = std::tuple<substrate, unsigned>;
-
-class ConcurrentServe : public ::testing::TestWithParam<ServeParam> {};
+class ConcurrentServe : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ConcurrentServe, ViewsAgreeWithTheirCommittedOracle) {
-  auto [sub, workers] = GetParam();
-  testing::worker_pool_guard pool(workers);
+  testing::worker_pool_guard pool(GetParam());
   const vertex_id n = 256;
   const size_t rounds = conc_rounds();
   const size_t readers = conc_readers();
 
   options o;
-  o.substrate = sub;
   o.concurrent_reads = true;
   batch_dynamic_connectivity s(n, o);
   ASSERT_TRUE(s.serving());
@@ -447,13 +440,9 @@ TEST_P(ConcurrentServe, ViewsAgreeWithTheirCommittedOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Grid, ConcurrentServe,
-    ::testing::Combine(::testing::Values(substrate::treap,
-                                         substrate::blocked),
-                       ::testing::Values(2u, 0u)),
-    [](const ::testing::TestParamInfo<ServeParam>& info) {
-      return std::string(to_string(std::get<0>(info.param))) + "_" +
-             testing::workers_name(std::get<1>(info.param));
+    Grid, ConcurrentServe, ::testing::Values(1u, 2u, 0u),
+    [](const ::testing::TestParamInfo<unsigned>& info) {
+      return "blocked_" + testing::workers_name(info.param);
     });
 
 // ---------------------------------------------------------------------
@@ -463,7 +452,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SnapshotView, PinnedViewIsStableAcrossLaterBatches) {
   const vertex_id n = 64;
   options o;
-  o.substrate = substrate::blocked;
   o.concurrent_reads = true;
   batch_dynamic_connectivity s(n, o);
   std::vector<edge> chain;
@@ -508,7 +496,6 @@ TEST(SnapshotView, PinnedViewsStayFrozenUnderConcurrentChurn) {
   const size_t rounds = conc_rounds();
   const size_t readers = conc_readers();
   options o;
-  o.substrate = substrate::blocked;
   o.concurrent_reads = true;
   batch_dynamic_connectivity s(n, o);
 
@@ -584,7 +571,6 @@ TEST(SnapshotView, PinnedViewsStayFrozenUnderConcurrentChurn) {
 TEST(SnapshotView, EpochLimboDefersNodeRecycling) {
   const vertex_id n = 128;
   options o;
-  o.substrate = substrate::blocked;
   o.concurrent_reads = true;
   batch_dynamic_connectivity s(n, o);
   std::vector<edge> chain;

@@ -3,13 +3,13 @@
 // recompute oracle AND the independent sequential HDT implementation.
 // Invariants are re-validated after every batch.
 //
-// Every scenario runs at three worker-pool sizes — 1, 2, and the hardware
+// Every scenario runs over the shared engine table (tests/
+// test_substrates.hpp): three worker-pool sizes — 1, 2, and the hardware
 // default — because scheduler-dependent bugs (racy batch phases, grouping
 // that silently assumes one worker) only surface when the pool actually
 // forks, and CI machines default to whatever nproc happens to be (the
-// suite's stress.* twin pins "hw" to 4). The grid is additionally crossed
-// with both Euler-tour backends (treap, blocked), each with the snapshot
-// read service off and on; the serving rows also hold the published
+// suite's stress.* twin pins "hw" to 4); each with the snapshot read
+// service off and on, and the serving rows also hold the published
 // labels to a from-scratch walk after every batch. Every graph size runs
 // under every level search.
 #include <gtest/gtest.h>
@@ -32,7 +32,6 @@ namespace {
 
 using ::bdc::testing::expect_snapshot_matches;
 using ::bdc::testing::kEngineConfigs;
-using ::bdc::testing::kWorkerGrid;
 using ::bdc::testing::sub_config;
 using ::bdc::testing::worker_pool_guard;
 using ::bdc::testing::workers_name;
@@ -45,14 +44,20 @@ struct scenario {
   uint64_t seed;
 };
 
+/// Test-name suffix of an engine row: its worker count, then the
+/// configuration ("w1_blocked", "whw_blocked_serve").
+std::string row_name(const sub_config& cfg) {
+  return "w" + workers_name(cfg.workers) +
+         (cfg.serve ? "_blocked_serve" : "_blocked");
+}
+
 class PropertySweep
-    : public ::testing::TestWithParam<
-          std::tuple<scenario, unsigned, sub_config>> {};
+    : public ::testing::TestWithParam<std::tuple<scenario, sub_config>> {};
 
 TEST_P(PropertySweep, OracleLockstep) {
   const scenario sc = std::get<0>(GetParam());
-  worker_pool_guard pool(std::get<1>(GetParam()));
-  const sub_config& cfg = std::get<2>(GetParam());
+  const sub_config& cfg = std::get<1>(GetParam());
+  worker_pool_guard pool(cfg.workers);
   const vertex_id n = static_cast<vertex_id>(sc.n);
   random_stream rs(sc.seed);
   options o;
@@ -133,26 +138,24 @@ INSTANTIATE_TEST_SUITE_P(
             scenario{level_search_kind::simple, 17, 30, 75, 110},
             scenario{level_search_kind::scan_all, 500, 12, 60, 111},
             scenario{level_search_kind::scan_all, 17, 30, 75, 112}),
-        ::testing::ValuesIn(kWorkerGrid), ::testing::ValuesIn(kEngineConfigs)),
-    [](const ::testing::TestParamInfo<std::tuple<scenario, unsigned,
-                                                 sub_config>>& info) {
-      const scenario& sc = std::get<0>(info.param);
-      return "seed" + std::to_string(sc.seed) + "_w" +
-             workers_name(std::get<1>(info.param)) + "_" +
-             std::get<2>(info.param).name;
+        ::testing::ValuesIn(kEngineConfigs)),
+    [](const ::testing::TestParamInfo<std::tuple<scenario, sub_config>>&
+           info) {
+      return "seed" + std::to_string(std::get<0>(info.param).seed) + "_" +
+             row_name(std::get<1>(info.param));
     });
 
 // Structured stress: repeatedly shatter a dense random graph with very
 // large deletion batches (the regime Theorem 9 targets).
 class ShatterSweep
     : public ::testing::TestWithParam<
-          std::tuple<level_search_kind, unsigned, sub_config>> {};
+          std::tuple<level_search_kind, sub_config>> {};
 
 TEST_P(ShatterSweep, LargeBatchLifecycle) {
   options o;
   o.search = std::get<0>(GetParam());
-  o = std::get<2>(GetParam()).apply(o);
-  worker_pool_guard pool(std::get<1>(GetParam()));
+  o = std::get<1>(GetParam()).apply(o);
+  worker_pool_guard pool(std::get<1>(GetParam()).workers);
   const vertex_id n = 256;
   batch_dynamic_connectivity dc(n, o);
   for (int cycle = 0; cycle < 3; ++cycle) {
@@ -182,14 +185,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(level_search_kind::interleaved,
                                          level_search_kind::simple,
                                          level_search_kind::scan_all),
-                       ::testing::ValuesIn(kWorkerGrid),
                        ::testing::ValuesIn(kEngineConfigs)),
     [](const ::testing::TestParamInfo<
-        std::tuple<level_search_kind, unsigned, sub_config>>& info) {
+        std::tuple<level_search_kind, sub_config>>& info) {
       return "engine" +
-             std::to_string(static_cast<int>(std::get<0>(info.param))) + "_w" +
-             workers_name(std::get<1>(info.param)) + "_" +
-             std::get<2>(info.param).name;
+             std::to_string(static_cast<int>(std::get<0>(info.param))) + "_" +
+             row_name(std::get<1>(info.param));
     });
 
 }  // namespace

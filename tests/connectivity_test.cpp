@@ -1,10 +1,10 @@
 // Core batch-dynamic connectivity tests: unit behaviours, edge cases, and
 // structured-graph scenarios, with full invariant validation after every
 // mutation. The suites are value-parameterized over the shared engine
-// table (tests/test_substrates.hpp): every Euler-tour backend, with the
-// snapshot read service off and on; serving rows also check the published
-// labels wherever a test checks invariants. The unit suite additionally
-// runs every level-search variant.
+// table (tests/test_substrates.hpp): 1 and 2 workers and the default
+// pool, with the snapshot read service off and on; serving rows also
+// check the published labels wherever a test checks invariants. The unit
+// suite additionally runs every level-search variant.
 // The CostModel suites hold the work counters (stats()) to the paper's
 // charging argument.
 // Randomized cross-engine property tests live in
@@ -57,6 +57,9 @@ class Connectivity
     o.search = std::get<0>(GetParam());
     return std::get<1>(GetParam()).apply(o);
   }
+
+ private:
+  worker_pool_guard pool_{std::get<1>(GetParam()).workers};
 };
 
 // The default search (interleaved) keeps the bare config name.
@@ -287,12 +290,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::ValuesIn(kEngineConfigs)),
     connectivity_name);
 
-TEST(ConfigLabel, SubstrateAndServeSuffix) {
+TEST(ConfigLabel, BlockedAndServeSuffix) {
   options o;
   EXPECT_EQ(config_label(o), "blocked");
-  o.substrate = substrate::treap;
   o.concurrent_reads = true;
-  EXPECT_EQ(config_label(o), "treap+serve");
+  EXPECT_EQ(config_label(o), "blocked+serve");
 }
 
 class EngineSweep
@@ -301,6 +303,7 @@ class EngineSweep
 
 TEST_P(EngineSweep, DenseThenFullDeletion) {
   auto [engine, cfg] = GetParam();
+  worker_pool_guard pool(cfg.workers);
   options o;
   o.search = engine;
   o = cfg.apply(o);
@@ -352,6 +355,7 @@ TEST_P(CostModel, PushesBoundedByInsertsTimesTop) {
   const vertex_id n = 1024;
   auto graph = gen_rmat(n, 4096, 71);
   auto stream = make_hub_churn_stream(graph, n, 64, /*rounds=*/2, 72);
+  worker_pool_guard pool(GetParam().workers);
   batch_dynamic_connectivity dc(n, GetParam().apply({}));
   const auto top = static_cast<uint64_t>(dc.levels().top());
   for (size_t i = 0; i < stream.size(); ++i) {
@@ -370,11 +374,18 @@ INSTANTIATE_TEST_SUITE_P(Substrates, CostModel,
 
 class CostModelAblation : public ::testing::TestWithParam<sub_config> {};
 
-// Calibrated at this test's size over ten graph/stream seeds on every
-// uniform substrate: scan_all fetched 27x-41x the larger of the two
-// doubling engines' counts (about 70x at the benchmark's n=2048).
-// 10x holds on every seed with room to spare.
+// Calibrated at this test's size over ten graph/stream seeds: scan_all
+// fetched 27x-41x the larger of the two doubling engines' counts (about
+// 70x at the benchmark's n=2048). 10x holds on every seed with room to
+// spare.
 constexpr uint64_t kScanAllFactor = 10;
+
+// The ablation runs at 1 worker so the counts are deterministic, with the
+// read service off and on.
+constexpr sub_config kAblationConfigs[] = {
+    {"blocked", 1},
+    {"blocked_serve", 1, true},
+};
 
 // The section 3.3 ablation: scanning every non-tree edge of a component
 // per round fetches work the doubling search never charges to a push.
@@ -382,7 +393,7 @@ constexpr uint64_t kScanAllFactor = 10;
 // three searches must agree on every answer while scan_all fetches many
 // times more edges than either doubling engine.
 TEST_P(CostModelAblation, ScanAllFetchesMoreThanDoubling) {
-  worker_pool_guard pool(1);
+  worker_pool_guard pool(GetParam().workers);
   const vertex_id n = 512;
   auto graph = gen_erdos_renyi(n, 8 * static_cast<size_t>(n), 91);
   auto stream = make_deletion_stream(graph, n, 4096, 64, 0, 92);
@@ -417,7 +428,7 @@ TEST_P(CostModelAblation, ScanAllFetchesMoreThanDoubling) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Uniform, CostModelAblation,
-                         ::testing::ValuesIn(kEngineConfigs),
+                         ::testing::ValuesIn(kAblationConfigs),
                          [](const auto& info) {
                            return std::string(info.param.name);
                          });

@@ -1,8 +1,9 @@
-// Euler-tour substrate tests, value-parameterized over both backends
-// (treap, blocked) behind ett_forest: model-based randomized
-// batches of links/cuts against a union-find oracle, augmentation
-// counters, fetch primitives, and internal consistency after every batch.
-// Every backend must satisfy the identical forest contract.
+// Euler-tour forest contract tests (blocked_ett), value-parameterized
+// over the shared worker grid (tests/test_substrates.hpp): model-based
+// randomized batches of links/cuts against a union-find oracle,
+// augmentation counters, fetch primitives, and internal consistency after
+// every batch. The 1-worker rows drive the sequential batch paths, the
+// others the grouped parallel ones.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,11 +11,11 @@
 #include <tuple>
 #include <vector>
 
-#include "ett/ett_forest.hpp"
-#include "ett/ett_substrate.hpp"
+#include "ett/blocked_ett.hpp"
 #include "gen/graph_gen.hpp"
 #include "spanning/union_find.hpp"
 #include "test_substrates.hpp"
+#include "test_workers.hpp"
 #include "util/random.hpp"
 
 namespace bdc {
@@ -22,13 +23,17 @@ namespace {
 
 using ::bdc::testing::kSubConfigs;
 using ::bdc::testing::sub_config;
+using ::bdc::testing::worker_pool_guard;
+
+void link(blocked_ett& f, edge e) { f.batch_link({&e, 1}); }
+void cut(blocked_ett& f, edge e) { f.batch_cut({&e, 1}); }
+uint32_t size_of(const blocked_ett& f, vertex_id v) {
+  return f.component_counts(v).vertices;
+}
 
 class EttSubstrate : public ::testing::TestWithParam<sub_config> {
- protected:
-  [[nodiscard]] ett_forest make(vertex_id n,
-                                uint64_t seed = 0xe77e77) const {
-    return ett_forest(GetParam().sub, n, seed);
-  }
+ private:
+  worker_pool_guard pool_{GetParam().workers};
 };
 
 std::string config_name(const ::testing::TestParamInfo<sub_config>& info) {
@@ -36,55 +41,50 @@ std::string config_name(const ::testing::TestParamInfo<sub_config>& info) {
 }
 
 TEST_P(EttSubstrate, EmptyForestBasics) {
-  ett_forest f = make(10);
+  blocked_ett f(10);
   EXPECT_EQ(f.num_vertices(), 10u);
   EXPECT_EQ(f.num_edges(), 0u);
   EXPECT_FALSE(f.connected(0, 1));
   EXPECT_TRUE(f.connected(3, 3));
-  EXPECT_EQ(f.component_size(4), 1u);
+  EXPECT_EQ(size_of(f, 4), 1u);
   EXPECT_TRUE(f.check_consistency().empty());
-}
-
-TEST_P(EttSubstrate, SubstratePinned) {
-  ett_forest f = make(4);
-  EXPECT_EQ(f.substrate_kind(), GetParam().sub);
 }
 
 TEST_P(EttSubstrate, SingleLinkCut) {
-  ett_forest f = make(4);
-  f.link({0, 1});
+  blocked_ett f(4);
+  link(f, {0, 1});
   EXPECT_TRUE(f.connected(0, 1));
   EXPECT_TRUE(f.has_edge({1, 0}));
-  EXPECT_EQ(f.component_size(0), 2u);
+  EXPECT_EQ(size_of(f, 0), 2u);
   EXPECT_TRUE(f.check_consistency().empty());
-  f.cut({0, 1});
+  cut(f, {0, 1});
   EXPECT_FALSE(f.connected(0, 1));
-  EXPECT_EQ(f.component_size(0), 1u);
+  EXPECT_EQ(size_of(f, 0), 1u);
   EXPECT_EQ(f.num_edges(), 0u);
   EXPECT_TRUE(f.check_consistency().empty());
 }
 
 TEST_P(EttSubstrate, LinkWholePathThenCutMiddle) {
   const vertex_id n = 64;
-  ett_forest f = make(n);
+  blocked_ett f(n);
   auto path = gen_path(n);
   f.batch_link(path);
   EXPECT_TRUE(f.connected(0, n - 1));
-  EXPECT_EQ(f.component_size(17), n);
-  f.cut({31, 32});
+  EXPECT_EQ(size_of(f, 17), n);
+  cut(f, {31, 32});
   EXPECT_FALSE(f.connected(0, n - 1));
   EXPECT_TRUE(f.connected(0, 31));
   EXPECT_TRUE(f.connected(32, n - 1));
-  EXPECT_EQ(f.component_size(0), 32u);
-  EXPECT_EQ(f.component_size(63), 32u);
+  EXPECT_EQ(size_of(f, 0), 32u);
+  EXPECT_EQ(size_of(f, 63), 32u);
   EXPECT_TRUE(f.check_consistency().empty());
 }
 
 TEST_P(EttSubstrate, StarBatchLink) {
   const vertex_id n = 100;
-  ett_forest f = make(n);
+  blocked_ett f(n);
   f.batch_link(gen_star(n));
-  EXPECT_EQ(f.component_size(0), n);
+  EXPECT_EQ(size_of(f, 0), n);
   EXPECT_TRUE(f.check_consistency().empty());
   // Cut every other spoke in one batch.
   std::vector<edge> cuts;
@@ -96,7 +96,7 @@ TEST_P(EttSubstrate, StarBatchLink) {
 }
 
 TEST_P(EttSubstrate, CountsAndFetch) {
-  ett_forest f = make(8);
+  blocked_ett f(8);
   f.batch_link(gen_path(8));
   std::vector<count_delta> deltas = {{2, 1, 3}, {5, 0, 2}};
   f.batch_add_counts(deltas);
@@ -127,7 +127,7 @@ TEST_P(EttSubstrate, CountsAndFetch) {
 }
 
 TEST_P(EttSubstrate, ComponentVerticesMatchesTour) {
-  ett_forest f = make(10);
+  blocked_ett f(10);
   f.batch_link(std::vector<edge>{{0, 1}, {1, 2}, {2, 3}});
   auto vs = f.component_vertices(2);
   std::set<vertex_id> got(vs.begin(), vs.end());
@@ -137,28 +137,14 @@ TEST_P(EttSubstrate, ComponentVerticesMatchesTour) {
 TEST_P(EttSubstrate, RelinkAfterCutSameBatchBoundary) {
   // Cut and relink the same edge repeatedly: exercises the pooled node
   // recycling paths (cut arcs must be reusable by the next link).
-  ett_forest f = make(6);
+  blocked_ett f(6);
   for (int i = 0; i < 50; ++i) {
-    f.link({2, 4});
+    link(f, {2, 4});
     ASSERT_TRUE(f.connected(2, 4));
-    f.cut({2, 4});
+    cut(f, {2, 4});
     ASSERT_FALSE(f.connected(2, 4));
   }
   EXPECT_TRUE(f.check_consistency().empty());
-}
-
-TEST_P(EttSubstrate, HoistedVisitMatchesForwarders) {
-  // The visit hook (one dispatch hoisted around a loop) must see exactly
-  // the forest the per-call forwarders see.
-  const vertex_id n = 32;
-  ett_forest f = make(n);
-  f.batch_link(gen_path(16));
-  f.visit([&](auto& fc) {
-    for (vertex_id v = 0; v + 1 < n; ++v) {
-      ASSERT_EQ(fc.connected(v, v + 1), f.connected(v, v + 1)) << v;
-      ASSERT_EQ(fc.find_rep(v), f.find_rep(v)) << v;
-    }
-  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Substrates, EttSubstrate,
@@ -171,9 +157,10 @@ class EttRandomSweep
 TEST_P(EttRandomSweep, BatchesAgainstUnionFindOracle) {
   auto [trial_n, cfg] = GetParam();
   auto [trial, nn] = trial_n;
+  worker_pool_guard pool(cfg.workers);
   const vertex_id n = static_cast<vertex_id>(nn);
   random_stream rs(trial * 131 + nn);
-  ett_forest f(cfg.sub, n, 1000 + static_cast<uint64_t>(trial));
+  blocked_ett f(n);
   std::set<std::pair<vertex_id, vertex_id>> tree_edges;
   for (int round = 0; round < 25; ++round) {
     // Random batch of links among distinct components.
@@ -217,7 +204,7 @@ TEST_P(EttRandomSweep, BatchesAgainstUnionFindOracle) {
       size_t sz = 0;
       for (vertex_id x = 0; x < n; ++x)
         if (oracle.connected(u, x)) sz++;
-      ASSERT_EQ(f.component_size(u), sz) << "round " << round;
+      ASSERT_EQ(size_of(f, u), sz) << "round " << round;
     }
     // Representative semantics.
     auto reps = f.batch_find_rep(std::vector<vertex_id>{0, n / 2, n - 1});

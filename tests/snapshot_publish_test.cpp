@@ -5,7 +5,7 @@
 //
 //   * Differential: after EVERY committed batch, the published snapshot's
 //     labels must equal a from-scratch components() walk — on every
-//     substrate and level search, with and without a giant component.
+//     worker row and level search, with and without a giant component.
 //     This is the direct
 //     check that the publish delta (the merges an insert batch records
 //     before its link, the pieces a delete batch cuts) reaches every
@@ -36,6 +36,7 @@
 
 #include "core/batch_connectivity.hpp"
 #include "test_substrates.hpp"
+#include "test_workers.hpp"
 #include "util/random.hpp"
 #include "util/types.hpp"
 
@@ -44,6 +45,7 @@ namespace {
 
 using ::bdc::testing::kSubConfigs;
 using ::bdc::testing::sub_config;
+using ::bdc::testing::worker_pool_guard;
 
 /// Asserts the published snapshot agrees with a from-scratch walk:
 /// labels, per-vertex component sizes (recounted independently), and the
@@ -73,7 +75,7 @@ const char* search_name(level_search_kind k) {
                                              : "scanall";
 }
 
-// The default search (interleaved) keeps the bare substrate name.
+// The default search (interleaved) keeps the bare config name.
 std::string publish_name(const sub_config& sc, level_search_kind search) {
   std::string name = sc.name;
   if (search != level_search_kind::interleaved)
@@ -97,6 +99,7 @@ class SnapshotPublish
 // draw from.
 TEST_P(SnapshotPublish, MatchesFromScratchAfterEveryBatch) {
   const auto& [sc, search, giant] = GetParam();
+  worker_pool_guard workers(sc.workers);
   const vertex_id n = 600;
   options o = sc.apply({});
   o.search = search;
@@ -159,7 +162,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SnapshotPublishEdge, ChunkBoundaryWrites) {
   const vertex_id n = 2 * 4096 + 100;  // three chunks, last one partial
   options o;
-  o.substrate = substrate::blocked;
   o.concurrent_reads = true;
   batch_dynamic_connectivity dc(n, o);
 
@@ -187,7 +189,6 @@ TEST(SnapshotPublishEdge, ChunkBoundaryWrites) {
 TEST(SnapshotPublishEdge, PinnedViewsFrozenAcrossVersions) {
   const vertex_id n = 512;
   options o;
-  o.substrate = substrate::blocked;
   o.concurrent_reads = true;
   batch_dynamic_connectivity dc(n, o);
 
@@ -230,7 +231,6 @@ TEST(SnapshotPublishEdge, ShatterFallsBackToFullWalk) {
   const vertex_id n = 1024;
   constexpr vertex_id kCluster = 16;
   options o;
-  o.substrate = substrate::blocked;
   o.concurrent_reads = true;
   batch_dynamic_connectivity dc(n, o);
   EXPECT_EQ(dc.stats().publishes_full, 1u);  // construction (forced)
@@ -265,7 +265,7 @@ TEST(SnapshotPublishEdge, ShatterFallsBackToFullWalk) {
 // A publish rewrites only the vertices whose label changes. The giant
 // suites build one large path plus a few small clusters and count the
 // rewrites of each batch that links to or cuts from the path, on every
-// substrate and level search; none of them may fall back to the full
+// worker row and level search; none of them may fall back to the full
 // walk.
 class GiantPublish : public ::testing::TestWithParam<
                          std::tuple<sub_config, level_search_kind>> {
@@ -278,6 +278,8 @@ class GiantPublish : public ::testing::TestWithParam<
     o.concurrent_reads = true;
     dc_ = std::make_unique<batch_dynamic_connectivity>(kN, o);
   }
+
+  worker_pool_guard pool_{std::get<0>(GetParam()).workers};
 
   /// Inserts a path over [first, last].
   void path(vertex_id first, vertex_id last) {
@@ -363,7 +365,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SnapshotPublishEdge, NoopBatchPublishesCheaply) {
   const vertex_id n = 256;
   options o;
-  o.substrate = substrate::treap;
   o.concurrent_reads = true;
   batch_dynamic_connectivity dc(n, o);
   dc.batch_insert({{edge{1, 2}, edge{2, 3}}});
@@ -384,7 +385,6 @@ TEST(SnapshotPublishEdge, NoopBatchPublishesCheaply) {
 TEST(SnapshotPublishEdge, NontreeInsertRelabelsNothing) {
   const vertex_id n = 128;
   options o;
-  o.substrate = substrate::treap;
   o.concurrent_reads = true;
   batch_dynamic_connectivity dc(n, o);
   dc.batch_insert({{edge{0, 1}, edge{1, 2}, edge{2, 3}}});

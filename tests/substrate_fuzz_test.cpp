@@ -1,26 +1,22 @@
-// Differential fuzz suite for the Euler-tour substrates.
+// Differential fuzz suite for the Euler-tour forest and the structure
+// built on it.
 //
-// Long randomized mixed link/cut/count/query streams are driven directly
-// against the ett_forest surface and checked two independent ways:
-//
-//   * OracleLockstep — every round's query batch is verified against a
+//   * OracleLockstep — long randomized mixed link/cut/count/query streams
+//     are driven directly against blocked_ett; every round's query batch,
+//     edge count and sampled component sizes are verified against a
 //     union-find oracle REBUILT from scratch from the current tree-edge
-//     set, so an oracle bug cannot track a substrate bug.
-//   * CrossSubstrate — the treap and blocked forests (which share no
-//     code) replay identical batch streams and must agree on every
-//     query, edge count, and component size.
+//     set, so an oracle bug cannot track a forest bug.
 //   * BdcDifferential — batch_dynamic_connectivity end-to-end (inserts
 //     and deletes with non-tree edges, replacement searches, level
-//     pushes) under every substrate, in lockstep with a from-scratch
-//     union-find oracle. Every
-//     config runs with the read service on, and after every committed
+//     pushes) in lockstep with a from-scratch union-find oracle. The
+//     structure runs with the read service on, and after every committed
 //     batch the incrementally published snapshot is compared against a
 //     from-scratch components() walk. The adaptive engine_router rides
 //     along as one more lockstep structure, so its union-find epoch,
 //     one-shot promotion, and per-epoch query memo face the same
-//     adversarial streams as the fixed engines.
+//     adversarial streams as the fixed engine.
 //
-// The grid is {substrate} x {workers: 1, 2, hardware} x {batch size}, and
+// The grid is {workers: 1, 2, hardware} x {batch size}, and
 // every stream seed is a deterministic function of those parameters, so a
 // failure's SCOPED_TRACE line is a one-line repro: rerun that exact test
 // name. The sweep is widened in CI (and locally) through two environment
@@ -33,7 +29,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -41,16 +36,14 @@
 
 #include "core/batch_connectivity.hpp"
 #include "core/engine_router.hpp"
-#include "ett/ett_forest.hpp"
+#include "ett/blocked_ett.hpp"
 #include "spanning/union_find.hpp"
-#include "test_substrates.hpp"
 #include "test_workers.hpp"
 #include "util/random.hpp"
 
 namespace bdc {
 namespace {
 
-using ::bdc::testing::kSubConfigs;
 using ::bdc::testing::worker_pool_guard;
 using ::bdc::testing::workers_name;
 
@@ -65,7 +58,6 @@ int fuzz_rounds() { return env_knob("BDC_FUZZ_ROUNDS", 25); }
 int fuzz_seeds() { return env_knob("BDC_FUZZ_SEEDS", 2); }
 
 struct fuzz_params {
-  substrate sub;      // OracleLockstep only; CrossSubstrate drives both
   unsigned workers;   // 0 = the default (hardware) pool
   size_t batch;
 };
@@ -131,22 +123,24 @@ vertex_id n_for_batch(size_t batch) {
 
 class OracleLockstep : public ::testing::TestWithParam<fuzz_params> {};
 
+/// Mixed into every stream seed of the OracleLockstep grid.
+constexpr uint64_t kStreamSalt = 2;
+
 TEST_P(OracleLockstep, MixedStream) {
   const fuzz_params p = GetParam();
   worker_pool_guard pool(p.workers);
   const vertex_id n = n_for_batch(p.batch);
   const int rounds = fuzz_rounds();
   for (int s = 0; s < fuzz_seeds(); ++s) {
-    uint64_t seed = hash_combine(
-        hash_combine(static_cast<uint64_t>(p.sub) + 1, p.workers * 131 + 7),
-        p.batch * 1009 + static_cast<uint64_t>(s));
-    SCOPED_TRACE("repro: substrate=" + std::string(to_string(p.sub)) +
-                 " workers=" + workers_name(p.workers) +
+    uint64_t seed =
+        hash_combine(hash_combine(kStreamSalt, p.workers * 131 + 7),
+                     p.batch * 1009 + static_cast<uint64_t>(s));
+    SCOPED_TRACE("repro: workers=" + workers_name(p.workers) +
                  " batch=" + std::to_string(p.batch) +
                  " seed_index=" + std::to_string(s) + " stream_seed=" +
                  std::to_string(seed) +
                  " (widen with BDC_FUZZ_SEEDS / BDC_FUZZ_ROUNDS)");
-    ett_forest f(p.sub, n, seed ^ 0x5eed);
+    blocked_ett f(n);
     stream_state st(n, seed);
     for (int round = 0; round < rounds; ++round) {
       SCOPED_TRACE("round " + std::to_string(round));
@@ -202,104 +196,21 @@ TEST_P(OracleLockstep, MixedStream) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, OracleLockstep,
-    ::testing::Values(
-        fuzz_params{substrate::treap, 1, 4},
-        fuzz_params{substrate::treap, 1, 64},
-        fuzz_params{substrate::treap, 2, 32},
-        fuzz_params{substrate::treap, 2, 256},
-        fuzz_params{substrate::treap, 0, 64},
-        fuzz_params{substrate::treap, 0, 256},
-        fuzz_params{substrate::blocked, 1, 4},
-        fuzz_params{substrate::blocked, 1, 64},
-        fuzz_params{substrate::blocked, 2, 32},
-        fuzz_params{substrate::blocked, 2, 256},
-        fuzz_params{substrate::blocked, 0, 64},
-        fuzz_params{substrate::blocked, 0, 256}),
+    ::testing::Values(fuzz_params{1, 4}, fuzz_params{1, 32},
+                      fuzz_params{1, 64}, fuzz_params{1, 256},
+                      fuzz_params{2, 32}, fuzz_params{2, 64},
+                      fuzz_params{2, 256}, fuzz_params{0, 32},
+                      fuzz_params{0, 64}, fuzz_params{0, 256}),
     [](const ::testing::TestParamInfo<fuzz_params>& info) {
-      return std::string(to_string(info.param.sub)) + "_w" +
-             workers_name(info.param.workers) + "_b" +
+      return "blocked_w" + workers_name(info.param.workers) + "_b" +
              std::to_string(info.param.batch);
     });
 
 // ---------------------------------------------------------------------
-// Cross-substrate differential: treap vs blocked on identical streams.
-// The two forests share no code, so any divergence pins a bug on one of
-// them.
-// ---------------------------------------------------------------------
-
-class CrossSubstrate
-    : public ::testing::TestWithParam<std::pair<unsigned, size_t>> {};
-
-TEST_P(CrossSubstrate, IdenticalStreams) {
-  const auto [workers, batch] = GetParam();
-  worker_pool_guard pool(workers);
-  const vertex_id n = n_for_batch(batch);
-  const int rounds = fuzz_rounds();
-  constexpr substrate kSubs[] = {substrate::treap, substrate::blocked};
-  for (int s = 0; s < fuzz_seeds(); ++s) {
-    uint64_t seed = hash_combine(workers * 977 + 3, batch * 31 + 11) +
-                    static_cast<uint64_t>(s);
-    SCOPED_TRACE("repro: cross workers=" + workers_name(workers) +
-                 " batch=" + std::to_string(batch) + " seed_index=" +
-                 std::to_string(s) + " stream_seed=" + std::to_string(seed));
-    std::vector<ett_forest> fs;
-    for (size_t i = 0; i < std::size(kSubs); ++i)
-      fs.emplace_back(kSubs[i], n, seed ^ (0xa + i));
-    stream_state st(n, seed);
-    for (int round = 0; round < rounds; ++round) {
-      SCOPED_TRACE("round " + std::to_string(round));
-      auto links = st.next_links(1 + st.rs.next(batch));
-      for (auto& f : fs) f.batch_link(links);
-      if (round % 2 == 1) {
-        auto cuts = st.next_cuts(1 + st.rs.next(batch));
-        for (auto& f : fs) f.batch_cut(cuts);
-      }
-      for (auto& f : fs) ASSERT_EQ(f.num_edges(), fs[0].num_edges());
-      auto qs = st.next_queries(2 * batch + 16);
-      auto got_a = fs[0].batch_connected(qs);
-      for (size_t fi = 1; fi < fs.size(); ++fi) {
-        SCOPED_TRACE(std::string("vs ") + to_string(kSubs[fi]));
-        auto got_b = fs[fi].batch_connected(qs);
-        for (size_t q = 0; q < qs.size(); ++q) {
-          ASSERT_EQ(got_a[q], got_b[q])
-              << "query " << qs[q].first << "," << qs[q].second;
-        }
-        for (int probe = 0; probe < 8; ++probe) {
-          vertex_id v = static_cast<vertex_id>(st.rs.next(n));
-          ASSERT_EQ(fs[0].component_counts(v).vertices,
-                    fs[fi].component_counts(v).vertices)
-              << "vertex " << v;
-        }
-      }
-      if (round % 5 == 4) {
-        for (size_t fi = 0; fi < fs.size(); ++fi)
-          ASSERT_EQ(fs[fi].check_consistency(), "")
-              << to_string(kSubs[fi]);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, CrossSubstrate,
-    ::testing::Values(std::pair<unsigned, size_t>{1, 32},
-                      std::pair<unsigned, size_t>{1, 256},
-                      std::pair<unsigned, size_t>{2, 64},
-                      std::pair<unsigned, size_t>{2, 256},
-                      std::pair<unsigned, size_t>{0, 32},
-                      std::pair<unsigned, size_t>{0, 64},
-                      std::pair<unsigned, size_t>{0, 256}),
-    [](const ::testing::TestParamInfo<std::pair<unsigned, size_t>>& info) {
-      return "w" + workers_name(info.param.first) + "_b" +
-             std::to_string(info.param.second);
-    });
-
-// ---------------------------------------------------------------------
-// End-to-end differential: batch_dynamic_connectivity under every
-// substrate, on one identical insert/delete/query stream WITH non-tree
-// edges — so replacement searches, level pushes, and promotions all hit
-// every backend. The oracle is a union-find rebuilt from scratch each
-// round.
+// End-to-end differential: batch_dynamic_connectivity and the router on
+// one insert/delete/query stream WITH non-tree edges — so replacement
+// searches, level pushes, and promotions all run. The oracle is a
+// union-find rebuilt from scratch each round.
 //
 // The stream is materialized up front (its generation never depends on
 // structure responses), so when a run trips, the failing batch list is
@@ -361,43 +272,33 @@ bdc_stream make_bdc_stream(vertex_id n, uint64_t seed, size_t batch,
   return stream;
 }
 
-/// Replays `stream` under every kSubConfigs substrate in lockstep
-/// with a from-scratch union-find oracle. Returns "" when clean, else a
-/// description of the first divergence. `thorough` validates invariants
-/// after every batch (used while minimizing, so the repro shrinks to the
-/// earliest corrupting batch rather than the query that noticed it);
-/// the wide sweep checks every 5th round like before.
+/// Replays `stream` through batch_dynamic_connectivity and the adaptive
+/// router in lockstep with a from-scratch union-find oracle. Returns ""
+/// when clean, else a description of the first divergence. `thorough`
+/// validates invariants after every batch (used while minimizing, so the
+/// repro shrinks to the earliest corrupting batch rather than the query
+/// that noticed it); the wide sweep checks every 10th batch.
 std::string replay_bdc(vertex_id n, uint64_t seed, const bdc_stream& stream,
                        bool thorough) {
-  std::vector<std::unique_ptr<batch_dynamic_connectivity>> dcs;
-  for (size_t ci = 0; ci < std::size(kSubConfigs); ++ci) {
-    options o;
-    o.seed = seed ^ (0x100 + ci);
-    o = kSubConfigs[ci].apply(o);
-    // Every config also runs the read service, so each committed batch
-    // exercises the incremental snapshot publisher.
-    o.concurrent_reads = true;
-    dcs.push_back(std::make_unique<batch_dynamic_connectivity>(n, o));
-  }
-  // The adaptive router replays the same stream. Its promoted engine uses
-  // the first kSubConfigs entry's options so a divergence still pins a
-  // config.
+  // The read service runs too, so each committed batch exercises the
+  // incremental snapshot publisher.
+  options o;
+  o.seed = seed ^ 0x100;
+  o.concurrent_reads = true;
+  batch_dynamic_connectivity dc(n, o);
   options router_opts;
   router_opts.seed = seed ^ 0x200;
-  engine_router router(n, kSubConfigs[0].apply(router_opts));
+  engine_router router(n, router_opts);
   std::set<std::pair<vertex_id, vertex_id>> present;
   auto check_all = [&](size_t bi) -> std::string {
-    for (size_t ci = 0; ci < dcs.size(); ++ci) {
-      if (dcs[ci]->num_edges() != present.size())
-        return std::string(kSubConfigs[ci].name) + ": edge count " +
-               std::to_string(dcs[ci]->num_edges()) + " != oracle " +
-               std::to_string(present.size()) + " after batch " +
-               std::to_string(bi);
-      auto rep = dcs[ci]->check_invariants();
-      if (!rep.ok)
-        return std::string(kSubConfigs[ci].name) + ": " + rep.message +
-               " after batch " + std::to_string(bi);
-    }
+    if (dc.num_edges() != present.size())
+      return "dynamic: edge count " + std::to_string(dc.num_edges()) +
+             " != oracle " + std::to_string(present.size()) +
+             " after batch " + std::to_string(bi);
+    auto rep = dc.check_invariants();
+    if (!rep.ok)
+      return "dynamic: " + rep.message + " after batch " +
+             std::to_string(bi);
     if (router.num_edges() != present.size())
       return "router: edge count " + std::to_string(router.num_edges()) +
              " != oracle " + std::to_string(present.size()) +
@@ -411,34 +312,30 @@ std::string replay_bdc(vertex_id n, uint64_t seed, const bdc_stream& stream,
   // batch, the published snapshot's labels must equal a from-scratch
   // components() walk. A divergence here means the touched-seed
   // collection missed a component whose membership changed.
-  auto check_snapshots = [&](size_t bi) -> std::string {
-    for (size_t ci = 0; ci < dcs.size(); ++ci) {
-      auto view = dcs[ci]->snapshot_query();
-      if (view.components() != dcs[ci]->components())
-        return std::string(kSubConfigs[ci].name) +
-               ": published snapshot labels diverge from a from-scratch "
-               "components() walk after batch " +
-               std::to_string(bi);
-    }
+  auto check_snapshot = [&](size_t bi) -> std::string {
+    if (dc.snapshot_query().components() != dc.components())
+      return "dynamic: published snapshot labels diverge from a "
+             "from-scratch components() walk after batch " +
+             std::to_string(bi);
     return "";
   };
   for (size_t bi = 0; bi < stream.size(); ++bi) {
     const bdc_batch& b = stream[bi];
     switch (b.op) {
       case bdc_batch::kind::insert:
-        for (auto& dc : dcs) dc->batch_insert(b.edges);
+        dc.batch_insert(b.edges);
         router.batch_insert(b.edges);
         for (auto e : b.edges)
           if (!e.is_self_loop() && e.u < n && e.v < n)
             present.insert({e.canonical().u, e.canonical().v});
-        if (auto err = check_snapshots(bi); !err.empty()) return err;
+        if (auto err = check_snapshot(bi); !err.empty()) return err;
         break;
       case bdc_batch::kind::erase:
-        for (auto& dc : dcs) dc->batch_delete(b.edges);
+        dc.batch_delete(b.edges);
         router.batch_delete(b.edges);
         for (auto& e : b.edges)
           present.erase({e.canonical().u, e.canonical().v});
-        if (auto err = check_snapshots(bi); !err.empty()) return err;
+        if (auto err = check_snapshot(bi); !err.empty()) return err;
         break;
       case bdc_batch::kind::query: {
         union_find oracle(n);
@@ -459,11 +356,10 @@ std::string replay_bdc(vertex_id n, uint64_t seed, const bdc_stream& stream,
           }
           return "";
         };
-        for (size_t ci = 0; ci < dcs.size(); ++ci) {
-          auto err = check_queries(dcs[ci]->batch_connected(b.queries),
-                                   kSubConfigs[ci].name);
-          if (!err.empty()) return err;
-        }
+        if (auto err = check_queries(dc.batch_connected(b.queries),
+                                     "dynamic");
+            !err.empty())
+          return err;
         if (auto err = check_queries(router.batch_connected(b.queries),
                                      "router");
             !err.empty())

@@ -1,9 +1,9 @@
 // The sparse per-level vertex directory (src/ett/vertex_directory.hpp)
-// and the O(active)-memory contract it gives every substrate:
+// and the O(active)-memory contract it gives the Euler-tour forest:
 //
 //   * unit invariants of the directory itself (activation, publication,
 //     chunk reclamation, parallel activation of chunk-sharing vertices);
-//   * substrate-level activation hygiene on the full ett_forest grid —
+//   * forest-level activation hygiene on the shared worker grid —
 //     active_vertices() tracks exactly the touched vertices and returns
 //     to zero when the last edge leaves, including a mid-stream first
 //     touch of the highest vertex ids (the regression that motivated the
@@ -12,27 +12,29 @@
 //   * end-to-end memory-scales-with-activity at n = 2^20 through
 //     batch_dynamic_connectivity::levels().footprint(), asserting the
 //     sparse hierarchy beats the old dense n-slots-per-materialized-level
-//     layout by at least 5x on a hub-churn-shaped workload, for every
-//     substrate (the blocked reading depends on the worker count, so the
-//     suite also runs under the `stress` label on 4 workers).
+//     layout by at least 5x on a hub-churn-shaped workload, on every
+//     worker row (the reading depends on the worker count, so the suite
+//     also runs under the `stress` label on 4 workers).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "core/batch_connectivity.hpp"
-#include "ett/ett_forest.hpp"
+#include "ett/blocked_ett.hpp"
 #include "ett/vertex_directory.hpp"
 #include "gen/graph_gen.hpp"
 #include "gen/update_stream.hpp"
 #include "parallel/primitives.hpp"
 #include "test_substrates.hpp"
+#include "test_workers.hpp"
 #include "util/node_pool.hpp"
 
 namespace bdc {
 namespace {
 
 using ::bdc::testing::kSubConfigs;
+using ::bdc::testing::worker_pool_guard;
 
 using dir8 = vertex_directory<uint64_t>;
 
@@ -119,16 +121,17 @@ TEST(VertexDirectory, ParallelActivationSharingChunks) {
 }
 
 // ---------------------------------------------------------------------
-// Substrate-level activation hygiene, over every substrate.
+// Forest-level activation hygiene, on every worker row.
 // ---------------------------------------------------------------------
 
 class SparseSubstrate : public ::testing::TestWithParam<testing::sub_config> {
+ private:
+  worker_pool_guard pool_{GetParam().workers};
 };
 
 TEST_P(SparseSubstrate, ActiveVerticesTrackTouchedSet) {
-  const auto& cfg = GetParam();
   const vertex_id n = 1 << 20;
-  ett_forest f(cfg.sub, n, /*seed=*/42);
+  blocked_ett f(n);
   EXPECT_EQ(f.active_vertices(), 0u);
   const size_t empty_bytes = f.directory_bytes();
 
@@ -152,9 +155,8 @@ TEST_P(SparseSubstrate, ActiveVerticesTrackTouchedSet) {
 }
 
 TEST_P(SparseSubstrate, HighVertexIdMidStreamFirstTouch) {
-  const auto& cfg = GetParam();
   const vertex_id n = 1 << 20;
-  ett_forest f(cfg.sub, n, /*seed=*/7);
+  blocked_ett f(n);
 
   // Run a few batches entirely among low ids first, so the directory has
   // settled into low chunks before the high range is ever touched.
@@ -207,9 +209,8 @@ TEST_P(SparseHierarchy, MemoryScalesWithActivityAtProductionN) {
       make_hub_churn_stream(graph, n, /*batch=*/256, /*rounds=*/2,
                             /*seed=*/6);
 
-  options o;
-  o.substrate = GetParam().sub;
-  batch_dynamic_connectivity s(n, o);
+  worker_pool_guard pool(GetParam().workers);
+  batch_dynamic_connectivity s(n);
   uint64_t max_active = 0;
   for (const update_batch& b : stream) {
     switch (b.op) {

@@ -8,7 +8,6 @@
 //                     <erdos|rmat|grid> <n> <m> <batch> <seed> <out>
 //   stream_runner run [--engine=auto|dynamic|dynamic-simple|dynamic-scanall|
 //                      hdt|static|incremental]
-//                     [--substrate=treap|blocked]
 //                     [--workers=N] [--serve-queries=T]
 //                     [--metrics=FILE] [--trace=FILE]
 //                     [--assert-gauge-max=NAME:MAX]
@@ -25,9 +24,8 @@
 // one-shot bulk-load promotion to the HDT structure at the first
 // effective deletion, per-epoch rep memo for query floods; its routing
 // statistics (phase switches, promotion cost, cache hit rate) join the
-// report. --substrate selects the Euler-tour backend of the dynamic
-// structures (and of auto's promoted engine); without it each engine
-// keeps the library default, options{} (blocked tours). --workers
+// report. Every engine builds from options{} (blocked Euler tours; the
+// report labels read "dynamic/blocked", "auto/blocked"). --workers
 // rebuilds the scheduler pool before the replay (equivalent to
 // BDC_NUM_WORKERS, but scoped to this run).
 // --serve-queries=T enables the epoch-snapshot read service and spawns T
@@ -603,8 +601,7 @@ int finish_check(const oracle_checker* chk) {
 }
 
 int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
-                  std::optional<substrate> sub, unsigned serve_threads,
-                  bool check) {
+                  unsigned serve_threads, bool check) {
   oracle_checker chk;
   chk.n = n;
   chk.track_deletes = eng != engine_kind::incremental;
@@ -621,7 +618,6 @@ int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
                : eng == engine_kind::dynamic_simple
                    ? level_search_kind::simple
                    : level_search_kind::scan_all;
-    if (sub) o.substrate = *sub;
     o.concurrent_reads = serve_threads > 0;
     batch_dynamic_connectivity s(n, o);
     std::string label = std::string(which) + "/" + config_label(o);
@@ -661,7 +657,6 @@ int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
   }
   if (eng == engine_kind::auto_router) {
     options o;
-    if (sub) o.substrate = *sub;
     engine_router s(n, o);
     std::string label = "auto/" + config_label(o);
     obs::metric_registry::global().reset();
@@ -716,21 +711,16 @@ int self_demo(unsigned serve_threads) {
   const vertex_id n = 4096;
   auto graph = gen_erdos_renyi(n, 4 * n, 1);
   auto stream = make_deletion_stream(graph, n, 1024, 512, 256, 2);
-  // The dynamic structure runs once per substrate. With
-  // --serve-queries, every dynamic pass additionally serves (and
-  // differential-checks) concurrent reads — the treap pass exercises
-  // the snapshot path, the blocked pass the live seqlock probe.
-  for (substrate sub : {substrate::treap, substrate::blocked}) {
-    if (int rc = run_structure(engine_kind::dynamic, n, stream, sub,
-                               serve_threads, /*check=*/false);
-        rc != 0)
-      return rc;
-  }
+  // With --serve-queries, the dynamic pass additionally serves (and
+  // differential-checks) concurrent reads.
+  if (int rc = run_structure(engine_kind::dynamic, n, stream, serve_threads,
+                             /*check=*/false);
+      rc != 0)
+    return rc;
   for (engine_kind eng :
        {engine_kind::dynamic_simple, engine_kind::hdt,
         engine_kind::static_recompute, engine_kind::auto_router}) {
-    if (int rc = run_structure(eng, n, stream, std::nullopt, 0,
-                               /*check=*/false);
+    if (int rc = run_structure(eng, n, stream, 0, /*check=*/false);
         rc != 0)
       return rc;
   }
@@ -744,7 +734,6 @@ int usage(const char* prog) {
                "<erdos|rmat|grid> <n> <m> <batch> <seed> <out>\n"
                "  %s run [--engine=auto|dynamic|dynamic-simple|"
                "dynamic-scanall|hdt|static|incremental] "
-               "[--substrate=treap|blocked] "
                "[--workers=N] "
                "[--serve-queries=T] "
                "[--metrics=FILE] [--trace=FILE] "
@@ -785,7 +774,6 @@ int main(int argc, char** argv) {
 
   // Flags may appear anywhere; everything else is positional.
   engine_kind eng = engine_kind::dynamic;
-  std::optional<substrate> sub;
   unsigned serve_threads = 0;
   bool check = false;
   std::string stream_kind = "deletion";
@@ -799,13 +787,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       eng = *parsed;
-    } else if (a.rfind("--substrate=", 0) == 0) {
-      auto parsed = substrate_from_string(a.substr(12));
-      if (!parsed) {
-        std::fprintf(stderr, "unknown substrate '%s'\n", a.c_str() + 12);
-        return 2;
-      }
-      sub = *parsed;
     } else if (a.rfind("--workers=", 0) == 0) {
       const char* value = a.c_str() + 10;
       char* end = nullptr;
@@ -944,7 +925,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     return finish_run(
-        run_structure(eng, n, stream, sub, serve_threads, check));
+        run_structure(eng, n, stream, serve_threads, check));
   }
   return usage(argv[0]);
 }
