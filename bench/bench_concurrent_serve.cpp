@@ -1,10 +1,9 @@
 // BM_ConcurrentServe — update-batch throughput under concurrent query
-// serving (ISSUE 6). A persistent batch_dynamic_connectivity with the
+// serving. A persistent batch_dynamic_connectivity with the
 // epoch-snapshot read service enabled churns insert/delete batches while
 // R reader threads (started once, OUTSIDE the timing loop) hammer
 // snapshot_query()->connected(). The sweep runs R in {0, 2, 4}; readers
-// take the seqlock-validated live probe between batches and the
-// per-batch snapshot when a batch overlaps. R=0 isolates the serving
+// answer from the latest published snapshot. R=0 isolates the serving
 // overhead itself: the snapshot publish every batch plus epoch
 // bookkeeping.
 //

@@ -54,15 +54,10 @@ void dedupe(std::vector<edge>& es) { sort_unique(es); }
 batch_dynamic_connectivity::batch_dynamic_connectivity(vertex_id n,
                                                        options opts)
     : opts_(opts),
-      ls_(n, opts.seed),
+      ls_(n),
       top_forest_(&ls_.forest(ls_.top())) {
   if (opts_.concurrent_reads) {
     service_ = std::make_unique<service_state>();
-    // Route the top forest's node frees through the epoch limbo: readers
-    // probing connected_relaxed walk top-forest memory, so nothing they
-    // can reach may be recycled until their epoch has passed. Lower
-    // forests keep immediate frees — the read service never touches them.
-    top_forest_->bind_read_epochs(&service_->epochs);
     // Views are valid from construction on (version 0); no previous
     // snapshot exists to share chunks with, so build from the full walk.
     publish_snapshot(/*force_full=*/true);
@@ -84,36 +79,27 @@ batch_dynamic_connectivity::update_scope::update_scope(
   service_state& s = *owner_.service_;
   s.epochs.begin_write();
   owner_.delta_.clear();  // filled by this batch for its publish
-  // Seqlock entry: phase -> odd. acq_rel orders it before every mutation
-  // store of the batch, so a reader that observed any of them must also
-  // observe the odd phase on revalidation and discard its live probe.
-  s.phase.fetch_add(1, std::memory_order_acq_rel);
 }
 
 batch_dynamic_connectivity::update_scope::~update_scope() {
   if (owner_.service_ != nullptr) {
     service_state& s = *owner_.service_;
-    // Publish the post-batch snapshot BEFORE re-opening the live fast
-    // path: readers arriving in this window fall back to the (already
-    // fresh) snapshot.
     owner_.publish_snapshot(/*force_full=*/false);
-    s.phase.fetch_add(1, std::memory_order_release);  // -> even
     {
       BDC_PHASE_SPAN(sp, "epoch.drain");
-      // Epoch turnover: everything retired during this batch is stamped
+      // Epoch turnover: the snapshot this batch superseded is stamped
       // with the pre-advance epoch, so after the advance a NEW reader can
-      // never reach it, and the drains below free whatever no OLD reader
+      // never reach it, and the drain below frees whatever no OLD reader
       // pins. Draining after the advance is also what makes the
       // overflow-pin path sound (see epoch_manager::pin).
       s.epochs.advance();
-      s.epochs.end_write();  // drain_limbo asserts mutation quiescence
+      s.epochs.end_write();
       s.epochs.drain();
-      owner_.top_forest_->drain_limbo();
     }
 #if BDC_TELEMETRY_ENABLED
-    // Retention gauges: sampled once per batch, after the drains, so they
-    // report what actually survives the batch (limbo that readers pin and
-    // blocks the pool keeps).
+    // Retention gauges: sampled once per batch, after the drain, so they
+    // report what actually survives the batch (snapshots that readers pin
+    // and blocks the pool keeps).
     static obs::gauge& limbo_g =
         obs::metric_registry::global().get_gauge("epoch.limbo");
     static obs::gauge& blocks_g =
@@ -143,13 +129,12 @@ batch_dynamic_connectivity::update_scope::~update_scope() {
 void batch_dynamic_connectivity::publish_snapshot(bool force_full) {
   BDC_PHASE_SPAN(span_publish, "publish.snapshot");
   timer t;
-  // Batch k runs with phase 2k-1 (odd); construction publishes at phase 0.
-  const uint64_t version =
-      (service_->phase.load(std::memory_order_relaxed) + 1) / 2;
   // `published` is only exchanged on this (writer) thread, so a relaxed
   // load sees the latest snapshot; readers never mutate it.
   const snapshot* prev =
       service_->published.load(std::memory_order_relaxed);
+  // Construction publishes version 0; batch k publishes version k.
+  const uint64_t version = prev == nullptr ? 0 : prev->version + 1;
   snapshot* snap = nullptr;
   if (!force_full && prev != nullptr)
     snap = build_incremental_snapshot(version, *prev);
@@ -375,26 +360,14 @@ uint64_t batch_dynamic_connectivity::committed_version() const {
 
 bool batch_dynamic_connectivity::snapshot_view::connected(
     vertex_id u, vertex_id v, uint64_t* state) const {
-  if (u >= snap_->n || v >= snap_->n) {
-    if (state != nullptr) *state = snap_->version;
-    return false;
-  }
-  const service_state& s = *owner_->service_;
-  // Live fast path: when no batch is in flight, probe the top forest
-  // directly and seqlock-validate. A probe overlapped by a batch is
-  // discarded — the release stores inside the batch pair with the
-  // probe's acquire loads, forcing the revalidation to observe the odd
-  // (or later) phase.
-  uint64_t v1 = s.phase.load(std::memory_order_acquire);
-  if ((v1 & 1) == 0) {
-    bool live = owner_->top_forest_->connected_relaxed(u, v);
-    if (s.phase.load(std::memory_order_acquire) == v1) {
-      if (state != nullptr) *state = v1 >> 1;
-      return live;
-    }
-  }
-  if (state != nullptr) *state = snap_->version;
-  return snap_->label_of(u) == snap_->label_of(v);
+  // The view's pin predates this load, so the loaded snapshot can only
+  // retire at the pin's epoch or later and stays alive until the view is
+  // released (see epoch_manager's pin protocol).
+  const snapshot& latest =
+      *owner_->service_->published.load(std::memory_order_acquire);
+  if (state != nullptr) *state = latest.version;
+  if (u >= latest.n || v >= latest.n) return false;
+  return latest.label_of(u) == latest.label_of(v);
 }
 
 // ---------------------------------------------------------------------
@@ -470,7 +443,7 @@ void batch_dynamic_connectivity::batch_insert(std::span<const edge> edges) {
   // span also covers the scope destructor's publish + epoch drain.
   BDC_PHASE_SPAN(span_batch, "batch.insert");
   // Covers the whole batch including early returns, so every call commits
-  // exactly one serving state (version parity stays in lockstep with the
+  // exactly one serving state (the version stays in lockstep with the
   // caller's batch count).
   update_scope scope(*this);
   std::vector<edge> clean;

@@ -19,6 +19,7 @@
 
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -49,12 +50,11 @@ struct options {
   /// available and may run from any thread CONCURRENTLY with
   /// batch_insert/batch_delete. Each update batch publishes an immutable
   /// connectivity snapshot, rewriting only the vertices whose label
-  /// changes (a full O(n) walk when those exceed n/4), plus epoch
-  /// bookkeeping on the top forest's node frees. The phased API
+  /// changes (a full O(n) walk when those exceed n/4), and retires the
+  /// one it supersedes through the epoch manager. The phased API
   /// (connected / batch_connected / ...) keeps its exclusive-phase
   /// contract either way.
   bool concurrent_reads = false;
-  uint64_t seed = 0xbdc5eed;
 };
 
 /// Canonical human-readable label of an options configuration for A/B
@@ -148,33 +148,34 @@ class batch_dynamic_connectivity {
   }
   /// Releases retained pool memory of emptied forests (MUTATION
   /// quiescence required — asserted against the read service's writer
-  /// flag; pinned readers are fine), keeping up to `keep_bytes` of
-  /// spares per forest; returns the total bytes released.
+  /// flag when serving; pinned readers are fine, they never touch forest
+  /// memory), keeping up to `keep_bytes` of spares per forest; returns
+  /// the total bytes released.
   size_t trim_pools(size_t keep_bytes = 0) {
+    assert((service_ == nullptr || !service_->epochs.writers_active()) &&
+           "trim_pools requires mutation quiescence");
     return ls_.trim_pools(keep_bytes);
   }
 
   // ------------------------------------------------------------------
   // Epoch-snapshot read service (options::concurrent_reads).
   //
-  // snapshot_query() pins an epoch and returns a view that may be used
-  // from any thread WHILE update batches run. Two consistency levels:
-  //   * connected(u, v[, &state]) — freshest committed answer. Fast
-  //     path: if no batch is mid-flight (seqlock version even), a live
-  //     two-load probe of the top forest answers in O(1) without
-  //     touching the O(n) label array; the version is revalidated
-  //     after the probe and a
-  //     batch-overlapped answer is discarded in favor of the snapshot.
-  //     `state` receives the committed batch count the answer reflects.
+  // Every update batch ends by publishing an immutable snapshot of the
+  // component labels and sizes at that batch boundary. snapshot_query()
+  // pins an epoch and returns a view that may be used from any thread
+  // WHILE update batches run. Two consistency levels:
+  //   * connected(u, v[, &state]) — freshest committed answer, from the
+  //     latest published snapshot; `state` receives its version (the
+  //     committed batch count the answer reflects).
   //   * connected_pinned / components / component_size — frozen at the
   //     snapshot the view pinned; stable across later batches.
   // Every answer corresponds to SOME committed batch boundary — never a
-  // torn mid-batch state (a bdc batch makes several forest calls;
-  // intermediate forests match neither boundary, hence the bdc-level
-  // seqlock rather than forest-level versioning).
+  // torn mid-batch state: readers touch only published snapshots, never
+  // the forests a batch is mutating.
   //
-  // Views pin an epoch, which defers node reclamation: keep them
-  // short-lived, and never let one outlive the structure.
+  // Views pin an epoch, which keeps every snapshot superseded since the
+  // pin alive: keep them short-lived, and never let one outlive the
+  // structure.
   // ------------------------------------------------------------------
 
   class snapshot_view;
@@ -229,15 +230,13 @@ class batch_dynamic_connectivity {
 
   struct service_state {
     epoch_manager epochs;
-    /// Seqlock over whole update batches: odd while one is in flight.
-    std::atomic<uint64_t> phase{0};
     std::atomic<const snapshot*> published{nullptr};
     ~service_state() { delete published.load(std::memory_order_acquire); }
   };
 
-  /// RAII batch bracket: phase -> odd on entry; on exit publishes the
-  /// post-batch snapshot, phase -> even, advances the epoch, and drains
-  /// what no reader can observe anymore.
+  /// RAII batch bracket: on exit publishes the post-batch snapshot,
+  /// advances the epoch, and frees the superseded snapshots no reader can
+  /// observe anymore.
   class update_scope {
    public:
     explicit update_scope(batch_dynamic_connectivity& owner);
@@ -339,10 +338,11 @@ class batch_dynamic_connectivity::snapshot_view {
   snapshot_view(const snapshot_view&) = delete;
   snapshot_view& operator=(const snapshot_view&) = delete;
 
-  /// Freshest committed connectivity answer (live probe when possible,
-  /// pinned snapshot otherwise). `state`, if non-null, receives the
-  /// committed batch count the answer reflects. Out-of-range ids answer
-  /// false.
+  /// Freshest committed connectivity answer, from the latest published
+  /// snapshot (loaded under this view's pin, so it is never older than
+  /// the pinned one). `state`, if non-null, receives that snapshot's
+  /// version: the committed batch count the answer reflects.
+  /// Out-of-range ids answer false.
   [[nodiscard]] bool connected(vertex_id u, vertex_id v,
                                uint64_t* state = nullptr) const;
   /// Connectivity at exactly the pinned snapshot (frozen semantics).

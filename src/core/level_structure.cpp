@@ -11,8 +11,7 @@
 
 namespace bdc {
 
-level_structure::level_structure(vertex_id n, uint64_t seed)
-    : n_(n), seed_(seed), dict_(256) {
+level_structure::level_structure(vertex_id n) : n_(n), dict_(256) {
   if (static_cast<uint64_t>(n) > uint64_t{kMaxTourVertex} + 1) {
     std::fprintf(stderr,
                  "bdc: level_structure: n = %llu exceeds the %llu vertices "
@@ -30,10 +29,7 @@ level_structure::level_structure(vertex_id n, uint64_t seed)
 
 blocked_ett& level_structure::forest(int level) {
   auto& slot = levels_[static_cast<size_t>(level)].forest;
-  if (!slot) {
-    slot = std::make_unique<blocked_ett>(
-        n_, hash_combine(seed_, 0x10000u + static_cast<uint64_t>(level)));
-  }
+  if (!slot) slot = std::make_unique<blocked_ett>(n_);
   return *slot;
 }
 

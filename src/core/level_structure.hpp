@@ -29,7 +29,7 @@ class level_structure {
   /// Fail-stop on n > kMaxTourVertex + 1 (ett/tour_entry.hpp), in every
   /// build type: the packed arc tags hold 31-bit vertex ids, and a larger
   /// id would alias another edge's tag. Prints a diagnostic and aborts.
-  level_structure(vertex_id n, uint64_t seed);
+  explicit level_structure(vertex_id n);
 
   [[nodiscard]] vertex_id num_vertices() const { return n_; }
   [[nodiscard]] int num_levels() const {
@@ -62,8 +62,8 @@ class level_structure {
   size_t trim_pools(size_t keep_bytes = 0);
 
   /// F_i; materializes it if needed. A forest's address is stable for
-  /// the structure's lifetime (epoch binding and relaxed readers hold
-  /// on to the top one).
+  /// the structure's lifetime (batch_dynamic_connectivity caches the top
+  /// one).
   blocked_ett& forest(int level);
   /// F_i if materialized, else nullptr (read paths).
   [[nodiscard]] const blocked_ett* forest_if(int level) const {
@@ -146,7 +146,6 @@ class level_structure {
                        std::span<const uint8_t> is_tree, adj_op op);
 
   vertex_id n_;
-  uint64_t seed_;
   std::vector<level_state> levels_;
   edge_dict dict_;
 };

@@ -55,7 +55,7 @@ struct blocked_ett::seam_blocks {
   }
 };
 
-blocked_ett::blocked_ett(vertex_id n, uint64_t /*seed*/)
+blocked_ett::blocked_ett(vertex_id n)
     : n_(n), arcs_(64), dir_(n, pool_) {}
 
 blocked_ett::block* blocked_ett::new_block(tour* owner, uint32_t cap) {
@@ -65,16 +65,11 @@ blocked_ett::block* blocked_ett::new_block(tour* owner, uint32_t cap) {
   static_assert(offsetof(block, tags) == kBlockHeaderBytes);
   static_assert(block_bytes(kClassCaps[0]) % node_pool::kGranularity == 0);
   assert(cap == class_cap(cap));
-  // The placement-new (and this plain-ish store) are safe even on
-  // recycled memory: with epochs bound, memory only leaves the limbo —
-  // and so becomes allocatable again — once no pinned reader can reach
-  // its previous incarnation. The block becomes reader-visible only via
-  // a later release store into a slot's vloc, which publishes this init.
   // The constructor writes only the header, so a short allocation holds
   // the object up to its `cap` tags.
   block* b = new (pool_.allocate(block_bytes(cap))) block;
   b->cap = static_cast<uint16_t>(cap);
-  b->owner.store(owner, std::memory_order_relaxed);
+  b->owner = owner;
   return b;
 }
 
@@ -85,25 +80,19 @@ blocked_ett::tour* blocked_ett::new_tour() {
 
 void blocked_ett::free_block(block* b) {
   static_assert(std::is_trivially_destructible_v<block>);
-  pool_.reclaim(static_cast<void*>(b), block_bytes(b->cap));
+  pool_.deallocate(static_cast<void*>(b), block_bytes(b->cap));
 }
 
 void blocked_ett::free_tour(tour* t) {
   static_assert(std::is_trivially_destructible_v<tour>);
-  // Tours go through the limbo too: a reader compares descriptor
-  // ADDRESSES, so recycling one while a reader is pinned would invite
-  // rep-equality ABA across a cut+link pair.
-  pool_.reclaim(static_cast<void*>(t), sizeof(tour));
+  pool_.deallocate(static_cast<void*>(t), sizeof(tour));
 }
 
 blocked_ett::vslot& blocked_ett::ensure_slot(vertex_id v) {
-  // The init runs before the slot is published, so a concurrent relaxed
-  // reader either misses the vertex entirely (singleton rep) or sees a
-  // fully initialized slot.
   return dir_.activate(v, [](vslot& s) {
     s.tree_edges = 0;
     s.nontree_edges = 0;
-    s.vloc.store(nullptr, std::memory_order_relaxed);
+    s.vloc = nullptr;
   });
 }
 
@@ -115,19 +104,19 @@ ett_counts blocked_ett::own_of(vertex_id v) const {
 
 void blocked_ett::maybe_release_slot(vertex_id v, vslot& s) {
   if (s.tree_edges == 0 && s.nontree_edges == 0 &&
-      s.vloc.load(std::memory_order_relaxed) == nullptr)
+      s.vloc == nullptr)
     dir_.deactivate(v);
 }
 
 blocked_ett::tour* blocked_ett::tour_of(vertex_id v) const {
   vslot* s = slot(v);
-  block* b = s == nullptr ? nullptr : s->vloc.load(std::memory_order_relaxed);
-  return b == nullptr ? nullptr : b->owner.load(std::memory_order_relaxed);
+  block* b = s == nullptr ? nullptr : s->vloc;
+  return b == nullptr ? nullptr : b->owner;
 }
 
 blocked_ett::tour* blocked_ett::materialize(vertex_id v) {
   vslot& s = ensure_slot(v);
-  assert(s.vloc.load(std::memory_order_relaxed) == nullptr);
+  assert(s.vloc == nullptr);
   tour* t = new_tour();
   block* b = new_block(t, kClassCaps[0]);
   b->prev = b->next = b;
@@ -138,7 +127,7 @@ blocked_ett::tour* blocked_ett::materialize(vertex_id v) {
   t->agg = s.own();
   t->nentries = 1;
   t->nblocks = 1;
-  s.vloc.store(b, std::memory_order_release);
+  s.vloc = b;
   return t;
 }
 
@@ -164,7 +153,7 @@ void blocked_ett::reregister(block* b, uint32_t from, uint32_t to) {
     if (!is_arc_tag(tag)) {
       vslot* s = slot(static_cast<vertex_id>(tag));
       assert(s != nullptr && "tour sentinel without a directory slot");
-      s->vloc.store(b, std::memory_order_release);
+      s->vloc = b;
       continue;
     }
     edge e{arc_tag_tail(tag), arc_tag_head(tag)};
@@ -194,7 +183,7 @@ blocked_ett::block* blocked_ett::split_at(block* b, uint32_t i) {
   assert(b->cap == kBlockCap && "short blocks are never split");
   if (i == 0) return b;
   if (i == b->count) return b->next;
-  tour* t = b->owner.load(std::memory_order_relaxed);
+  tour* t = b->owner;
   block* nb = new_block(t);
   nb->count = b->count - i;
   std::memcpy(nb->tags, b->tags + i, nb->count * sizeof(uint64_t));
@@ -228,7 +217,7 @@ void blocked_ett::prepend_entry(block* b, uint64_t tag) {
 }
 
 void blocked_ett::rebalance(block* b, seam_blocks& dead) {
-  tour* t = b->owner.load(std::memory_order_relaxed);
+  tour* t = b->owner;
   while (t->nblocks > 1 && b->count < kMinFill) {
     block* nb = b->next;
     assert(nb != b);
@@ -298,7 +287,7 @@ void blocked_ett::collapse_singleton(tour* t, seam_blocks& dead) {
   vslot* s = slot(v);
   assert(s != nullptr);
   if (s == nullptr) return;  // unreachable: v's tour entry implies a slot
-  s->vloc.store(nullptr, std::memory_order_release);
+  s->vloc = nullptr;
   dead.push(b);
   free_block(b);
   free_tour(t);
@@ -394,7 +383,7 @@ void blocked_ett::link_one(vertex_id u, vertex_id v) {
   const uint64_t hg = arc_tag(h, g);
   const uint64_t gh = arc_tag(g, h);
 
-  block* bh = slot(h)->vloc.load(std::memory_order_relaxed);
+  block* bh = slot(h)->vloc;
   block* right = split_at(bh, index_in_block(bh, h) + 1);
 
   seam_blocks dead;
@@ -422,18 +411,18 @@ void blocked_ett::link_one(vertex_id u, vertex_id v) {
       ++th->nblocks;
       cands.push(holder);
     }
-    sg.vloc.store(holder, std::memory_order_release);
+    sg.vloc = holder;
     set_arc_blocks(edge{h, g}, holder, holder);
     th->agg = th->agg + sg.own();
     th->nentries += 3;
   } else {
     // Rotate the guest cycle so it starts at g's sentinel.
-    block* bg = slot(g)->vloc.load(std::memory_order_relaxed);
+    block* bg = slot(g)->vloc;
     block* gstart = split_at(bg, index_in_block(bg, g));
     block* gend = gstart->prev;
     // Relabel the guest's blocks while the cycle is still closed.
     for (block* cur = gstart;;) {
-      cur->owner.store(th, std::memory_order_release);
+      cur->owner = th;
       cur = cur->next;
       if (cur == gstart) break;
     }
@@ -522,7 +511,7 @@ void blocked_ett::cut_within_block(tour* t, uint64_t fwd_tag,
     if (m == 1) {  // a lone vertex reverts to the implicit singleton
       const vertex_id x = static_cast<vertex_id>(run[side][0]);
       vslot* sx = slot(x);
-      sx->vloc.store(nullptr, std::memory_order_release);
+      sx->vloc = nullptr;
       maybe_release_slot(x, *sx);
       if (side == keep) free_tour(t);
       continue;
@@ -557,7 +546,7 @@ void blocked_ett::cut_one(edge e) {
   assert(loc != nullptr && "cut: edge not in forest");
   const uint64_t fwd_tag = arc_tag(e.canonical().u, e.canonical().v);
   const uint64_t rev_tag = arc_tag(e.canonical().v, e.canonical().u);
-  if (tour* t = loc->fwd->owner.load(std::memory_order_relaxed);
+  if (tour* t = loc->fwd->owner;
       t->nblocks == 1) {
     cut_within_block(t, fwd_tag, rev_tag);
     return;
@@ -577,8 +566,8 @@ void blocked_ett::cut_one(edge e) {
   block* ar = split_at(br, ri);
   assert(ar->count == 1 && ar->tags[0] == rev_tag);
 
-  tour* t = af->owner.load(std::memory_order_relaxed);
-  assert(ar->owner.load(std::memory_order_relaxed) == t);
+  tour* t = af->owner;
+  assert(ar->owner == t);
   // The subtree side (between fwd and rev) and the remainder are both
   // non-empty: each contains at least one sentinel.
   block* s2h = af->next;
@@ -607,7 +596,7 @@ void blocked_ett::cut_one(edge e) {
   tour* t2 = new_tour();
   t2->head = small;
   for (block* cur = small;;) {
-    cur->owner.store(t2, std::memory_order_release);
+    cur->owner = t2;
     t2->agg = t2->agg + cur->agg;
     t2->nentries += cur->count;
     ++t2->nblocks;
@@ -656,7 +645,7 @@ void blocked_ett::add_counts_one(const count_delta& d) {
       static_cast<int64_t>(s.tree_edges) + d.tree_delta);
   s.nontree_edges = static_cast<uint32_t>(
       static_cast<int64_t>(s.nontree_edges) + d.nontree_delta);
-  if (block* b = s.vloc.load(std::memory_order_relaxed); b != nullptr) {
+  if (block* b = s.vloc; b != nullptr) {
     auto apply = [&](ett_counts& c) {
       c.tree_edges = static_cast<uint32_t>(
           static_cast<int64_t>(c.tree_edges) + d.tree_delta);
@@ -664,7 +653,7 @@ void blocked_ett::add_counts_one(const count_delta& d) {
           static_cast<int64_t>(c.nontree_edges) + d.nontree_delta);
     };
     apply(b->agg);
-    apply(b->owner.load(std::memory_order_relaxed)->agg);
+    apply(b->owner->agg);
   } else {
     maybe_release_slot(d.v, s);
   }
@@ -760,7 +749,7 @@ void blocked_ett::batch_cut(std::span<const edge> cuts) {
     const arc_loc* loc = arcs_.find(keys[i]);
     assert(loc != nullptr && "batch_cut: edge not in forest");
     keyed[i] = {static_cast<uint64_t>(reinterpret_cast<uintptr_t>(
-                    loc->fwd->owner.load(std::memory_order_relaxed))),
+                    loc->fwd->owner)),
                 static_cast<uint32_t>(i)};
   });
 
@@ -819,35 +808,14 @@ void blocked_ett::batch_add_counts(std::span<const count_delta> deltas) {
 
 ett_rep blocked_ett::find_rep(vertex_id v) const {
   vslot* s = slot(v);
-  block* b = s == nullptr ? nullptr : s->vloc.load(std::memory_order_relaxed);
+  block* b = s == nullptr ? nullptr : s->vloc;
   return b == nullptr
              ? singleton_rep(v)
-             : static_cast<ett_rep>(b->owner.load(std::memory_order_relaxed));
+             : static_cast<ett_rep>(b->owner);
 }
 
 bool blocked_ett::connected(vertex_id u, vertex_id v) const {
   return find_rep(u) == find_rep(v);
-}
-
-bool blocked_ett::connected_relaxed(vertex_id u, vertex_id v) const {
-  // Acquire pairs with the writers' release stores: if any load observes
-  // a mid-batch store, the caller's seqlock revalidation is guaranteed
-  // to observe the odd version and discard the answer; if all observe
-  // quiescent values, the acquire ordering makes the dereferenced
-  // chunk's and block's fields (set before the publishing store) fully
-  // visible. Chunks/blocks/tours reached through stale values are kept
-  // mapped by the epoch limbo for as long as the caller's guard is
-  // pinned; a vertex whose slot is absent or tourless reps as the tagged
-  // singleton value, which no directory transition ever changes.
-  auto probe = [this](vertex_id x) -> ett_rep {
-    const vslot* s = dir_.find(x);
-    const block* b =
-        s == nullptr ? nullptr : s->vloc.load(std::memory_order_acquire);
-    return b == nullptr
-               ? singleton_rep(x)
-               : static_cast<ett_rep>(b->owner.load(std::memory_order_acquire));
-  };
-  return probe(u) == probe(v);
 }
 
 std::vector<bool> blocked_ett::batch_connected(
@@ -869,9 +837,9 @@ std::vector<ett_rep> blocked_ett::batch_find_rep(
 ett_counts blocked_ett::component_counts(vertex_id v) const {
   vslot* s = slot(v);
   if (s == nullptr) return ett_counts{1, 0, 0};  // never touched: singleton
-  block* b = s->vloc.load(std::memory_order_relaxed);
+  block* b = s->vloc;
   return b == nullptr ? s->own()
-                      : b->owner.load(std::memory_order_relaxed)->agg;
+                      : b->owner->agg;
 }
 
 ett_counts blocked_ett::vertex_counts(vertex_id v) const {
@@ -884,7 +852,7 @@ std::vector<std::pair<vertex_id, uint32_t>> blocked_ett::fetch_counted(
   std::vector<std::pair<vertex_id, uint32_t>> out;
   if (want == 0) return out;
   vslot* s = slot(v);
-  block* b0 = s == nullptr ? nullptr : s->vloc.load(std::memory_order_relaxed);
+  block* b0 = s == nullptr ? nullptr : s->vloc;
   if (b0 == nullptr) {  // singleton component (inactive: zero counters)
     uint64_t own = s == nullptr ? 0 : slot_count(s->own(), nontree);
     if (own > 0)
@@ -894,7 +862,7 @@ std::vector<std::pair<vertex_id, uint32_t>> blocked_ett::fetch_counted(
   // Stream the cycle in tour order, skipping blocks whose aggregate holds
   // no slots of the requested kind.
   uint64_t left = want;
-  block* start = b0->owner.load(std::memory_order_relaxed)->head;
+  block* start = b0->owner->head;
   for (block* cur = start; left > 0;) {
     if (slot_count(cur->agg, nontree) > 0) {
       for (uint32_t i = 0; i < cur->count && left > 0; ++i) {
@@ -927,9 +895,9 @@ std::vector<std::pair<vertex_id, uint32_t>> blocked_ett::fetch_tree(
 
 std::vector<vertex_id> blocked_ett::component_vertices(vertex_id v) const {
   vslot* s = slot(v);
-  block* b0 = s == nullptr ? nullptr : s->vloc.load(std::memory_order_relaxed);
+  block* b0 = s == nullptr ? nullptr : s->vloc;
   if (b0 == nullptr) return {v};
-  tour* t = b0->owner.load(std::memory_order_relaxed);
+  tour* t = b0->owner;
   std::vector<vertex_id> out;
   out.reserve(t->agg.vertices);
   block* start = t->head;
@@ -961,13 +929,13 @@ std::string blocked_ett::check_consistency() const {
   std::unordered_set<const tour*> seen;
   size_t reachable_arcs = 0;
   for (auto [v, s] : active) {
-    block* b0 = s->vloc.load(std::memory_order_relaxed);
+    block* b0 = s->vloc;
     if (b0 == nullptr) {
       if (s->tree_edges == 0 && s->nontree_edges == 0)
         return "activation leak: tourless slot with zero edge counters";
       continue;  // singleton with non-tree edges only
     }
-    const tour* t = b0->owner.load(std::memory_order_relaxed);
+    const tour* t = b0->owner;
     if (t == nullptr) return "block without owner";
     if (!seen.insert(t).second) continue;
 
@@ -979,7 +947,7 @@ std::string blocked_ett::check_consistency() const {
     const block* start = t->head;
     if (start == nullptr) return "tour without head block";
     for (const block* cur = start;;) {
-      if (cur->owner.load(std::memory_order_relaxed) != t)
+      if (cur->owner != t)
         return "block owner mismatch";
       if (cur->next->prev != cur || cur->prev->next != cur)
         return "block chain broken";
@@ -1049,7 +1017,7 @@ std::string blocked_ett::check_consistency() const {
         uint64_t tag = cur->tags[i];
         if (is_arc_tag(tag)) continue;
         const vslot* st = slot(static_cast<vertex_id>(tag));
-        if (st == nullptr || st->vloc.load(std::memory_order_relaxed) != cur)
+        if (st == nullptr || st->vloc != cur)
           return "sentinel registered in the wrong block";
       }
       cur = cur->next;
@@ -1066,8 +1034,8 @@ std::string blocked_ett::check_consistency() const {
     uint64_t rev = arc_tag(c.v, c.u);
     if (loc.fwd == nullptr || loc.rev == nullptr)
       return "arc record with no block";
-    if (!seen.count(loc.fwd->owner.load(std::memory_order_relaxed)) ||
-        !seen.count(loc.rev->owner.load(std::memory_order_relaxed)))
+    if (!seen.count(loc.fwd->owner) ||
+        !seen.count(loc.rev->owner))
       return "arc-map block not reachable from any sentinel";
     bool found_f = false, found_r = false;
     for (uint32_t i = 0; i < loc.fwd->count; ++i)
@@ -1087,9 +1055,9 @@ blocked_ett::block_stats blocked_ett::debug_block_stats() const {
   std::unordered_set<const tour*> seen;
   std::vector<const tour*> tours;
   dir_.for_each_active([&](vertex_id, const vslot& vs) {
-    block* b0 = vs.vloc.load(std::memory_order_relaxed);
+    block* b0 = vs.vloc;
     if (b0 == nullptr) return;
-    const tour* t = b0->owner.load(std::memory_order_relaxed);
+    const tour* t = b0->owner;
     if (seen.insert(t).second) tours.push_back(t);
   });
   for (const tour* t : tours) {

@@ -54,7 +54,6 @@
 // emptied forest can return every block to the OS via trim_pool().
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -99,7 +98,7 @@ class blocked_ett final {
     return kBlockCap;
   }
 
-  explicit blocked_ett(vertex_id n, uint64_t seed = 0xb10c);
+  explicit blocked_ett(vertex_id n);
 
   blocked_ett(const blocked_ett&) = delete;
   blocked_ett& operator=(const blocked_ett&) = delete;
@@ -199,24 +198,6 @@ class blocked_ett final {
     return pool_stats().retained_bytes() + dir_.root_bytes();
   }
 
-  // Epoch-snapshot read contract (see ett_contract.hpp): the reader-visible
-  // pointer chain — directory chunk (vertex -> slot), slot vloc (vertex
-  // -> block) and block::owner (block -> tour descriptor) — is all
-  // atomics; every writer-side update is a release store and every
-  // concurrent-read load is an acquire, so connected_relaxed is a
-  // torn-free probe usable WHILE a mutation batch runs (the caller must
-  // still seqlock-validate: an answer that overlapped a batch can mix
-  // pre- and post-batch paths). With epochs bound, freed blocks, tour
-  // descriptors AND directory chunks park in the pool's limbo instead of
-  // being recycled, which is what makes the probe's dereference of a
-  // just-unlinked block or just-swept chunk safe and rules out
-  // descriptor-address ABA within a pinned epoch.
-  [[nodiscard]] bool connected_relaxed(vertex_id u, vertex_id v) const;
-  void bind_read_epochs(epoch_manager* em) {
-    pool_.bind_epochs(em);
-  }
-  size_t drain_limbo() { return pool_.drain_limbo(); }
-
   /// Packing diagnostics for the occupancy tests.
   struct block_stats {
     size_t tours = 0;    // multi-vertex components
@@ -232,16 +213,13 @@ class blocked_ett final {
   struct tour;
   /// One packed segment of a tour: up to `cap` contiguous entries plus
   /// the aggregate counters of the sentinels it holds. Blocks of one tour
-  /// form a circular doubly-linked list. `owner` is the one field the
-  /// concurrent-read probe dereferences, so it is atomic: writers relabel
-  /// it with release stores, readers load it acquire, and the exclusive
-  /// mutation phase itself reads it relaxed. A block is allocated with
+  /// form a circular doubly-linked list. A block is allocated with
   /// block_bytes(cap) bytes: tags past `cap` do not exist and are never
   /// touched.
   struct block {
     block* prev = nullptr;
     block* next = nullptr;
-    std::atomic<tour*> owner{nullptr};
+    tour* owner = nullptr;
     uint16_t count = 0;
     uint16_t cap = kBlockCap;  // one of kClassCaps
     ett_counts agg;  // sum of own() over sentinel entries in this block
@@ -258,14 +236,13 @@ class blocked_ett final {
   /// HDT edge counters and the block holding its sentinel (null while the
   /// vertex has no incident tree edge at this level). The vertex count of
   /// a slot is always 1, so it is not stored: own() supplies it, and a
-  /// slot is 16 bytes (a 32-slot directory chunk 528). vloc is atomic
-  /// (release-published) for the concurrent-read probe; writer-side code
-  /// reads it relaxed (phase-exclusive). Slot addresses are stable for
-  /// the lifetime of their chunk (vertex_directory never moves slots).
+  /// slot is 16 bytes (a 32-slot directory chunk 528). Slot addresses are
+  /// stable for the lifetime of their chunk (vertex_directory never moves
+  /// slots).
   struct vslot {
     uint32_t tree_edges = 0;
     uint32_t nontree_edges = 0;
-    std::atomic<block*> vloc{nullptr};
+    block* vloc = nullptr;
     [[nodiscard]] ett_counts own() const {
       return {1, tree_edges, nontree_edges};
     }

@@ -14,19 +14,9 @@
 // a single logical root task, and the batch preconditions (distinct
 // edges, acyclic link batches, present distinct cuts) are load-bearing
 // for that internal parallelism — the forest partitions the batch by the
-// tours it touches and mutates those tours concurrently.
-//
-// Read-side snapshot contract (epoch-based concurrent serving). After
-// bind_read_epochs(em) the forest (a) routes every free of
-// reader-reachable memory through the epoch limbo (node_pool::reclaim,
-// drained by drain_limbo()) and (b) publishes reader-visible pointer
-// updates with release stores so a pinned reader never follows a torn
-// path. It answers connected_relaxed with plain acquire loads WHILE a
-// mutation batch runs; such an answer is only meaningful after the caller
-// revalidates a version/seqlock it brackets around the read (the
-// batch_dynamic_connectivity service layer does exactly that and discards
-// answers that overlapped a batch, falling back to its published
-// immutable snapshot).
+// tours it touches and mutates those tours concurrently. Reads served
+// while a batch runs never touch a forest: they answer from the snapshot
+// batch_dynamic_connectivity publishes after each batch.
 #pragma once
 
 #include <cstdint>

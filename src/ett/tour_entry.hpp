@@ -1,4 +1,4 @@
-// The packed 64-bit tour-entry encoding shared by both substrates: a
+// The packed 64-bit tour-entry encoding of blocked_ett's tours: a
 // sentinel entry is the bare vertex id; a directed arc
 // (t, h) sets the top bit and packs the tail above the head. The layout
 // caps vertex ids at 2^31 - 1: the static_assert fires if vertex_id

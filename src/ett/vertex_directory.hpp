@@ -1,7 +1,6 @@
-// Sparse per-forest vertex directory: the activation-on-first-touch
-// replacement for the dense per-vertex arrays the substrates used to
-// allocate (own_/vloc_/sentinel_/vertex_nodes_, each O(n) PER MATERIALIZED
-// LEVEL). The HDT invariant makes levels below the top progressively tiny,
+// Sparse per-forest vertex directory: activation on first touch instead
+// of dense per-vertex arrays, which would cost O(n) PER MATERIALIZED
+// LEVEL. The HDT invariant makes levels below the top progressively tiny,
 // so a forest's per-vertex state is keyed by the vertices actually touched
 // by a level-i edge instead of by the address space:
 //
@@ -9,27 +8,25 @@
 //     kSpan vertices — the only n-proportional cost, 1-2 bits/vertex);
 //   * pool-allocated chunks of kSpan slots each, installed by CAS on first
 //     activation in their range. Chunks are NEVER moved or reallocated, so
-//     &slot stays stable for as long as its chunk lives — load-bearing for
-//     blocked_ett, whose relaxed-read probe loads through slot pointers
-//     under concurrent readers;
+//     &slot stays stable for as long as its chunk lives;
 //   * per-chunk occupancy (bitmap + live count) so a chunk whose last slot
-//     deactivates can be reclaimed. Reclamation is deferred: parallel batch
-//     phases only RECORD empty chunks (a racing activation in the same
-//     chunk must never see its storage freed under it), and the substrate
-//     sweeps the pending list from the single-threaded tail of each batch
-//     op, routing the memory through node_pool::reclaim so epoch-pinned
-//     readers of the blocked substrate keep a mapped (if stale) chunk.
+//     deactivates can be freed. Freeing is deferred: parallel batch phases
+//     only RECORD empty chunks (a racing activation in the same chunk must
+//     never see its storage freed under it), and the forest sweeps the
+//     pending list from the single-threaded tail of each batch op,
+//     returning the memory to the node pool.
 //
-// Concurrency contract (mirrors the substrates' phase contract):
+// Concurrency contract (mirrors the forest's phase contract):
 //   * activate/deactivate run only inside mutation batches, and at most
 //     one thread touches a given vertex (the batches partition work by
 //     vertex / by tour). Distinct vertices sharing a chunk may be touched
 //     from different workers concurrently — all cross-slot chunk state is
 //     atomic.
-//   * find() is safe concurrently with mutations (acquire loads down the
-//     chain); a racing reader sees either the pre- or post-state of the
-//     slot's PUBLICATION, never a partially initialized slot, because
-//     activate() runs the caller's init before setting the bitmap bit.
+//   * find() is safe concurrently with the batch's activations and
+//     deactivations of other vertices (acquire loads down the chain); it
+//     sees either the pre- or post-state of a slot's PUBLICATION, never a
+//     partially initialized slot, because activate() runs the caller's
+//     init before setting the bitmap bit.
 //   * sweep_pending() and for_each_active() require the single-threaded
 //     tail (no batch phase in flight).
 #pragma once
@@ -53,8 +50,7 @@ template <typename Slot>
 class vertex_directory {
  public:
   /// Slots per chunk, sized so a chunk fits the node pool's largest class
-  /// (chunks ride the pool — and therefore the epoch limbo — like any
-  /// other substrate node).
+  /// (chunks ride the pool like the forest's blocks and tours).
   static constexpr uint32_t kSpanLog = sizeof(Slot) <= 8 ? 6 : 5;
   static constexpr uint32_t kSpan = 1u << kSpanLog;
   static constexpr uint32_t kMask = kSpan - 1;
@@ -77,8 +73,7 @@ class vertex_directory {
   vertex_directory& operator=(const vertex_directory&) = delete;
 
   // No destructor work: chunks are pool storage (the pool releases its
-  // blocks wholesale) and Slot is trivially destructible for every
-  // substrate.
+  // blocks wholesale) and Slot is trivially destructible.
   static_assert(std::is_trivially_destructible_v<Slot>);
 
   [[nodiscard]] vertex_id capacity() const { return n_; }
@@ -117,11 +112,9 @@ class vertex_directory {
     return c->slots[idx];
   }
 
-  /// Deactivates `v`. The caller must already have reset any
-  /// reader-visible slot state (a stale reader may still dereference the
-  /// slot until the next epoch drain). If this empties the chunk, the
-  /// chunk is queued for sweep_pending() — never freed inline, because a
-  /// racing activation of a sibling slot may be touching it.
+  /// Deactivates `v`. If this empties the chunk, the chunk is queued for
+  /// sweep_pending() — never freed inline, because a racing activation of
+  /// a sibling slot may be touching it.
   void deactivate(vertex_id v) {
     assert(v < n_);
     const size_t ci = v >> kSpanLog;
@@ -140,8 +133,7 @@ class vertex_directory {
 
   /// Frees the chunks that were emptied by earlier deactivations and are
   /// STILL empty (a re-activation in between keeps the chunk). Call from
-  /// the single-threaded tail of a batch op. Memory goes through
-  /// node_pool::reclaim, i.e. the epoch limbo when the pool is bound.
+  /// the single-threaded tail of a batch op.
   void sweep_pending() {
     std::vector<uint32_t> pending;
     {
@@ -154,7 +146,7 @@ class vertex_directory {
       if (c->live.load(std::memory_order_relaxed) != 0) continue;
       roots_[ci].store(nullptr, std::memory_order_release);
       chunks_.fetch_sub(1, std::memory_order_relaxed);
-      pool_->reclaim(c, sizeof(chunk));
+      pool_->deallocate(c, sizeof(chunk));
     }
   }
 
@@ -225,8 +217,7 @@ class vertex_directory {
       chunks_.fetch_add(1, std::memory_order_relaxed);
       return fresh;
     }
-    // Lost the install race; the fresh chunk was never published, so an
-    // immediate deallocate (not reclaim) is safe.
+    // Lost the install race; the fresh chunk was never published.
     pool_->deallocate(fresh, sizeof(chunk));
     return expected;
   }

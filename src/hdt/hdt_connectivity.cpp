@@ -10,12 +10,10 @@
 #include <cassert>
 
 #include "util/bits.hpp"
-#include "util/random.hpp"
 
 namespace bdc {
 
-hdt_connectivity::hdt_connectivity(vertex_id n, uint64_t seed)
-    : n_(n), seed_(seed), records_(64) {
+hdt_connectivity::hdt_connectivity(vertex_id n) : n_(n), records_(64) {
   int levels = std::max(1, static_cast<int>(log2_ceil(std::max<uint64_t>(
                                2, static_cast<uint64_t>(n)))));
   levels_.resize(static_cast<size_t>(levels));
@@ -24,10 +22,7 @@ hdt_connectivity::hdt_connectivity(vertex_id n, uint64_t seed)
 
 blocked_ett& hdt_connectivity::forest(int level) {
   auto& slot = levels_[static_cast<size_t>(level)].forest;
-  if (!slot) {
-    slot = std::make_unique<blocked_ett>(
-        n_, hash_combine(seed_, static_cast<uint64_t>(level)));
-  }
+  if (!slot) slot = std::make_unique<blocked_ett>(n_);
   return *slot;
 }
 

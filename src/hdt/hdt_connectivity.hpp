@@ -28,7 +28,7 @@ namespace bdc {
 
 class hdt_connectivity {
  public:
-  explicit hdt_connectivity(vertex_id n, uint64_t seed = 0x4d70);
+  explicit hdt_connectivity(vertex_id n);
 
   [[nodiscard]] vertex_id num_vertices() const { return n_; }
   [[nodiscard]] size_t num_edges() const { return records_.size(); }
@@ -106,7 +106,6 @@ class hdt_connectivity {
   void replace(int level, vertex_id u, vertex_id v);
 
   vertex_id n_;
-  uint64_t seed_;
   std::vector<level_state> levels_;
   phase_concurrent_map<record> records_;
   statistics stats_;

@@ -49,8 +49,6 @@ void collect(metrics_snapshot& snap, const node_pool::stats_snapshot& st) {
   snap.add_counter("pool.recycled", st.recycled);
   snap.add_counter("pool.freed", st.freed);
   snap.add_counter("pool.trimmed_bytes", st.trimmed_bytes);
-  snap.add_counter("pool.dead_block_trims", st.dead_block_trims);
-  snap.add_gauge("pool.limbo", static_cast<int64_t>(st.limbo));
   snap.add_gauge("pool.blocks", static_cast<int64_t>(st.blocks));
   snap.add_gauge("pool.spare_blocks", static_cast<int64_t>(st.spare_blocks));
   snap.add_gauge("pool.outstanding", static_cast<int64_t>(st.outstanding()));

@@ -4,7 +4,7 @@
 // mutation phase at a time, queries in between. The epoch layer relaxes
 // that for READ traffic: reader threads pin an epoch (a `reader_guard`),
 // walk read-only published state, and unpin; writers advance the global
-// epoch at batch boundaries and push unlinked memory onto limbo lists
+// epoch at batch boundaries and retire unlinked memory onto a limbo list
 // instead of freeing it. A limbo entry retired at epoch e may be freed
 // once every pinned reader sits at an epoch strictly greater than e —
 // at that point no reader can still hold a pointer obtained before the
@@ -164,9 +164,7 @@ class epoch_manager {
 
   /// Defers `deleter(p)` until no pinned reader can still observe `p`.
   /// The entry is stamped with the current epoch; it becomes reclaimable
-  /// once min_pinned() exceeds that stamp. Thread-safe (mutex-guarded);
-  /// high-traffic retirement should go through node_pool's per-worker
-  /// limbo lists instead.
+  /// once min_pinned() exceeds that stamp. Thread-safe (mutex-guarded).
   void retire(void* p, void (*deleter)(void*)) {
     std::lock_guard<std::mutex> lock(limbo_mutex_);
     limbo_.push_back({p, deleter, global_.load(std::memory_order_seq_cst)});
@@ -200,8 +198,9 @@ class epoch_manager {
     return limbo_.size();
   }
 
-  // Writer bookkeeping: lets quiescence-requiring maintenance (node_pool
-  // trim paths) assert that no update batch is in flight.
+  // Writer bookkeeping: lets quiescence-requiring maintenance
+  // (batch_dynamic_connectivity::trim_pools) assert that no update batch
+  // is in flight.
   void begin_write() { writers_.fetch_add(1, std::memory_order_acq_rel); }
   void end_write() { writers_.fetch_sub(1, std::memory_order_acq_rel); }
   [[nodiscard]] bool writers_active() const {

@@ -7,11 +7,8 @@
 // the global heap costs a malloc/free round trip per node and scatters the
 // tour across the address space. This pool instead:
 //
-//   * carves nodes out of 64 KiB naturally-aligned blocks owned by the
-//     pool, rounded up to 16-byte size classes. Alignment means any node
-//     pointer maps to its block header (`ptr & ~(kBlockBytes-1)`), where
-//     a per-block live count lets trim_partial() release fully-dead
-//     blocks while neighbors still hold live nodes;
+//   * carves nodes out of 64 KiB blocks owned by the pool, rounded up to
+//     16-byte size classes;
 //   * keeps one freelist array and one bump cursor PER SCHEDULER WORKER,
 //     so the hot allocate/deallocate paths touch no shared state. A
 //     worker's cursor spans an 8 KiB run handed out from one shared carve
@@ -29,28 +26,15 @@
 //     carving fresh memory. Without the depot, nodes allocated on one
 //     worker and freed on another never come back, and a multi-worker
 //     pool grows without bound under steady churn;
-//   * optionally defers frees through an epoch_manager (`bind_epochs` +
-//     `reclaim`): while concurrent readers may still observe an unlinked
-//     node, it parks on the freeing worker's limbo list stamped with the
-//     retire epoch, and only `drain_limbo()` — once every pinned reader
-//     has moved past that epoch — recycles it. This is what makes
-//     recycled-memory placement-new and descriptor ABA safe under the
-//     epoch-snapshot read contract;
 //   * returns blocks to the OS on pool destruction, or earlier through
-//     trim() (full reset once outstanding() == 0) and trim_partial()
-//     (release only the blocks whose live count reached zero).
+//     trim() (full reset once outstanding() == 0).
 //
 // Thread-safety ladder:
-//   allocate / deallocate / reclaim — per-worker, phase-concurrent.
-//   stats()                        — safe anytime (atomic counters), even
-//                                    while readers are pinned; the block
-//                                    counts are taken under blocks_mutex_.
-//   trim / trim_partial / drain_limbo — require MUTATION quiescence (no
-//                                    update batch in flight; asserted via
-//                                    the bound epoch_manager's writer
-//                                    flag). Pinned READERS are fine: they
-//                                    can only reach limbo nodes, whose
-//                                    blocks the live counts keep alive.
+//   allocate / deallocate — per-worker, phase-concurrent.
+//   stats()               — safe anytime (atomic counters); the block
+//                           counts are taken under blocks_mutex_.
+//   trim                  — requires MUTATION quiescence (no allocation
+//                           or free in flight on any thread).
 //
 // A thread whose worker id exceeds the slot count frozen at construction
 // (possible when set_num_workers grows the pool afterwards) falls back to a
@@ -65,11 +49,9 @@
 #include <cstdint>
 #include <mutex>
 #include <new>
-#include <unordered_set>
 #include <vector>
 
 #include "parallel/scheduler.hpp"
-#include "util/epoch.hpp"
 
 namespace bdc {
 
@@ -78,24 +60,18 @@ class node_pool {
   static constexpr size_t kGranularity = 16;       // size-class step (bytes)
   static constexpr size_t kMaxBytes = 1024;        // largest pooled node
   static constexpr size_t kBlockBytes = 64 * 1024; // OS unit (aligned)
-  static constexpr size_t kHeaderBytes = 64;       // per-block header area
   static constexpr size_t kRunBytes = 8 * 1024;    // per-worker carve unit
   static constexpr uint32_t kSpillNodes = 32;      // nodes per depot chain
-  static_assert((kBlockBytes & (kBlockBytes - 1)) == 0,
-                "block size must be a power of two for header lookup");
   static_assert(kRunBytes >= kMaxBytes, "a run must fit the largest node");
 
   struct stats_snapshot {
     uint64_t fresh = 0;     // nodes served by carving new block space
     uint64_t recycled = 0;  // nodes served from a freelist
     uint64_t freed = 0;     // nodes returned to the pool
-    uint64_t limbo = 0;     // nodes deferred, awaiting epoch drain
     uint64_t blocks = 0;    // blocks currently owned
     uint64_t spare_blocks = 0;    // owned blocks currently uncarved
     uint64_t trimmed_bytes = 0;   // total bytes released by trim()
-    uint64_t dead_block_trims = 0;  // blocks released by trim_partial()
-    /// Nodes currently live (allocations minus frees). Limbo nodes count
-    /// as outstanding until drained.
+    /// Nodes currently live (allocations minus frees).
     [[nodiscard]] uint64_t outstanding() const {
       return fresh + recycled - freed;
     }
@@ -107,11 +83,9 @@ class node_pool {
       fresh += o.fresh;
       recycled += o.recycled;
       freed += o.freed;
-      limbo += o.limbo;
       blocks += o.blocks;
       spare_blocks += o.spare_blocks;
       trimmed_bytes += o.trimmed_bytes;
-      dead_block_trims += o.dead_block_trims;
       return *this;
     }
   };
@@ -125,16 +99,6 @@ class node_pool {
   ~node_pool() {
     for (void* b : blocks_) release_block(b);
   }
-
-  /// Routes future reclaim() calls through `em`'s epoch protocol instead
-  /// of freeing immediately. Pass nullptr to restore immediate frees
-  /// (only valid once the limbo is drained).
-  void bind_epochs(epoch_manager* em) {
-    assert(em != nullptr || limbo_nodes_.load(std::memory_order_relaxed) == 0);
-    epochs_ = em;
-  }
-  [[nodiscard]] bool deferred() const { return epochs_ != nullptr; }
-  [[nodiscard]] epoch_manager* epochs() const { return epochs_; }
 
   /// Allocates `bytes` (<= kMaxBytes) of 16-byte-aligned storage.
   void* allocate(size_t bytes) {
@@ -158,59 +122,6 @@ class node_pool {
     push_free(overflow_, cls, p);
   }
 
-  /// Epoch-aware free: with an epoch_manager bound, parks the node on the
-  /// calling worker's limbo list stamped with the current epoch (pinned
-  /// readers may still observe it); without one, frees immediately. The
-  /// caller guarantees the node is unlinked from all writer-reachable
-  /// structures before calling.
-  void reclaim(void* p, size_t bytes) {
-    if (epochs_ == nullptr) {
-      deallocate(p, bytes);
-      return;
-    }
-    limbo_entry e{p, static_cast<uint32_t>(bytes), epochs_->current()};
-    unsigned w = worker_id();
-    if (w < slots_) {
-      workers_[w].limbo.push_back(e);
-    } else {
-      std::lock_guard<std::mutex> lock(overflow_mutex_);
-      overflow_.limbo.push_back(e);
-    }
-    limbo_nodes_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Frees every limbo node no pinned reader can observe (retire epoch <
-  /// min pinned epoch). Requires mutation quiescence: the caller must not
-  /// run this concurrently with allocate/deallocate/reclaim on any
-  /// thread. Pinned readers are fine. Returns the number of nodes freed.
-  size_t drain_limbo() {
-    if (epochs_ == nullptr) return 0;
-    assert(!epochs_->writers_active() &&
-           "drain_limbo requires mutation quiescence");
-    uint64_t mn = epochs_->min_pinned();
-    size_t drained = 0;
-    auto drain_one = [&](worker_state& ws) {
-      // Entries are appended in nondecreasing epoch order, so the
-      // reclaimable ones form a prefix.
-      size_t i = 0;
-      while (i < ws.limbo.size() && ws.limbo[i].epoch < mn) {
-        const limbo_entry& e = ws.limbo[i];
-        push_free(ws, size_class(e.bytes), e.p);
-        ++i;
-      }
-      if (i > 0) ws.limbo.erase(ws.limbo.begin(), ws.limbo.begin() + i);
-      drained += i;
-    };
-    for (worker_state& ws : workers_) drain_one(ws);
-    {
-      std::lock_guard<std::mutex> lock(overflow_mutex_);
-      drain_one(overflow_);
-    }
-    if (drained > 0)
-      limbo_nodes_.fetch_sub(drained, std::memory_order_relaxed);
-    return drained;
-  }
-
   /// Aggregated counters. Consistency contract, field by field:
   ///
   ///   * POINT-IN-TIME, NOT ATOMIC. Each field is read independently
@@ -221,20 +132,17 @@ class node_pool {
   ///     transiently off by the in-flight amount. No field is ever torn
   ///     and no read races (TSan-clean) — the snapshot is approximate,
   ///     never corrupt.
-  ///   * Monotone fields (fresh, recycled, freed, trimmed_bytes,
-  ///     dead_block_trims) never decrease; a mid-batch snapshot is a
-  ///     valid lower bound for each of them individually.
+  ///   * Monotone fields (fresh, recycled, freed, trimmed_bytes) never
+  ///     decrease; a mid-batch snapshot is a valid lower bound for each of
+  ///     them individually.
   ///   * EXACT when no allocation/free/trim is concurrently in flight —
   ///     e.g. between update batches, which is when stream_runner and the
-  ///     telemetry collectors sample it. Pinned readers do not perturb it
-  ///     (readers never allocate).
+  ///     telemetry collectors sample it.
   ///
   /// Deliberately requires NO writer quiescence and must stay that way:
-  /// it is the monitoring probe for live systems. Only the operations
-  /// that MOVE memory (trim(), trim_partial(), drain_limbo() below)
-  /// assert !writers_active(), because they would free nodes a
-  /// concurrent mutator could still touch — observation never needs the
-  /// stronger precondition.
+  /// it is the monitoring probe for live systems. Only trim(), which
+  /// MOVES memory, needs quiescence, because it would free nodes a
+  /// concurrent mutator could still touch.
   [[nodiscard]] stats_snapshot stats() const {
     stats_snapshot s;
     auto add = [&](const worker_state& ws) {
@@ -244,27 +152,22 @@ class node_pool {
     };
     for (const worker_state& ws : workers_) add(ws);
     add(overflow_);
-    s.limbo = limbo_nodes_.load(std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(blocks_mutex_);
       s.blocks = blocks_.size();
       s.spare_blocks = spare_.size();
     }
     s.trimmed_bytes = trimmed_bytes_.load(std::memory_order_relaxed);
-    s.dead_block_trims = dead_block_trims_.load(std::memory_order_relaxed);
     return s;
   }
 
   /// High-watermark trimming. Requires mutation quiescence. When every
-  /// node has been returned (outstanding() == 0, which implies an empty
-  /// limbo) the carved blocks are all reclaimable: per-worker freelists
-  /// and cursors are reset, up to `keep_bytes` of blocks are retained as
-  /// spares for the next burst, and the rest go back to the OS. With
-  /// nodes still live, blocks cannot all move and the call is a no-op —
-  /// use trim_partial() for that case. Returns the bytes released.
+  /// node has been returned (outstanding() == 0) the carved blocks are
+  /// all reclaimable: per-worker freelists and cursors are reset, up to
+  /// `keep_bytes` of blocks are retained as spares for the next burst,
+  /// and the rest go back to the OS. With nodes still live, blocks cannot
+  /// all move and the call is a no-op. Returns the bytes released.
   size_t trim(size_t keep_bytes = 0) {
-    assert((epochs_ == nullptr || !epochs_->writers_active()) &&
-           "trim requires mutation quiescence");
     if (stats().outstanding() != 0) return 0;
     auto reset = [](worker_state& ws) {
       ws.freelist.fill(nullptr);
@@ -293,118 +196,13 @@ class node_pool {
         released += kBlockBytes;
       }
       spare_ = blocks_;  // every kept block is uncarved again
-      for (void* b : spare_) header_of_block(b)->live.store(
-          0, std::memory_order_relaxed);
     }
     trimmed_bytes_.fetch_add(released, std::memory_order_relaxed);
-    return released;
-  }
-
-  /// Partial trimming: releases carved blocks whose live count reached
-  /// zero (every node carved from them has been freed AND recycled back
-  /// onto a freelist — not merely parked in limbo), purging any freelist
-  /// entries that point into them. Unlike trim(), this works while other
-  /// blocks still hold live nodes. Requires mutation quiescence; pinned
-  /// readers are safe because anything they can still reach sits in
-  /// limbo, which keeps its block's live count positive. Returns the
-  /// bytes released.
-  size_t trim_partial() {
-    assert((epochs_ == nullptr || !epochs_->writers_active()) &&
-           "trim_partial requires mutation quiescence");
-    std::lock_guard<std::mutex> lock(blocks_mutex_);
-    std::unordered_set<void*> dead;
-    {
-      std::unordered_set<void*> keep(spare_.begin(), spare_.end());
-      auto protect_cursor = [&](worker_state& ws) {
-        if (ws.cursor != nullptr && ws.remaining > 0)
-          keep.insert(base_of(ws.cursor));
-        else
-          ws.cursor = nullptr;  // exhausted cursor: drop the dangling edge
-      };
-      for (worker_state& ws : workers_) protect_cursor(ws);
-      {
-        std::lock_guard<std::mutex> olock(overflow_mutex_);
-        protect_cursor(overflow_);
-      }
-      if (shared_cursor_ != nullptr && shared_remaining_ > 0)
-        keep.insert(base_of(shared_cursor_));
-      else
-        shared_cursor_ = nullptr;
-      for (void* b : blocks_) {
-        if (keep.count(b) != 0) continue;
-        if (header_of_block(b)->live.load(std::memory_order_relaxed) == 0)
-          dead.insert(b);
-      }
-    }
-    if (dead.empty()) return 0;
-    // Unlinks the nodes of dead blocks from one list; returns the count
-    // of nodes left.
-    auto purge_list = [&](void*& head) {
-      uint32_t left = 0;
-      void** link = &head;
-      while (*link != nullptr) {
-        if (dead.count(base_of(*link)) != 0) {
-          *link = *static_cast<void**>(*link);  // unlink
-        } else {
-          link = static_cast<void**>(*link);
-          ++left;
-        }
-      }
-      return left;
-    };
-    auto purge = [&](worker_state& ws) {
-      for (size_t cls = 0; cls < kNumClasses; ++cls)
-        ws.nfree[cls] = purge_list(ws.freelist[cls]);
-    };
-    for (worker_state& ws : workers_) purge(ws);
-    {
-      std::lock_guard<std::mutex> olock(overflow_mutex_);
-      purge(overflow_);
-    }
-    {
-      std::lock_guard<std::mutex> dlock(depot_mutex_);
-      for (size_t cls = 0; cls < kNumClasses; ++cls) {
-        auto& chains = depot_[cls];
-        for (chain& c : chains) c.n = purge_list(c.head);
-        std::erase_if(chains, [](const chain& c) { return c.n == 0; });
-        depot_chains_[cls].store(static_cast<uint32_t>(chains.size()),
-                                 std::memory_order_relaxed);
-      }
-    }
-    size_t released = 0;
-    auto keep_it = blocks_.begin();
-    for (void* b : blocks_) {
-      if (dead.count(b) != 0) {
-        release_block(b);
-        released += kBlockBytes;
-      } else {
-        *keep_it++ = b;
-      }
-    }
-    blocks_.erase(keep_it, blocks_.end());
-    trimmed_bytes_.fetch_add(released, std::memory_order_relaxed);
-    dead_block_trims_.fetch_add(dead.size(), std::memory_order_relaxed);
     return released;
   }
 
  private:
   static constexpr size_t kNumClasses = kMaxBytes / kGranularity;
-  static constexpr size_t kUsableBytes = kBlockBytes - kHeaderBytes;
-
-  /// Lives in the first kHeaderBytes of every block. The live count is
-  /// atomic so distinct workers can carve from / free into the same block
-  /// without synchronizing (relaxed suffices: trim_partial reads it only
-  /// under quiescence).
-  struct alignas(kHeaderBytes) block_header {
-    std::atomic<uint32_t> live{0};
-  };
-  static_assert(sizeof(block_header) <= kHeaderBytes);
-
-  struct limbo_entry {
-    void* p;
-    uint32_t bytes;
-    uint64_t epoch;
-  };
 
   struct alignas(64) worker_state {
     std::array<void*, kNumClasses> freelist{};
@@ -414,7 +212,6 @@ class node_pool {
     std::atomic<uint64_t> fresh{0};
     std::atomic<uint64_t> recycled{0};
     std::atomic<uint64_t> freed{0};
-    std::vector<limbo_entry> limbo;
   };
 
   static size_t size_class(size_t bytes) {
@@ -422,21 +219,8 @@ class node_pool {
     return (bytes + kGranularity - 1) / kGranularity - 1;
   }
 
-  static void* base_of(void* p) {
-    return reinterpret_cast<void*>(reinterpret_cast<uintptr_t>(p) &
-                                   ~(uintptr_t{kBlockBytes} - 1));
-  }
-  static block_header* header_of(void* p) {
-    return static_cast<block_header*>(base_of(p));
-  }
-  static block_header* header_of_block(void* b) {
-    return static_cast<block_header*>(b);
-  }
-
   static void* acquire_block() {
-    void* b = ::operator new(kBlockBytes, std::align_val_t{kBlockBytes});
-    new (b) block_header();
-    return b;
+    return ::operator new(kBlockBytes, std::align_val_t{kBlockBytes});
   }
   static void release_block(void* b) {
     ::operator delete(b, std::align_val_t{kBlockBytes});
@@ -456,7 +240,6 @@ class node_pool {
       ws.freelist[cls] = *static_cast<void**>(p);
       --ws.nfree[cls];
       ws.recycled.fetch_add(1, std::memory_order_relaxed);
-      header_of(p)->live.fetch_add(1, std::memory_order_relaxed);
       return p;
     }
     size_t bytes = (cls + 1) * kGranularity;
@@ -465,7 +248,6 @@ class node_pool {
     ws.cursor += bytes;
     ws.remaining -= bytes;
     ws.fresh.fetch_add(1, std::memory_order_relaxed);
-    header_of(p)->live.fetch_add(1, std::memory_order_relaxed);
     return p;
   }
 
@@ -487,8 +269,8 @@ class node_pool {
         b = static_cast<char*>(acquire_block());
         blocks_.push_back(b);
       }
-      shared_cursor_ = b + kHeaderBytes;
-      shared_remaining_ = kUsableBytes;
+      shared_cursor_ = b;
+      shared_remaining_ = kBlockBytes;
       ws.remaining = 0;
     }
     if (ws.remaining == 0) ws.cursor = shared_cursor_;
@@ -502,7 +284,6 @@ class node_pool {
     *static_cast<void**>(p) = ws.freelist[cls];
     ws.freelist[cls] = p;
     ws.freed.fetch_add(1, std::memory_order_relaxed);
-    header_of(p)->live.fetch_sub(1, std::memory_order_relaxed);
     if (++ws.nfree[cls] >= 2 * kSpillNodes) spill_chain(ws, cls);
   }
 
@@ -542,14 +323,11 @@ class node_pool {
   char* shared_cursor_ = nullptr;  // next run to hand out (blocks_mutex_)
   size_t shared_remaining_ = 0;
   std::atomic<uint64_t> trimmed_bytes_{0};
-  std::atomic<uint64_t> dead_block_trims_{0};
-  std::atomic<uint64_t> limbo_nodes_{0};
   std::mutex depot_mutex_;
   std::array<std::vector<chain>, kNumClasses> depot_;  // depot_mutex_
   // Chains parked per class: read unlocked as a hint, so an allocation
   // with an empty freelist takes the lock only when the depot has some.
   std::array<std::atomic<uint32_t>, kNumClasses> depot_chains_{};
-  epoch_manager* epochs_ = nullptr;
 };
 
 }  // namespace bdc

@@ -62,10 +62,9 @@ TEST_P(PropertySweep, OracleLockstep) {
   random_stream rs(sc.seed);
   options o;
   o.search = sc.engine;
-  o.seed = sc.seed * 3 + 1;
   o = cfg.apply(o);
   batch_dynamic_connectivity dc(n, o);
-  hdt_connectivity hdt(n, sc.seed * 5 + 2);
+  hdt_connectivity hdt(n);
   std::set<std::pair<vertex_id, vertex_id>> present;
 
   for (int round = 0; round < sc.rounds; ++round) {

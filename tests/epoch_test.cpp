@@ -1,15 +1,12 @@
 // Unit suite for the epoch-based reclamation layer (util/epoch.hpp) and
-// the node_pool limbo / partial-trim paths it unlocks
-// (util/node_pool.hpp). The cross-structure concurrent serving tests live
-// in concurrent_query_test.cpp; this file pins down the manager's small
-// state machine: pin/advance/limbo-drain interleavings, nested guards,
-// the >kMaxReaders overflow fallback, the per-block live counts that let
-// trim_partial() release fully-dead blocks, and the shared carve block
-// that every worker's runs come from.
+// the node pool (util/node_pool.hpp). The cross-structure concurrent
+// serving tests live in concurrent_query_test.cpp; this file pins down the
+// manager's small state machine (pin/advance/limbo-drain interleavings,
+// nested guards, the >kMaxReaders overflow fallback) and the pool's
+// shared carve block, cross-worker depot and trim.
 #include <atomic>
 #include <cstdint>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -87,6 +84,32 @@ TEST(Epoch, DrainFreesOnlyWhatNoReaderCanObserve) {
   EXPECT_EQ(em.drain(), 1u);
   EXPECT_EQ(freed.load(), 1);
   EXPECT_EQ(em.limbo_size(), 0u);
+}
+
+// The read service's guarantee: a reader pinned long ago that loads the
+// LATEST published object keeps it alive, however many epochs later the
+// writer supersedes and retires it.
+TEST(Epoch, ObjectLoadedAfterThePinOutlivesLaterRetires) {
+  epoch_manager em;
+  static std::atomic<int> freed{0};
+  freed.store(0);
+  auto del = [](void* p) {
+    delete static_cast<int*>(p);
+    freed.fetch_add(1);
+  };
+  auto reader = em.pin();  // epoch 1
+  em.advance();
+  em.advance();
+  int* latest = new int(42);  // published at epoch 3, loaded by the reader
+  em.retire(latest, del);     // superseded by the next batch
+  for (int batch = 0; batch < 3; ++batch) {
+    em.advance();
+    EXPECT_EQ(em.drain(), 0u);
+    EXPECT_EQ(*latest, 42);
+  }
+  reader.release();
+  EXPECT_EQ(em.drain(), 1u);
+  EXPECT_EQ(freed.load(), 1);
 }
 
 TEST(Epoch, LaterReadersDoNotBlockOlderGarbage) {
@@ -208,54 +231,21 @@ TEST(Epoch, ConcurrentPinAdvanceDrainSmoke) {
 }
 
 // ---------------------------------------------------------------------
-// node_pool: epoch-deferred reclaim and per-block live counts
+// node_pool: shared carve block, cross-worker depot, trim
 // ---------------------------------------------------------------------
 
-TEST(NodePoolEpoch, ReclaimWithoutEpochsFreesImmediately) {
+TEST(NodePool, FreedNodeIsRecycledAtOnce) {
   node_pool pool;
   void* p = pool.allocate(64);
-  pool.reclaim(p, 64);
+  pool.deallocate(p, 64);
   auto s = pool.stats();
-  EXPECT_EQ(s.limbo, 0u);
   EXPECT_EQ(s.freed, 1u);
   EXPECT_EQ(s.outstanding(), 0u);
-}
-
-TEST(NodePoolEpoch, ReclaimDefersUntilReadersPass) {
-  epoch_manager em;
-  node_pool pool;
-  pool.bind_epochs(&em);
-  EXPECT_TRUE(pool.deferred());
-
-  void* p = pool.allocate(64);
-  auto reader = em.pin();
-  pool.reclaim(p, 64);
-  auto s = pool.stats();
-  EXPECT_EQ(s.limbo, 1u);
-  EXPECT_EQ(s.freed, 0u);
-  EXPECT_EQ(s.outstanding(), 1u);  // limbo counts as outstanding
-
-  // Reader pinned at the retire epoch: nothing may drain.
-  EXPECT_EQ(pool.drain_limbo(), 0u);
-  em.advance();
-  EXPECT_EQ(pool.drain_limbo(), 0u);
-
-  reader.release();
-  EXPECT_EQ(pool.drain_limbo(), 1u);
-  s = pool.stats();
-  EXPECT_EQ(s.limbo, 0u);
-  EXPECT_EQ(s.freed, 1u);
-  EXPECT_EQ(s.outstanding(), 0u);
-
-  // The drained node went back onto a freelist: same-class allocation
-  // recycles it.
+  // Same class: the freed node comes straight back.
   void* q = pool.allocate(64);
   EXPECT_EQ(q, p);
   EXPECT_EQ(pool.stats().recycled, 1u);
   pool.deallocate(q, 64);
-  pool.drain_limbo();
-  pool.bind_epochs(nullptr);  // limbo empty: unbinding is legal again
-  EXPECT_FALSE(pool.deferred());
 }
 
 TEST(NodePool, WorkersShareOneCarveBlock) {
@@ -292,79 +282,35 @@ TEST(NodePool, NodesFreedOnAnotherWorkerAreReused) {
   EXPECT_EQ(pool.stats().outstanding(), 0u);
 }
 
-TEST(NodePoolEpoch, TrimPartialReleasesOnlyDeadBlocks) {
-  node_pool pool;
-  // ~1023 64-byte nodes fit one block; carve three blocks' worth.
-  constexpr size_t kBytes = 64;
-  const size_t per_block = (node_pool::kBlockBytes - 64) / kBytes;
-  const size_t total = 3 * per_block;
-  std::vector<void*> nodes(total);
-  for (size_t i = 0; i < total; ++i) nodes[i] = pool.allocate(kBytes);
-  auto before = pool.stats();
-  EXPECT_GE(before.blocks, 3u);
-
-  // Keep the very first node live; free everything else. The first block
-  // then has live == 1, the middle block(s) live == 0, and the cursor
-  // block is protected regardless.
-  for (size_t i = 1; i < total; ++i) pool.deallocate(nodes[i], kBytes);
-  size_t released = pool.trim_partial();
-  EXPECT_GT(released, 0u);
-  EXPECT_EQ(released % node_pool::kBlockBytes, 0u);
-  auto after = pool.stats();
-  EXPECT_GE(after.dead_block_trims, 1u);
-  EXPECT_LT(after.blocks, before.blocks);
-  EXPECT_EQ(after.outstanding(), 1u);
-
-  // Freelists were purged of pointers into released blocks: allocating
-  // again must hand out only safe memory (crash/ASan would catch a stale
-  // entry) and the live node is untouched.
-  std::vector<void*> again(per_block);
-  for (size_t i = 0; i < per_block; ++i) again[i] = pool.allocate(kBytes);
-  for (size_t i = 0; i < per_block; ++i) pool.deallocate(again[i], kBytes);
-  pool.deallocate(nodes[0], kBytes);
-  EXPECT_EQ(pool.stats().outstanding(), 0u);
-}
-
-TEST(NodePoolEpoch, LimboKeepsBlocksAliveUntilDrained) {
-  epoch_manager em;
-  node_pool pool;
-  pool.bind_epochs(&em);
-  constexpr size_t kBytes = 64;
-  const size_t per_block = (node_pool::kBlockBytes - 64) / kBytes;
-  const size_t total = 2 * per_block;
-  std::vector<void*> nodes(total);
-  for (size_t i = 0; i < total; ++i) nodes[i] = pool.allocate(kBytes);
-
-  // A pinned reader parks every free in limbo: live counts stay positive,
-  // so trim_partial must not release anything the reader could touch.
-  auto reader = em.pin();
-  for (void* p : nodes) pool.reclaim(p, kBytes);
-  EXPECT_EQ(pool.stats().limbo, total);
-  EXPECT_EQ(pool.trim_partial(), 0u);
-
-  reader.release();
-  em.advance();
-  EXPECT_EQ(pool.drain_limbo(), total);
-  // Now the non-cursor block really is dead.
-  EXPECT_GT(pool.trim_partial(), 0u);
-  EXPECT_EQ(pool.stats().limbo, 0u);
-  pool.bind_epochs(nullptr);
-}
-
-TEST(NodePoolEpoch, TrimResetsSpareHeaderLiveCounts) {
+TEST(NodePool, TrimKeepsSparesThenReusesThem) {
   node_pool pool;
   constexpr size_t kBytes = 64;
-  std::vector<void*> nodes(100);
+  const size_t per_block = node_pool::kBlockBytes / kBytes;
+  std::vector<void*> nodes(3 * per_block);
   for (auto& p : nodes) p = pool.allocate(kBytes);
+  // With nodes live, trim cannot move the blocks: a no-op.
+  EXPECT_EQ(pool.trim(), 0u);
   for (void* p : nodes) pool.deallocate(p, kBytes);
-  // Full trim keeping one block as a spare: its header live count must be
-  // reset so a later carve/free cycle balances back to zero.
-  pool.trim(node_pool::kBlockBytes);
+  const uint64_t carved = pool.stats().blocks;
+  ASSERT_GE(carved, 3u);
+
+  // Every node returned: keep one block as a spare, release the rest.
+  EXPECT_EQ(pool.trim(node_pool::kBlockBytes),
+            (carved - 1) * node_pool::kBlockBytes);
   auto s = pool.stats();
-  EXPECT_EQ(s.spare_blocks, s.blocks);
-  for (auto& p : nodes) p = pool.allocate(kBytes);
-  for (void* p : nodes) pool.deallocate(p, kBytes);
-  EXPECT_GT(pool.trim_partial() + pool.trim(), 0u);
+  EXPECT_EQ(s.blocks, 1u);
+  EXPECT_EQ(s.spare_blocks, 1u);
+  EXPECT_EQ(s.outstanding(), 0u);
+
+  // The next burst carves the spare instead of asking the OS for more.
+  std::vector<void*> again(per_block / 2);
+  for (auto& p : again) p = pool.allocate(kBytes);
+  s = pool.stats();
+  EXPECT_EQ(s.blocks, 1u);
+  EXPECT_EQ(s.spare_blocks, 0u);
+  for (void* p : again) pool.deallocate(p, kBytes);
+  EXPECT_EQ(pool.trim(), node_pool::kBlockBytes);
+  EXPECT_EQ(pool.stats().blocks, 0u);
 }
 
 }  // namespace

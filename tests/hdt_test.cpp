@@ -61,7 +61,7 @@ TEST_P(HdtRandomSweep, AgainstRecomputeOracle) {
   int trial = GetParam();
   random_stream rs(trial * 613 + 29);
   const vertex_id n = 120;
-  hdt_connectivity dc(n, 3000 + trial);
+  hdt_connectivity dc(n);
   std::set<std::pair<vertex_id, vertex_id>> present;
   for (int step = 0; step < 2500; ++step) {
     vertex_id u = static_cast<vertex_id>(rs.next(n));

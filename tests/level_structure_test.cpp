@@ -24,18 +24,18 @@ std::vector<edge> canon(std::initializer_list<edge> es) {
 TEST(LevelStructureDeathTest, RejectsVertexCountBeyondTourTags) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const vertex_id too_many = kMaxTourVertex + 2;
-  EXPECT_DEATH(level_structure(too_many, 1),
+  EXPECT_DEATH(level_structure{too_many},
                "n = 2147483649 exceeds the 2147483648 vertices");
   EXPECT_DEATH(batch_dynamic_connectivity{too_many},
                "n = 2147483649 exceeds the 2147483648 vertices");
 }
 
 TEST(LevelStructure, Sizing) {
-  level_structure tiny(2, 1);
+  level_structure tiny(2);
   EXPECT_EQ(tiny.num_levels(), 1);
   EXPECT_EQ(tiny.capacity(0), 2u);
 
-  level_structure ls(1000, 1);
+  level_structure ls(1000);
   EXPECT_EQ(ls.num_levels(), 10);  // ceil(lg 1000)
   EXPECT_EQ(ls.capacity(ls.top()), 1024u);
   EXPECT_NE(ls.forest_if(ls.top()), nullptr);  // top always materialized
@@ -43,7 +43,7 @@ TEST(LevelStructure, Sizing) {
 }
 
 TEST(LevelStructure, AddEdgesRegistersEverything) {
-  level_structure ls(16, 2);
+  level_structure ls(16);
   int top = ls.top();
   auto es = canon({{0, 1}, {2, 3}, {1, 2}});
   std::vector<uint8_t> kinds = {1, 1, 0};
@@ -63,7 +63,7 @@ TEST(LevelStructure, AddEdgesRegistersEverything) {
 }
 
 TEST(LevelStructure, PromoteFlipsKindEverywhere) {
-  level_structure ls(16, 3);
+  level_structure ls(16);
   int top = ls.top();
   auto es = canon({{4, 5}});
   std::vector<uint8_t> kinds = {0};
@@ -76,7 +76,7 @@ TEST(LevelStructure, PromoteFlipsKindEverywhere) {
 }
 
 TEST(LevelStructure, MoveDownMaterializesAndLinks) {
-  level_structure ls(16, 4);
+  level_structure ls(16);
   int top = ls.top();
   auto es = canon({{0, 1}});
   std::vector<uint8_t> kinds = {1};
@@ -96,7 +96,7 @@ TEST(LevelStructure, MoveDownMaterializesAndLinks) {
 }
 
 TEST(LevelStructure, DetachAndReattach) {
-  level_structure ls(16, 5);
+  level_structure ls(16);
   int top = ls.top();
   auto es = canon({{2, 6}, {2, 7}});
   std::vector<uint8_t> kinds = {0, 0};
@@ -115,7 +115,7 @@ TEST(LevelStructure, DetachAndReattach) {
 }
 
 TEST(LevelStructure, RemoveEdgesAcrossLevels) {
-  level_structure ls(16, 6);
+  level_structure ls(16);
   int top = ls.top();
   auto tree_es = canon({{0, 1}});
   auto non_es = canon({{0, 2}});
@@ -137,7 +137,7 @@ TEST(LevelStructure, RemoveEdgesAcrossLevels) {
 }
 
 TEST(LevelStructure, ExpandFetchOrdersAndCounts) {
-  level_structure ls(16, 7);
+  level_structure ls(16);
   int top = ls.top();
   auto es = canon({{3, 4}, {3, 5}, {3, 6}});
   std::vector<uint8_t> kinds = {0, 0, 0};

@@ -278,17 +278,14 @@ bdc_stream make_bdc_stream(vertex_id n, uint64_t seed, size_t batch,
 /// validates invariants after every batch (used while minimizing, so the
 /// repro shrinks to the earliest corrupting batch rather than the query
 /// that noticed it); the wide sweep checks every 10th batch.
-std::string replay_bdc(vertex_id n, uint64_t seed, const bdc_stream& stream,
+std::string replay_bdc(vertex_id n, const bdc_stream& stream,
                        bool thorough) {
   // The read service runs too, so each committed batch exercises the
   // incremental snapshot publisher.
   options o;
-  o.seed = seed ^ 0x100;
   o.concurrent_reads = true;
   batch_dynamic_connectivity dc(n, o);
-  options router_opts;
-  router_opts.seed = seed ^ 0x200;
-  engine_router router(n, router_opts);
+  engine_router router(n);
   std::set<std::pair<vertex_id, vertex_id>> present;
   auto check_all = [&](size_t bi) -> std::string {
     if (dc.num_edges() != present.size())
@@ -544,17 +541,17 @@ TEST_P(BdcDifferential, EndToEndMixedStream) {
                  std::to_string(s) + " stream_seed=" + std::to_string(seed) +
                  " (widen with BDC_FUZZ_SEEDS / BDC_FUZZ_ROUNDS)");
     bdc_stream stream = make_bdc_stream(n, seed, batch, rounds);
-    std::string err = replay_bdc(n, seed, stream, /*thorough=*/false);
+    std::string err = replay_bdc(n, stream, /*thorough=*/false);
     if (err.empty()) continue;
     // Trip: shrink the batch list to a minimal repro before failing, so
     // the nightly log carries a ready-to-replay stream file instead of
     // only a seed.
     auto fails = [&](const bdc_stream& cand) {
-      return !replay_bdc(n, seed, cand, /*thorough=*/true).empty();
+      return !replay_bdc(n, cand, /*thorough=*/true).empty();
     };
     bdc_stream minimal = minimize_bdc_stream(stream, fails);
     print_bdc_repro(n, minimal);
-    std::string minimal_err = replay_bdc(n, seed, minimal, true);
+    std::string minimal_err = replay_bdc(n, minimal, true);
     FAIL() << err << "\nminimized to " << minimal.size()
            << " batches (printed above), failing with: " << minimal_err;
   }

@@ -154,7 +154,7 @@ TEST(TelemetrySpan, RecordsIntoSpanHistogram) {
 TEST(TelemetryExport, JsonlRoundTrip) {
   metrics_snapshot snap;
   snap.add_counter("core.edges_inserted", 12345);
-  snap.add_gauge("pool.limbo", -3);
+  snap.add_gauge("pool.outstanding", -3);
   metric_row h;
   h.name = "span.batch.delete.us";
   h.kind = metric_kind::histogram;
@@ -173,7 +173,7 @@ TEST(TelemetryExport, JsonlRoundTrip) {
   EXPECT_EQ(recs[0].row.name, "core.edges_inserted");
   EXPECT_EQ(recs[0].row.kind, metric_kind::counter);
   EXPECT_EQ(recs[0].row.value, 12345);
-  EXPECT_EQ(recs[1].row.name, "pool.limbo");
+  EXPECT_EQ(recs[1].row.name, "pool.outstanding");
   EXPECT_EQ(recs[1].row.kind, metric_kind::gauge);
   EXPECT_EQ(recs[1].row.value, -3);
   EXPECT_EQ(recs[2].row.name, "span.batch.delete.us");
@@ -237,7 +237,7 @@ TEST(TelemetryExport, JsonEscape) {
 TEST(TelemetryExport, TextReportContainsEveryMetric) {
   metrics_snapshot snap;
   snap.add_counter("core.edges_inserted", 10);
-  snap.add_gauge("pool.limbo", 2);
+  snap.add_gauge("pool.outstanding", 2);
   char buf[4096];
   std::FILE* mem = tmpfile();
   ASSERT_NE(mem, nullptr);
@@ -249,7 +249,7 @@ TEST(TelemetryExport, TextReportContainsEveryMetric) {
   EXPECT_NE(std::strstr(buf, "core:"), nullptr);
   EXPECT_NE(std::strstr(buf, "edges_inserted 10"), nullptr);
   EXPECT_NE(std::strstr(buf, "pool:"), nullptr);
-  EXPECT_NE(std::strstr(buf, "limbo 2"), nullptr);
+  EXPECT_NE(std::strstr(buf, "outstanding 2"), nullptr);
 }
 
 // ---------------------------------------------------------------------
