@@ -16,8 +16,8 @@
 // it ignores the deletion batches, so its (higher) throughput comes with
 // a non-zero "wrong" count and is NOT comparable.
 //
-// Router-only counters: promotion cost (one-shot bulk load, us), cache
-// hit rate over the query-flood endpoints, and phase switches.
+// Router-only counters: promotion cost (one-shot bulk load, us) and
+// insert/delete phase switches.
 #include <benchmark/benchmark.h>
 
 #include <unordered_set>
@@ -213,11 +213,6 @@ static void BM_RouterMixedTrace(benchmark::State& state) {
   if (id == kAuto) {
     state.counters["promotion_us"] =
         static_cast<double>(router_stats.promotion_micros);
-    state.counters["cache_hit_pct"] =
-        router_stats.cache_lookups == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(router_stats.cache_hits) /
-                  static_cast<double>(router_stats.cache_lookups);
     state.counters["phase_switches"] =
         static_cast<double>(router_stats.phase_switches);
   }

@@ -2,17 +2,12 @@
 // numbers, in three tiers:
 //
 //  1. Primitive cost — counter add / histogram record / span
-//     construct+destroy against the noop:: twins that a BDC_TELEMETRY=OFF
-//     build compiles every instrumentation site down to. The noop
-//     benchmarks measure the compiled-out baseline WITHOUT needing a
-//     second binary.
+//     construct+destroy, each one scope of the hot-path call.
 //  2. Contention — the same counter hammered from every worker
 //     concurrently (the sharding's whole reason to exist).
-//  3. End-to-end — a full batch insert+delete replay, identical stream,
-//     with the per-batch spans live (they always are in this build);
-//     BM_ReplayMixed/ON vs the OFF build's bench-history series is the
-//     cross-build comparison, and the primitive tiers bound it from
-//     below. The acceptance bar: span overhead <= 5% of replay time.
+//  3. End-to-end — a full batch insert+delete replay with the per-batch
+//     spans live; its bench-history series shows creeping span overhead
+//     as a trajectory, and the primitive tiers bound it from below.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -33,16 +28,6 @@ static void BM_CounterAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_CounterAdd);
 
-static void BM_CounterAddNoop(benchmark::State& state) {
-  obs::noop::counter c;
-  for (auto _ : state) {
-    c.add(1);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CounterAddNoop);
-
 static void BM_HistogramRecord(benchmark::State& state) {
   obs::histogram h;
   uint64_t v = 0;
@@ -51,17 +36,6 @@ static void BM_HistogramRecord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HistogramRecord);
-
-static void BM_HistogramRecordNoop(benchmark::State& state) {
-  obs::noop::histogram h;
-  uint64_t v = 0;
-  for (auto _ : state) {
-    h.record(v++ & 0xffff);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HistogramRecordNoop);
 
 static void BM_PhaseSpan(benchmark::State& state) {
   // The real macro path: cached histogram reference + RAII span (two
@@ -73,16 +47,6 @@ static void BM_PhaseSpan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PhaseSpan);
-
-static void BM_PhaseSpanNoop(benchmark::State& state) {
-  // What every span site costs in a BDC_TELEMETRY=OFF build.
-  for (auto _ : state) {
-    obs::noop::phase_span sp;
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PhaseSpanNoop);
 
 static void BM_CounterAddContended(benchmark::State& state) {
   // All workers increment ONE counter in a tight parallel loop: the
@@ -99,10 +63,7 @@ static void BM_CounterAddContended(benchmark::State& state) {
 }
 BENCHMARK(BM_CounterAddContended);
 
-// End-to-end replay with the instrumentation live. Compare this series
-// against a BDC_TELEMETRY=OFF build of the same benchmark (CI builds
-// both; the warnings job compiles the OFF configuration) — the delta is
-// the whole-pipeline telemetry cost the 5% acceptance bar refers to.
+// End-to-end replay with the instrumentation live.
 static void BM_ReplayMixed(benchmark::State& state) {
   const vertex_id n = 1 << 12;
   auto graph = gen_erdos_renyi(n, 4 * n, 11);

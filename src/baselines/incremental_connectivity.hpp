@@ -45,12 +45,6 @@ class incremental_connectivity {
   /// labelling contract).
   [[nodiscard]] std::vector<vertex_id> components() const;
 
-  /// Current union-find representative of v (not the min-vertex label;
-  /// stable only until the next batch_insert). Precondition: v < n.
-  [[nodiscard]] vertex_id representative(vertex_id v) const {
-    return const_cast<concurrent_union_find&>(uf_).find(v);
-  }
-
   [[nodiscard]] bool has_edge(edge e) const {
     edge c = e.canonical();
     if (c.is_self_loop() || c.v >= num_vertices()) return false;

@@ -96,7 +96,6 @@ batch_dynamic_connectivity::update_scope::~update_scope() {
       s.epochs.end_write();
       s.epochs.drain();
     }
-#if BDC_TELEMETRY_ENABLED
     // Retention gauges: sampled once per batch, after the drain, so they
     // report what actually survives the batch (snapshots that readers pin
     // and blocks the pool keeps).
@@ -106,9 +105,7 @@ batch_dynamic_connectivity::update_scope::~update_scope() {
         obs::metric_registry::global().get_gauge("pool.retained_blocks");
     limbo_g.set(static_cast<int64_t>(s.epochs.limbo_size()));
     blocks_g.set(static_cast<int64_t>(owner_.pool_stats().blocks));
-#endif
   }
-#if BDC_TELEMETRY_ENABLED
   // Hierarchy footprint gauges: sampled once per batch regardless of the
   // read service, so reports and --metrics JSONL can show memory scaling
   // with per-level activity (sparse vertex directories) instead of with
@@ -123,7 +120,6 @@ batch_dynamic_connectivity::update_scope::~update_scope() {
   mat_g.set(static_cast<int64_t>(hs.materialized));
   act_g.set(static_cast<int64_t>(hs.active_vertices));
   bytes_g.set(static_cast<int64_t>(hs.bytes));
-#endif
 }
 
 void batch_dynamic_connectivity::publish_snapshot(bool force_full) {
@@ -383,28 +379,16 @@ std::vector<bool> batch_dynamic_connectivity::batch_connected(
     std::span<const std::pair<vertex_id, vertex_id>> queries) const {
   BDC_PHASE_SPAN(span_batch, "batch.connected");
   const vertex_id n = num_vertices();
-  // n == 0 has no in-range probe to remap hostile queries onto (every id
-  // is out of range), so answer directly.
-  if (n == 0) return std::vector<bool>(queries.size(), false);
-  std::atomic<bool> any_hostile{false};
-  parallel_for(0, queries.size(), [&](size_t i) {
-    if (queries[i].first >= n || queries[i].second >= n)
-      any_hostile.store(true, std::memory_order_relaxed);
-  });
   const blocked_ett* top = ls_.forest_if(ls_.top());
-  if (!any_hostile.load(std::memory_order_relaxed))
-    return top->batch_connected(queries);
-  // Slow path: remap out-of-range queries onto a harmless probe, then
-  // overwrite their answers with the defined result (false).
-  std::vector<std::pair<vertex_id, vertex_id>> safe(queries.begin(),
-                                                    queries.end());
-  parallel_for(0, safe.size(), [&](size_t i) {
-    if (safe[i].first >= n || safe[i].second >= n) safe[i] = {0, 0};
+  // Byte array first: std::vector<bool> bit-packing is not safe for
+  // concurrent writes to neighboring indices. Out-of-range ids answer
+  // false before they reach the forest.
+  std::vector<uint8_t> bits(queries.size());
+  parallel_for(0, queries.size(), [&](size_t i) {
+    auto [u, v] = queries[i];
+    bits[i] = u < n && v < n && top->connected(u, v);
   });
-  auto out = top->batch_connected(safe);
-  for (size_t i = 0; i < queries.size(); ++i)
-    if (queries[i].first >= n || queries[i].second >= n) out[i] = false;
-  return out;
+  return std::vector<bool>(bits.begin(), bits.end());
 }
 
 size_t batch_dynamic_connectivity::component_size(vertex_id v) const {

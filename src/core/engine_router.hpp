@@ -20,14 +20,14 @@
 //   * After promotion every update goes to the HDT structure; its
 //     existing non-tree fast path already short-circuits deletion batches
 //     that never touch the spanning forest.
-//   * Query batches are answered through a per-epoch rep-pair memo: each
-//     resolved vertex caches its component representative stamped with
-//     the current epoch, and every committed update batch bumps the epoch
-//     (wholesale invalidation). Query floods hit the memo; an update
-//     immediately un-caches everything.
+//   * Query batches go straight to the active engine: union-find finds
+//     before promotion, the top-level forest's find_rep (Algorithm 1)
+//     after. Both are a few loads per endpoint, so the router keeps no
+//     query state of its own.
 //
 // Same exclusive-phase contract as the underlying engines: queries may
-// not run concurrently with updates (the memo mutates under const).
+// run concurrently with each other (they write nothing the router owns),
+// but not with updates.
 #pragma once
 
 #include <cstdint>
@@ -45,17 +45,15 @@ namespace bdc {
 struct router_statistics {
   uint64_t insert_batches = 0;
   uint64_t delete_batches = 0;
-  uint64_t query_batches = 0;
-  uint64_t phase_switches = 0;     // batch-kind transitions observed
+  uint64_t phase_switches = 0;     // insert <-> delete transitions
   uint64_t batches_on_unionfind = 0;
   uint64_t batches_on_dynamic = 0;
   uint64_t dropped_delete_batches = 0;  // pre-promotion, touched nothing
   uint64_t promotions = 0;              // 0 or 1
   uint64_t promotion_edges = 0;         // edges bulk-loaded at promotion
   uint64_t promotion_micros = 0;        // one-shot bulk-load wall time
-  uint64_t cache_lookups = 0;           // endpoint memo probes
-  uint64_t cache_hits = 0;              // probes answered by the memo
-  uint64_t cache_invalidations = 0;     // epoch bumps (update batches)
+
+  bool operator==(const router_statistics&) const = default;
 };
 
 class engine_router {
@@ -92,10 +90,9 @@ class engine_router {
   }
 
  private:
-  enum class op_kind : uint8_t { none, insert, erase, query };
+  enum class op_kind : uint8_t { none, insert, erase };
 
-  void note_phase(op_kind k) const;
-  void invalidate_cache() const;
+  void note_phase(op_kind k);
   /// Bulk-loads the accumulated edge set into a fresh HDT structure.
   void promote();
 
@@ -103,18 +100,8 @@ class engine_router {
   options opts_;
   incremental_connectivity inc_;
   std::unique_ptr<batch_dynamic_connectivity> dynamic_;
-  mutable router_statistics stats_;
-  mutable op_kind last_op_ = op_kind::none;
-
-  // Per-epoch rep memo: cache_rep_[v] is v's component representative,
-  // valid only while cache_stamp_[v] == cache_epoch_. Representatives are
-  // engine-native (union-find root pre-promotion, top-forest rep handle
-  // after) — equality within one epoch is exactly connectivity, and the
-  // epoch bump on every update batch retires stale handles before any
-  // substrate mutation could reuse them.
-  mutable std::vector<uint64_t> cache_rep_;
-  mutable std::vector<uint64_t> cache_stamp_;
-  mutable uint64_t cache_epoch_ = 1;
+  router_statistics stats_;
+  op_kind last_op_ = op_kind::none;
 };
 
 }  // namespace bdc

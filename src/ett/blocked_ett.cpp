@@ -21,15 +21,11 @@ namespace {
 /// `ett.relabeled_blocks`: block owners rewritten by link (the guest's
 /// blocks) and cut (the new tour's blocks), the O(size / B) term of a
 /// blocked splice.
-#if BDC_TELEMETRY_ENABLED
 obs::counter& relabeled_blocks() {
   static obs::counter& c =
       obs::metric_registry::global().get_counter("ett.relabeled_blocks");
   return c;
 }
-#else
-obs::noop::counter relabeled_blocks() { return {}; }
-#endif
 
 }  // namespace
 
@@ -816,15 +812,6 @@ ett_rep blocked_ett::find_rep(vertex_id v) const {
 
 bool blocked_ett::connected(vertex_id u, vertex_id v) const {
   return find_rep(u) == find_rep(v);
-}
-
-std::vector<bool> blocked_ett::batch_connected(
-    std::span<const std::pair<vertex_id, vertex_id>> queries) const {
-  std::vector<uint8_t> bits(queries.size());
-  parallel_for(0, queries.size(), [&](size_t i) {
-    bits[i] = connected(queries[i].first, queries[i].second) ? 1 : 0;
-  });
-  return std::vector<bool>(bits.begin(), bits.end());
 }
 
 std::vector<ett_rep> blocked_ett::batch_find_rep(

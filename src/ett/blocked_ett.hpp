@@ -122,8 +122,6 @@ class blocked_ett final {
     return arcs_.contains(edge_key(e.canonical()));
   }
   [[nodiscard]] bool connected(vertex_id u, vertex_id v) const;
-  [[nodiscard]] std::vector<bool> batch_connected(
-      std::span<const std::pair<vertex_id, vertex_id>> queries) const;
 
   [[nodiscard]] ett_rep find_rep(vertex_id v) const;
   [[nodiscard]] std::vector<ett_rep> batch_find_rep(

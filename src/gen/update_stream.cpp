@@ -154,8 +154,7 @@ update_stream make_phase_skewed_stream(const std::vector<edge>& graph,
     push_queries(16);
   }
 
-  // Phase 3: query flood (no updates — a per-epoch result cache should
-  // serve every batch after the first from the memo).
+  // Phase 3: query flood (no updates in between).
   for (size_t i = 0; i < flood_batches; ++i) push_queries(flood_queries);
 
   // Phase 4: deletion burst — a burst, not a teardown: up to 4 batches of

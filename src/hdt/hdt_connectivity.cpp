@@ -9,6 +9,7 @@
 
 #include <cassert>
 
+#include "parallel/scheduler.hpp"
 #include "util/bits.hpp"
 
 namespace bdc {
@@ -170,26 +171,13 @@ bool hdt_connectivity::has_edge(edge e) const {
 std::vector<bool> hdt_connectivity::batch_connected(
     std::span<const std::pair<vertex_id, vertex_id>> qs) const {
   // Out-of-range endpoints answer false (the dynamic structure's
-  // contract). Remap them to the trivially-true (0, 0) probe so the
-  // forest only ever sees valid ids, then mask the answers.
-  bool any_hostile = false;
-  for (const auto& [u, v] : qs) {
-    if (u >= n_ || v >= n_) {
-      any_hostile = true;
-      break;
-    }
-  }
-  if (!any_hostile) return forest_if(top())->batch_connected(qs);
-  if (n_ == 0) return std::vector<bool>(qs.size(), false);
-  std::vector<std::pair<vertex_id, vertex_id>> clean(qs.begin(), qs.end());
-  for (auto& [u, v] : clean) {
-    if (u >= n_ || v >= n_) u = v = 0;
-  }
-  std::vector<bool> out = forest_if(top())->batch_connected(clean);
-  for (size_t i = 0; i < qs.size(); ++i) {
-    if (qs[i].first >= n_ || qs[i].second >= n_) out[i] = false;
-  }
-  return out;
+  // contract) before they reach the forest; bytes, because concurrent
+  // writes to neighboring std::vector<bool> bits race.
+  std::vector<uint8_t> bits(qs.size());
+  parallel_for(0, qs.size(), [&](size_t i) {
+    bits[i] = connected(qs[i].first, qs[i].second);
+  });
+  return std::vector<bool>(bits.begin(), bits.end());
 }
 
 std::string hdt_connectivity::check_invariants() const {

@@ -25,7 +25,6 @@ void collect(metrics_snapshot& snap, const statistics& st) {
 void collect(metrics_snapshot& snap, const router_statistics& st) {
   snap.add_counter("router.insert_batches", st.insert_batches);
   snap.add_counter("router.delete_batches", st.delete_batches);
-  snap.add_counter("router.query_batches", st.query_batches);
   snap.add_counter("router.phase_switches", st.phase_switches);
   snap.add_counter("router.batches_on_unionfind", st.batches_on_unionfind);
   snap.add_counter("router.batches_on_dynamic", st.batches_on_dynamic);
@@ -34,14 +33,6 @@ void collect(metrics_snapshot& snap, const router_statistics& st) {
   snap.add_counter("router.promotions", st.promotions);
   snap.add_counter("router.promotion_edges", st.promotion_edges);
   snap.add_counter("router.promotion_micros", st.promotion_micros);
-  snap.add_counter("router.cache_lookups", st.cache_lookups);
-  snap.add_counter("router.cache_hits", st.cache_hits);
-  snap.add_counter("router.cache_invalidations", st.cache_invalidations);
-  snap.add_gauge("router.cache_hit_pct",
-                 st.cache_lookups > 0
-                     ? static_cast<int64_t>(100 * st.cache_hits /
-                                            st.cache_lookups)
-                     : -1);
 }
 
 void collect(metrics_snapshot& snap, const node_pool::stats_snapshot& st) {

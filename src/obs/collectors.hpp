@@ -20,8 +20,7 @@ namespace bdc::obs {
 /// publish block when any snapshot was published.
 void collect(metrics_snapshot& snap, const statistics& st);
 
-/// Engine-router counters, plus the derived cache hit-rate gauge
-/// ("router.cache_hit_pct", percent, -1 when no lookups happened).
+/// Engine-router counters.
 void collect(metrics_snapshot& snap, const router_statistics& st);
 
 /// Node-pool counters and retention gauges. The input is the value

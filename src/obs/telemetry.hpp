@@ -14,9 +14,8 @@
 //   * `phase_span` — a scoped wall-clock timer. On destruction it records
 //     the duration into a registry histogram (`span.<name>.us`) and, when
 //     tracing is enabled, appends a complete event to `trace_recorder`
-//     for chrome://tracing timelines. Declared through BDC_PHASE_SPAN so
-//     a `BDC_TELEMETRY=OFF` build compiles every span to an empty object
-//     (see obs::noop below) — no clock reads, no registry, no trace.
+//     for chrome://tracing timelines. Declared through BDC_PHASE_SPAN,
+//     which caches the histogram lookup per call site.
 //   * exporters (obs/exporters.hpp) — human text, JSON-lines, and Chrome
 //     trace-event renderings of a `metrics_snapshot`.
 //
@@ -32,11 +31,6 @@
 // stream_runner are gone. Registry-native storage is for metrics that
 // are genuinely cross-thread (span histograms, trace counters) or
 // process-global.
-//
-// Compile gate: pass -DBDC_TELEMETRY=OFF to CMake (which defines
-// BDC_TELEMETRY_ENABLED=0) to compile spans and the BDC_* instrumentation
-// macros to no-ops. The registry/exporter TYPES stay available either way
-// so tools and tests always build; only the instrumentation sites vanish.
 #pragma once
 
 #include <array>
@@ -53,13 +47,7 @@
 
 #include "parallel/scheduler.hpp"
 
-#ifndef BDC_TELEMETRY_ENABLED
-#define BDC_TELEMETRY_ENABLED 1
-#endif
-
 namespace bdc::obs {
-
-inline constexpr bool kTelemetryEnabled = BDC_TELEMETRY_ENABLED != 0;
 
 /// Shard count for every sharded metric. Power of two; worker ids above
 /// it wrap (fetch_add keeps wrapped slots correct, merely shared).
@@ -346,49 +334,18 @@ class phase_span {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// No-op twins, always compiled: the BDC_TELEMETRY=OFF aliases AND the
-/// "compiled out" baseline that bench_telemetry measures against in a
-/// normal build. Kept byte-free and trivially destructible — the
-/// telemetry_test suite static_asserts these properties so the OFF build
-/// cannot silently grow a cost.
-namespace noop {
-struct counter {
-  void add(uint64_t = 1) {}
-  [[nodiscard]] uint64_t value() const { return 0; }
-};
-struct gauge {
-  void set(int64_t) {}
-  void add(int64_t) {}
-  [[nodiscard]] int64_t value() const { return 0; }
-};
-struct histogram {
-  void record(uint64_t) {}
-  [[nodiscard]] uint64_t count() const { return 0; }
-};
-struct phase_span {
-  phase_span() {}  // user-provided: silences -Wunused-variable at sites
-};
-}  // namespace noop
-
-/// Instant trace event (no-op when tracing is off or telemetry compiled
-/// out): promotion decisions, fallback triggers, and similar one-shot
-/// pipeline events.
-inline void trace_instant([[maybe_unused]] const char* name) {
-#if BDC_TELEMETRY_ENABLED
+/// Instant trace event (no-op when tracing is off): promotion decisions,
+/// fallback triggers, and similar one-shot pipeline events.
+inline void trace_instant(const char* name) {
   trace_recorder::global().instant(name);
-#endif
 }
 
 }  // namespace bdc::obs
 
-/// Declares a scoped phase span `var` named `name` (a string literal).
-/// ON: times the enclosing scope into the global registry histogram
-/// "span.<name>.us" and the trace. OFF: an empty object, nothing else.
-#if BDC_TELEMETRY_ENABLED
+/// Declares a scoped phase span `var` named `name` (a string literal):
+/// times the enclosing scope into the global registry histogram
+/// "span.<name>.us" and the trace.
 #define BDC_PHASE_SPAN(var, name)                                         \
   static ::bdc::obs::histogram& var##_bdc_span_hist =                     \
       ::bdc::obs::metric_registry::global().span_histogram(name);         \
   ::bdc::obs::phase_span var((name), var##_bdc_span_hist)
-#else
-#define BDC_PHASE_SPAN(var, name) ::bdc::obs::noop::phase_span var
-#endif

@@ -28,15 +28,11 @@ struct scheduler_runtime::impl {
   std::mutex sleep_mutex;
   std::condition_variable sleep_cv;
   std::atomic<int> num_sleeping{0};
-#if BDC_TELEMETRY_ENABLED
   // Fork and steal counts, sharded by worker like every registry metric.
   obs::counter& forks =
       obs::metric_registry::global().get_counter("sched.forks");
   obs::counter& steals =
       obs::metric_registry::global().get_counter("sched.steals");
-#else
-  obs::noop::counter forks, steals;
-#endif
 
   explicit impl(unsigned n) : deques(n) {}
 };

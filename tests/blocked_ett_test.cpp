@@ -271,8 +271,6 @@ TEST(BlockedEtt, SingletonCollapseAndReps) {
 // splitting one vertex off either end of a long path rewrites the owner
 // of a block or two, not the ~200 blocks of the rest of the path.
 TEST(BlockedEtt, CutRelabelsSmallerSide) {
-  if (!obs::kTelemetryEnabled)
-    GTEST_SKIP() << "ett.relabeled_blocks is compiled out";
   const vertex_id n = 4096;
   blocked_ett f(n);
   f.batch_link(gen_path(n));

@@ -163,9 +163,7 @@ TEST(Granularity, LargeRangeStillForks) {
   });
   EXPECT_EQ(sum.load(), static_cast<long>(n) * (static_cast<long>(n) - 1) / 2);
   // At least kLeavesPerWorker leaves per worker: leaves - 1 forks.
-  if constexpr (obs::kTelemetryEnabled) {
-    EXPECT_GE(forks_so_far() - before, 2 * internal::kLeavesPerWorker - 1);
-  }
+  EXPECT_GE(forks_so_far() - before, 2 * internal::kLeavesPerWorker - 1);
 }
 
 class ParallelForSweep : public ::testing::TestWithParam<size_t> {};

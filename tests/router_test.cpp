@@ -11,15 +11,17 @@
 //     never-inserted edges (which must NOT promote), and promotion with
 //     self-loops / duplicates / out-of-range ids pending in the
 //     accumulated edge set.
-//   * Cache invalidation — a query batch populates the per-epoch rep
-//     memo; a subsequent update that changes connectivity must be visible
-//     to the very next query (regression for the epoch-bump contract),
-//     both before and after promotion.
+//   * Queries — an update that changes connectivity is visible to the
+//     very next query, out-of-range ids answer false, and query batches
+//     from several threads at once all match the oracle, each both
+//     before and after promotion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -138,7 +140,6 @@ TEST_P(RouterDifferential, PhaseSkewedTraceLockstep) {
   EXPECT_GT(st.phase_switches, 0u);
   EXPECT_GT(st.batches_on_unionfind, 0u);
   EXPECT_GT(st.batches_on_dynamic, 0u);
-  EXPECT_LE(st.cache_hits, st.cache_lookups);
 
   // components() labelling agrees with a from-scratch oracle walk.
   union_find oracle(p.n);
@@ -280,27 +281,25 @@ TEST(RouterPromotion, PromotionPreservesComponentStructure) {
 }
 
 // ---------------------------------------------------------------------
-// Cache invalidation.
+// Queries.
 // ---------------------------------------------------------------------
 
-TEST(RouterCache, UpdateAfterQueryInvalidatesPrePromotion) {
+TEST(RouterQuery, UpdateAfterQueryIsVisiblePrePromotion) {
   engine_router r(8);
   r.batch_insert(std::vector<edge>{{0, 1}});
-  // Populate the memo for 0, 1, 2, 3.
   query_list qs = {{0, 1}, {2, 3}};
   auto a = r.batch_connected(qs);
   EXPECT_TRUE(a[0]);
   EXPECT_FALSE(a[1]);
-  // Still pre-promotion: an insert-only update must invalidate.
+  // Still pre-promotion: the insert must show in the next query batch.
   r.batch_insert(std::vector<edge>{{1, 2}, {2, 3}});
   ASSERT_FALSE(r.promoted());
   auto b = r.batch_connected(qs);
   EXPECT_TRUE(b[0]);
-  EXPECT_TRUE(b[1]) << "stale memo served a pre-update representative";
-  EXPECT_GE(r.stats().cache_invalidations, 1u);
+  EXPECT_TRUE(b[1]) << "query answered from the pre-update state";
 }
 
-TEST(RouterCache, UpdateAfterQueryInvalidatesPostPromotion) {
+TEST(RouterQuery, UpdateAfterQueryIsVisiblePostPromotion) {
   engine_router r(8);
   r.batch_insert(std::vector<edge>{{0, 1}, {1, 2}, {4, 5}});
   r.batch_delete(std::vector<edge>{{1, 2}});  // promotes
@@ -310,14 +309,13 @@ TEST(RouterCache, UpdateAfterQueryInvalidatesPostPromotion) {
   EXPECT_FALSE(a[0]);
   EXPECT_TRUE(a[1]);
   EXPECT_FALSE(a[2]);
-  // Reconnect through the dynamic engine; the memoized reps for 0/2/4/5
-  // are all stale now.
+  // Reconnect through the dynamic engine.
   r.batch_insert(std::vector<edge>{{2, 4}, {1, 2}});
   auto b = r.batch_connected(qs);
   EXPECT_TRUE(b[0]);
   EXPECT_TRUE(b[1]);
-  EXPECT_TRUE(b[2]) << "stale memo survived a post-promotion update";
-  // And a deletion invalidates too.
+  EXPECT_TRUE(b[2]) << "query answered from the pre-update state";
+  // And a deletion shows too.
   r.batch_delete(std::vector<edge>{{2, 4}});
   auto c = r.batch_connected(qs);
   EXPECT_TRUE(c[0]);   // 0-1-2 still a path
@@ -325,22 +323,84 @@ TEST(RouterCache, UpdateAfterQueryInvalidatesPostPromotion) {
   EXPECT_FALSE(c[2]);
 }
 
-TEST(RouterCache, RepeatedFloodBatchesHitTheMemo) {
-  const vertex_id n = 512;
+TEST(RouterQuery, OutOfRangeIdsAnswerFalse) {
+  const vertex_id n = 16;
   engine_router r(n);
-  r.batch_insert(gen_erdos_renyi(n, 1024, 41));
-  auto qs = make_query_batch(n, 256, 42);
-  auto first = r.batch_connected(qs);
-  uint64_t lookups_after_first = r.stats().cache_lookups;
-  uint64_t hits_after_first = r.stats().cache_hits;
-  // Identical flood batch, no update in between: every endpoint resolved
-  // by the first batch must now be a memo hit.
-  auto second = r.batch_connected(qs);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(r.stats().cache_hits - hits_after_first,
-            r.stats().cache_lookups - lookups_after_first)
-      << "second flood batch missed the memo despite no updates";
-  EXPECT_GT(r.stats().cache_hits, 0u);
+  r.batch_insert(std::vector<edge>{{0, 1}, {1, 2}, {5, 6}});
+  // Out-of-range ids mixed with real queries in one batch: every query
+  // with an id >= n answers false (also an id paired with itself), and
+  // the in-range queries around them keep their answers.
+  const query_list qs = {{0, 2}, {n, 0},         {0, n},        {2, 1},
+                         {n, n}, {5, 6},         {kNoVertex, 5}, {3, 3},
+                         {6, n + 100},           {n - 1, n - 1}};
+  std::vector<bool> want = {true, false, false, true,  false,
+                            true, false, true,  false, true};
+  auto check = [&](const char* phase) {
+    EXPECT_EQ(r.batch_connected(qs), want) << phase;
+    for (size_t i = 0; i < qs.size(); ++i)
+      EXPECT_EQ(r.connected(qs[i].first, qs[i].second), want[i])
+          << phase << ", query " << i;
+  };
+  ASSERT_FALSE(r.promoted());
+  check("before promotion");
+  r.batch_delete(std::vector<edge>{{5, 6}});  // promotes
+  ASSERT_TRUE(r.promoted());
+  want[5] = false;
+  check("after promotion");
+}
+
+// Router queries write nothing the router owns, so several threads may
+// send query batches to one router at once. Every answer must match the
+// union-find oracle; the TSan build runs this as the data-race check.
+TEST(RouterQuery, ConcurrentQueryBatchesMatchOracle) {
+  const vertex_id n = 2048;
+  const auto graph = gen_erdos_renyi(n, 2 * static_cast<size_t>(n), 51);
+  const std::span<const edge> deleted(graph.data(), graph.size() / 4);
+  constexpr int kThreads = 2;
+  constexpr int kBatches = 100;
+  constexpr size_t kQueries = 256;
+  engine_router r(n);
+  r.batch_insert(graph);
+
+  // Set semantics: a deleted edge is gone even if the graph repeats it.
+  std::set<std::pair<vertex_id, vertex_id>> present;
+  for (edge e : graph) present.insert({e.canonical().u, e.canonical().v});
+
+  auto hammer_and_check = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    std::vector<std::vector<query_list>> sent(kThreads);
+    std::vector<std::vector<std::vector<bool>>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int b = 0; b < kBatches; ++b) {
+          sent[t].push_back(make_query_batch(
+              n, kQueries, static_cast<uint64_t>(1000 * t + b + 1)));
+          got[t].push_back(r.batch_connected(sent[t].back()));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    union_find oracle(n);
+    for (const auto& [u, v] : present) oracle.unite(u, v);
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(got[t].size(), static_cast<size_t>(kBatches));
+      for (int b = 0; b < kBatches; ++b) {
+        const query_list& qs = sent[t][b];
+        ASSERT_EQ(got[t][b].size(), qs.size());
+        for (size_t q = 0; q < qs.size(); ++q)
+          ASSERT_EQ(got[t][b][q], oracle.connected(qs[q].first, qs[q].second))
+              << "thread " << t << ", batch " << b << ", query " << q;
+      }
+    }
+  };
+
+  ASSERT_FALSE(r.promoted());
+  hammer_and_check("before promotion");
+  r.batch_delete(deleted);  // promotes
+  ASSERT_TRUE(r.promoted());
+  for (edge e : deleted) present.erase({e.canonical().u, e.canonical().v});
+  hammer_and_check("after promotion");
 }
 
 // ---------------------------------------------------------------------
@@ -359,7 +419,6 @@ TEST(RouterStats, CountersAccountForEveryBatch) {
   const auto& st = r.stats();
   EXPECT_EQ(st.insert_batches, 3u);
   EXPECT_EQ(st.delete_batches, 2u);
-  EXPECT_EQ(st.query_batches, 2u);
   // Update batches are attributed to exactly one engine.
   EXPECT_EQ(st.batches_on_unionfind + st.batches_on_dynamic,
             st.insert_batches + st.delete_batches);
@@ -367,10 +426,23 @@ TEST(RouterStats, CountersAccountForEveryBatch) {
   EXPECT_EQ(st.batches_on_dynamic, 2u);    // promoting delete + insert
   EXPECT_EQ(st.dropped_delete_batches, 1u);
   EXPECT_EQ(st.promotions, 1u);
-  EXPECT_GT(st.phase_switches, 0u);
-  // connected() routes through batch_connected: one more query batch.
-  EXPECT_TRUE(r.connected(5, 6));
-  EXPECT_EQ(r.stats().query_batches, 3u);
+  // insert -> delete -> insert: queries are not a phase.
+  EXPECT_EQ(st.phase_switches, 2u);
+}
+
+TEST(RouterStats, QueriesLeaveStatisticsUntouched) {
+  engine_router r(64);
+  r.batch_insert(std::vector<edge>{{0, 1}, {1, 2}});
+  for (int phase = 0; phase < 2; ++phase) {
+    const router_statistics before = r.stats();
+    (void)r.batch_connected(query_list{{0, 2}, {3, 4}, {70, 1}});
+    EXPECT_TRUE(r.connected(0, 2));
+    EXPECT_TRUE(before == r.stats()) << "phase " << phase;
+    r.batch_delete(std::vector<edge>{{1, 2}});  // promotes on phase 0
+    r.batch_insert(std::vector<edge>{{1, 2}});
+  }
+  // Two delete/insert rounds after the first insert: four switches.
+  EXPECT_EQ(r.stats().phase_switches, 4u);
 }
 
 }  // namespace

@@ -12,9 +12,9 @@
 //     structure runs with the read service on, and after every committed
 //     batch the incrementally published snapshot is compared against a
 //     from-scratch components() walk. The adaptive engine_router rides
-//     along as one more lockstep structure, so its union-find epoch,
-//     one-shot promotion, and per-epoch query memo face the same
-//     adversarial streams as the fixed engine.
+//     along as one more lockstep structure, so its union-find epoch and
+//     one-shot promotion face the same adversarial streams as the fixed
+//     engine.
 //
 // The grid is {workers: 1, 2, hardware} x {batch size}, and
 // every stream seed is a deterministic function of those parameters, so a
@@ -167,10 +167,9 @@ TEST_P(OracleLockstep, MixedStream) {
       union_find oracle(n);
       for (const auto& pe : st.present) oracle.unite(pe.first, pe.second);
       auto qs = st.next_queries(2 * p.batch + 16);
-      auto got = f.batch_connected(qs);
-      for (size_t q = 0; q < qs.size(); ++q) {
-        ASSERT_EQ(got[q], oracle.connected(qs[q].first, qs[q].second))
-            << "query " << qs[q].first << "," << qs[q].second;
+      for (auto [u, v] : qs) {
+        ASSERT_EQ(f.connected(u, v), oracle.connected(u, v))
+            << "query " << u << "," << v;
       }
       std::vector<uint32_t> comp_size(n, 0);
       for (vertex_id v = 0; v < n; ++v) ++comp_size[oracle.find(v)];

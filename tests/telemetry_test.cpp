@@ -1,12 +1,11 @@
 // Tests for the telemetry subsystem (src/obs/): sharded metric storage,
 // log2 histogram bucketing, concurrent increments (the TSan build runs
 // this suite too — that run IS the data-race check), exporter
-// round-trips, and the compile-gate no-op guarantees.
+// round-trips, and the collectors' metric catalogs.
 #include <atomic>
 #include <cstring>
 #include <sstream>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -147,6 +146,20 @@ TEST(TelemetrySpan, RecordsIntoSpanHistogram) {
   ASSERT_NE(snap.find("span.unit.test_phase.us"), nullptr);
 }
 
+TEST(TelemetrySpan, MacroRecordsIntoGlobalRegistry) {
+  // Every BDC_PHASE_SPAN site records into the global "span.<name>.us"
+  // histogram, one sample per scope exit.
+  const histogram& h =
+      metric_registry::global().span_histogram("unit.macro_phase");
+  const uint64_t before = h.count();
+  for (int i = 0; i < 2; ++i) {
+    BDC_PHASE_SPAN(sp, "unit.macro_phase");
+  }
+  EXPECT_EQ(h.count() - before, 2u);
+  metrics_snapshot snap = metric_registry::global().snapshot();
+  EXPECT_NE(snap.find("span.unit.macro_phase.us"), nullptr);
+}
+
 // ---------------------------------------------------------------------
 // Exporters
 // ---------------------------------------------------------------------
@@ -278,16 +291,24 @@ TEST(TelemetryCollect, PublishRowsOmittedWhenServiceOff) {
   EXPECT_EQ(snap.find("publish.snapshots"), nullptr);
 }
 
-TEST(TelemetryCollect, RouterDerivedHitRate) {
+TEST(TelemetryCollect, RouterStatisticsCatalog) {
   router_statistics st;
-  st.cache_lookups = 200;
-  st.cache_hits = 150;
+  st.insert_batches = 5;
+  st.phase_switches = 2;
+  st.promotions = 1;
+  st.promotion_edges = 40;
   metrics_snapshot snap;
   collect(snap, st);
-  EXPECT_EQ(snap.find("router.cache_hit_pct")->value, 75);
-  metrics_snapshot empty;
-  collect(empty, router_statistics{});
-  EXPECT_EQ(empty.find("router.cache_hit_pct")->value, -1);
+  // One counter per router_statistics field, nothing derived.
+  EXPECT_EQ(snap.rows.size(), 9u);
+  for (const metric_row& row : snap.rows) {
+    EXPECT_EQ(row.name.rfind("router.", 0), 0u) << row.name;
+    EXPECT_EQ(row.kind, metric_kind::counter) << row.name;
+  }
+  EXPECT_EQ(snap.find("router.insert_batches")->value, 5);
+  EXPECT_EQ(snap.find("router.phase_switches")->value, 2);
+  EXPECT_EQ(snap.find("router.promotions")->value, 1);
+  EXPECT_EQ(snap.find("router.promotion_edges")->value, 40);
 }
 
 // ---------------------------------------------------------------------
@@ -331,48 +352,6 @@ TEST(TelemetryTrace, OverflowDropsInsteadOfGrowing) {
 }
 
 // ---------------------------------------------------------------------
-// Compile-gate no-op guarantees
-// ---------------------------------------------------------------------
-
-TEST(TelemetryNoop, TypesAreFreeOfStateAndCost) {
-  // The OFF build swaps these in for the real types; they must carry no
-  // state and impose no destruction cost anywhere they are embedded.
-  static_assert(sizeof(noop::phase_span) == 1);
-  static_assert(sizeof(noop::counter) == 1);
-  static_assert(sizeof(noop::gauge) == 1);
-  static_assert(sizeof(noop::histogram) == 1);
-  static_assert(std::is_trivially_destructible_v<noop::phase_span>);
-  static_assert(std::is_trivially_destructible_v<noop::counter>);
-  static_assert(std::is_trivially_destructible_v<noop::histogram>);
-  static_assert(std::is_empty_v<noop::phase_span>);
-  static_assert(std::is_empty_v<noop::counter>);
-  static_assert(std::is_empty_v<noop::gauge>);
-  static_assert(std::is_empty_v<noop::histogram>);
-  // And they accept the full recording surface as no-ops.
-  noop::counter c;
-  c.add(5);
-  EXPECT_EQ(c.value(), 0u);
-  noop::histogram h;
-  h.record(123);
-  EXPECT_EQ(h.count(), 0u);
-  noop::phase_span sp;
-  (void)sp;
-}
-
-#if !BDC_TELEMETRY_ENABLED
-TEST(TelemetryNoop, SpanMacroCompilesOut) {
-  // In the OFF build the macro must expand to the empty object only —
-  // no registry registration, no clock reads.
-  const size_t before =
-      metric_registry::global().snapshot().rows.size();
-  {
-    BDC_PHASE_SPAN(sp, "off.build.phase");
-  }
-  EXPECT_EQ(metric_registry::global().snapshot().rows.size(), before);
-}
-#endif
-
-// ---------------------------------------------------------------------
 // End-to-end: spans land in the global registry during real batches
 // ---------------------------------------------------------------------
 
@@ -383,7 +362,6 @@ TEST(TelemetryIntegration, DeletePipelineSpansRecorded) {
   s.batch_insert(graph);
   s.batch_delete(std::span<const edge>(graph.data(), 64));
   metrics_snapshot snap = metric_registry::global().snapshot();
-#if BDC_TELEMETRY_ENABLED
   const metric_row* ins = snap.find("span.batch.insert.us");
   const metric_row* del = snap.find("span.batch.delete.us");
   ASSERT_NE(ins, nullptr);
@@ -392,9 +370,6 @@ TEST(TelemetryIntegration, DeletePipelineSpansRecorded) {
   EXPECT_GE(del->count, 1u);
   // The sanitize sub-span fires alongside every top-level batch span.
   ASSERT_NE(snap.find("span.delete.sanitize.us"), nullptr);
-#else
-  EXPECT_EQ(snap.find("span.batch.insert.us"), nullptr);
-#endif
 }
 
 }  // namespace

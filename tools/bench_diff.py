@@ -22,9 +22,9 @@ Either mode also accepts ``--counters``: the artifacts are then the
 JSON-lines metric snapshots written by ``stream_runner --metrics=FILE``
 (one ``{"label":...,"metric":...}`` object per line) instead of Google
 Benchmark JSON. Counter diffs are ALWAYS advisory (exit 0): pipeline
-counters like publishes_full or cache hits are workload truth, not
+counters like publishes_full or edges_fetched are workload truth, not
 timing noise, so a change beyond the threshold in EITHER direction is
-flagged ``CHANGED`` for a human to read — a dropped cache-hit count and
+flagged ``CHANGED`` for a human to read — a dropped fetch count and
 a doubled full-walk count both deserve eyes, but neither should gate a
 merge on its own. Keyed by ``label/metric``; histograms compare their
 ``count``. Gauges flow through unchanged, which makes the memory

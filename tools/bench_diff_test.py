@@ -120,17 +120,17 @@ def main():
         cold = os.path.join(tmp, "cold.jsonl")
         cnew = os.path.join(tmp, "cnew.jsonl")
         write_counters(cold, {"publish.full_walks": 10,
-                              "router.cache_hits": 1000,
+                              "core.edges_fetched": 1000,
                               "span.batch.delete.us": ("histogram", 20)})
         write_counters(cnew, {"publish.full_walks": 30,
-                              "router.cache_hits": 500,
+                              "core.edges_fetched": 500,
                               "span.batch.delete.us": ("histogram", 20)})
         rc, out = run(cold, cnew, "--counters", "--threshold", "10")
         check("counters.advisory_exit0", rc == 0, out)
         check("counters.flags_increase",
               "CHANGED dynamic/blocked/publish.full_walks" in out, out)
         check("counters.flags_decrease",
-              "CHANGED dynamic/blocked/router.cache_hits" in out, out)
+              "CHANGED dynamic/blocked/core.edges_fetched" in out, out)
         check("counters.stable_histogram_not_flagged",
               "span.batch.delete.us" not in out, out)
 
@@ -142,7 +142,7 @@ def main():
         # back) is a behavior change no percentage can express.
         czero = os.path.join(tmp, "czero.jsonl")
         write_counters(czero, {"publish.full_walks": 0,
-                               "router.cache_hits": 1000,
+                               "core.edges_fetched": 1000,
                                "span.batch.delete.us": ("histogram", 20)})
         rc, out = run(czero, cnew, "--counters", "--threshold", "10")
         check("counters.zero_crossing_flagged",
@@ -152,13 +152,13 @@ def main():
         # History mode composes with --counters (.jsonl files in DIR).
         chist = os.path.join(tmp, "counter-history")
         os.mkdir(chist)
-        for i, hits in enumerate([1000, 1010, 990]):
+        for i, fetched in enumerate([1000, 1010, 990]):
             write_counters(os.path.join(chist, f"metrics-{i:03d}.jsonl"),
-                           {"router.cache_hits": hits})
+                           {"core.edges_fetched": fetched})
         rc, out = run(cnew, "--counters", "--history", chist,
                       "--median-of", "3")
         check("counters.history_median",
-              rc == 0 and "CHANGED dynamic/blocked/router.cache_hits"
+              rc == 0 and "CHANGED dynamic/blocked/core.edges_fetched"
               in out, out)
 
     if failures:

@@ -22,8 +22,8 @@
 // --engine picks the structure (default dynamic). `auto` is the
 // workload-adaptive engine_router: union-find during insert-only epochs,
 // one-shot bulk-load promotion to the HDT structure at the first
-// effective deletion, per-epoch rep memo for query floods; its routing
-// statistics (phase switches, promotion cost, cache hit rate) join the
+// effective deletion, queries answered by whichever engine is active;
+// its routing statistics (phase switches, promotion cost) join the
 // report. Every engine builds from options{} (blocked Euler tours; the
 // report labels read "dynamic/blocked", "auto/blocked"). --workers
 // rebuilds the scheduler pool before the replay (equivalent to
