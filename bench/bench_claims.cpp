@@ -1,8 +1,13 @@
-// E4/E6/E7/E9 — the paper's delete-side claims. Manual timing throughout:
-// each iteration builds a fresh structure and inserts the whole graph
-// untimed, then times only what follows: the deletion batches, or for
-// BM_EpochVsStatic the delete-then-query epochs.
+// The paper's batch claims: queries, insertions, and the delete side.
 //
+//   * BM_BatchConnected (E2, Theorem 3): a batch of k connectivity
+//     queries costs O(k lg(1 + n/k)) expected work and O(lg n) depth.
+//     Per-query time should fall as k grows at fixed n.
+//   * BM_BatchInsert (E3, Theorem 4): a batch of k insertions costs
+//     O(k lg(1 + n/k)) expected work and O(lg n) depth. Per-edge
+//     insertion time should fall with k at fixed n. Each iteration
+//     inserts a fresh copy of the graph in batches of k into a freshly
+//     built structure (construction untimed).
 //   * BM_DeleteBatchSweep (E6, Theorem 9): amortized O(lg n lg(1 + n/Δ))
 //     work per deleted edge, Δ the deletion batch size. Sweeping Δ from 1
 //     to m/2 at fixed n and m, us_per_deleted_edge should fall with
@@ -18,6 +23,10 @@
 //   * BM_EpochVsStatic (E7, §1 motivation): a queried epoch costs the
 //     dynamic structure O(k polylog n), flat in m, while recompute from
 //     scratch pays O(m + n) — ms_per_epoch at batch 256 as m grows.
+//
+// The update rows use manual timing: each iteration builds a fresh
+// structure, does its set-up untimed (for the delete side, inserting the
+// whole graph), then times only the batches the claim is about.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -31,6 +40,114 @@
 #include "util/timer.hpp"
 
 using namespace bdc;
+
+// ---------------------------------------------------------------------
+// Queries (E2): one shared ER graph, built once.
+// ---------------------------------------------------------------------
+
+namespace {
+
+constexpr vertex_id kQueryN = 1 << 15;
+
+batch_dynamic_connectivity& shared_graph() {
+  static batch_dynamic_connectivity* dc = [] {
+    auto* p = new batch_dynamic_connectivity(kQueryN);
+    p->batch_insert(gen_erdos_renyi(kQueryN, 2 * kQueryN, 21));
+    return p;
+  }();
+  return *dc;
+}
+
+}  // namespace
+
+static void BM_BatchConnected(benchmark::State& state) {
+  size_t k = static_cast<size_t>(state.range(0));
+  auto& dc = shared_graph();
+  auto qs = make_query_batch(kQueryN, k, 22);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dc.batch_connected(qs));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(k) * state.iterations());
+}
+BENCHMARK(BM_BatchConnected)
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(256)
+    ->Arg(4096)
+    ->Arg(65536);
+
+static void BM_SingleConnected(benchmark::State& state) {
+  auto& dc = shared_graph();
+  bdc::random r(23);
+  uint64_t i = 0;
+  for (auto _ : state) {
+    vertex_id u = static_cast<vertex_id>(r.ith_rand(i++, kQueryN));
+    vertex_id v = static_cast<vertex_id>(r.ith_rand(i++, kQueryN));
+    benchmark::DoNotOptimize(dc.connected(u, v));
+  }
+}
+BENCHMARK(BM_SingleConnected);
+
+static void BM_Components(benchmark::State& state) {
+  auto& dc = shared_graph();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dc.components());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(kQueryN) * state.iterations());
+}
+BENCHMARK(BM_Components);
+
+// ---------------------------------------------------------------------
+// Insertions (E3).
+// ---------------------------------------------------------------------
+
+namespace {
+constexpr vertex_id kInsertN = 1 << 14;
+constexpr size_t kInsertM = 2 * static_cast<size_t>(kInsertN);
+}  // namespace
+
+static void BM_BatchInsert(benchmark::State& state) {
+  size_t k = static_cast<size_t>(state.range(0));
+  auto graph = gen_erdos_renyi(kInsertN, kInsertM, 31);
+  auto stream = make_insertion_stream(graph, k, 32);
+  for (auto _ : state) {
+    auto dc = std::make_unique<batch_dynamic_connectivity>(kInsertN);
+    timer t;
+    for (const auto& b : stream) dc->batch_insert(b.edges);
+    state.SetIterationTime(t.elapsed());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(kInsertM) * state.iterations());
+}
+BENCHMARK(BM_BatchInsert)
+    ->Arg(16)
+    ->Arg(256)
+    ->Arg(4096)
+    ->Arg(32768)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
+static void BM_InsertConnectedComponentsMix(benchmark::State& state) {
+  // Mixed insert + query epochs (a common ingest pattern).
+  auto graph = gen_rmat(kInsertN, kInsertM, 33);
+  auto stream = make_insertion_stream(graph, 2048, 34);
+  auto qs = make_query_batch(kInsertN, 1024, 35);
+  for (auto _ : state) {
+    auto dc = std::make_unique<batch_dynamic_connectivity>(kInsertN);
+    timer t;
+    for (const auto& b : stream) {
+      dc->batch_insert(b.edges);
+      benchmark::DoNotOptimize(dc->batch_connected(qs));
+    }
+    state.SetIterationTime(t.elapsed());
+  }
+}
+BENCHMARK(BM_InsertConnectedComponentsMix)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------
+// The delete side (E4, E6, E7, E9).
+// ---------------------------------------------------------------------
 
 namespace {
 
@@ -175,5 +292,3 @@ BENCHMARK(BM_EpochVsStatic)
     ->ArgsProduct({{1 << 14, 1 << 16, 1 << 18}, {0, 1}})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_MAIN();

@@ -153,5 +153,3 @@ BENCHMARK(BM_SnapshotPublish)
     ->ArgsProduct({{16, 20}, {64, 256}, {0, 1}})
     ->ArgNames({"logn", "batch", "giant"})
     ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_MAIN();

@@ -222,5 +222,3 @@ BENCHMARK(BM_RouterMixedTrace)
     ->ArgNames({"engine"})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_MAIN();

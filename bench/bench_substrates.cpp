@@ -4,14 +4,16 @@
 //     [24], parallel dictionary [23], spanning forest [22], scan/pack
 //     [34]) should show flat-ish per-element costs as input size grows.
 //
-//  2. The Euler-tour forest (blocked_ett) on batch_link / batch_cut /
-//     query-batch workloads, plus pooled vs heap node allocation.
-//     BM_SubstrateLinkCut and BM_SubstrateBatchConnected sweep k from 1
-//     up (Theorem 2: the per-edge cost should fall as k grows at fixed
-//     n), BM_SubstrateSmallComponents isolates the small-component regime
-//     the packed blocks target, BM_SubstrateGiantTour batches link/cut
-//     inside one giant tour, and BM_SubstrateStream runs the full dynamic
-//     structure. Rows compare across BDC_NUM_WORKERS=1/2/4 runs.
+//  2. The Euler-tour forest (blocked_ett) on batch_link / batch_cut
+//     workloads, plus pooled vs heap node allocation. BM_SubstrateLinkCut
+//     sweeps k from 1 up (Theorem 2: the per-edge cost should fall as k
+//     grows at fixed n), BM_SubstrateSmallComponents isolates the
+//     small-component regime the packed blocks target,
+//     BM_SubstrateGiantTour batches link/cut inside one giant tour, and
+//     BM_SubstrateStream runs the full dynamic structure. Query batches
+//     on the top-level forest are timed by BM_BatchConnected and
+//     BM_SingleConnected (bench_claims.cpp). Rows compare across
+//     BDC_NUM_WORKERS=1/2/4 runs.
 #include <benchmark/benchmark.h>
 
 #include <span>
@@ -119,18 +121,6 @@ BENCHMARK(BM_SubstrateLinkCut)
     ->ArgsProduct({{1, 16, 256, 4096, 16384}})
     ->ArgNames({"k"});
 
-static void BM_SubstrateBatchConnected(benchmark::State& state) {
-  size_t k = static_cast<size_t>(state.range(0));
-  auto qs = make_query_batch(kEttN, k, 15);
-  blocked_ett f(kEttN);
-  f.batch_link(gen_random_forest(kEttN, 16, 14));
-  for (auto _ : state) benchmark::DoNotOptimize(forest_queries(f, qs));
-  state.SetItemsProcessed(static_cast<int64_t>(k) * state.iterations());
-}
-BENCHMARK(BM_SubstrateBatchConnected)
-    ->ArgsProduct({{1, 16, 256, 4096, 65536}})
-    ->ArgNames({"k"});
-
 static void BM_SubstrateCountsAndFetch(benchmark::State& state) {
   std::vector<count_delta> up(256), down(256);
   for (uint32_t i = 0; i < 256; ++i) {
@@ -148,8 +138,7 @@ static void BM_SubstrateCountsAndFetch(benchmark::State& state) {
 }
 BENCHMARK(BM_SubstrateCountsAndFetch);
 
-// Per-element queries: N direct find_rep / connected calls per
-// iteration.
+// Per-element queries: N direct find_rep calls per iteration.
 static void BM_SubstrateFindRep(benchmark::State& state) {
   // Shuffled probe order: real fetch/expand loops walk scattered ids.
   std::vector<vertex_id> vs(kEttN);
@@ -164,17 +153,6 @@ static void BM_SubstrateFindRep(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_SubstrateFindRep);
-
-static void BM_SubstrateConnected(benchmark::State& state) {
-  auto qs = make_query_batch(kEttN, 4096, 37);
-  blocked_ett f(kEttN);
-  f.batch_link(gen_random_forest(kEttN, 64, 36));
-  for (auto _ : state)
-    for (auto& [u, v] : qs) benchmark::DoNotOptimize(f.connected(u, v));
-  state.SetItemsProcessed(static_cast<int64_t>(qs.size()) *
-                          state.iterations());
-}
-BENCHMARK(BM_SubstrateConnected);
 
 // ---------------------------------------------------------------------
 // The small-component regime (De Man et al. 2024): a forest of many
@@ -313,5 +291,3 @@ static void BM_HeapAllocFree(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_HeapAllocFree);
-
-BENCHMARK_MAIN();

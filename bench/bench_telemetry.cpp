@@ -6,8 +6,8 @@
 //  2. Contention — the same counter hammered from every worker
 //     concurrently (the sharding's whole reason to exist).
 //  3. End-to-end — a full batch insert+delete replay with the per-batch
-//     spans live; its bench-history series shows creeping span overhead
-//     as a trajectory, and the primitive tiers bound it from below.
+//     spans live; its row in the committed BENCH_micro.json ledger shows
+//     creeping span overhead, and the primitive tiers bound it from below.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -92,5 +92,3 @@ static void BM_ReplayMixed(benchmark::State& state) {
                           static_cast<int64_t>(edges_per_replay));
 }
 BENCHMARK(BM_ReplayMixed)->Unit(benchmark::kMillisecond);
-
-BENCHMARK_MAIN();

@@ -4,7 +4,7 @@
 //
 // Maintains only the edge set; every query epoch rebuilds component labels
 // with the parallel static connectivity of src/spanning. This is the
-// comparator of bench_delete_batch's BM_EpochVsStatic (E7,
+// comparator of bench_micro's BM_EpochVsStatic (E7,
 // dynamic-vs-static crossover).
 #pragma once
 

@@ -63,7 +63,7 @@ struct options {
 /// is enabled.
 [[nodiscard]] std::string config_label(const options& opts);
 
-/// Cumulative instrumentation (bench_delete_batch's level-search ablation,
+/// Cumulative instrumentation (BM_LevelSearchAblation in bench_micro,
 /// the CostModel tests, and the paper's depth/work accounting). All
 /// counters are totals since construction.
 struct statistics {

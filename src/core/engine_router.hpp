@@ -41,7 +41,8 @@
 
 namespace bdc {
 
-/// Cumulative router instrumentation (stream_runner report, bench_router).
+/// Cumulative router instrumentation (stream_runner report,
+/// BM_RouterMixedTrace).
 struct router_statistics {
   uint64_t insert_batches = 0;
   uint64_t delete_batches = 0;

@@ -1,7 +1,7 @@
 // Batched update-stream generators: turn a static graph into a sequence of
 // insertion/deletion/query batches with a controllable average deletion
 // batch size Δ — the parameter Theorem 9's O(lg n lg(1 + n/Δ)) bound is
-// stated in. bench_delete_batch's BM_DeleteBatchSweep sweeps Δ with these
+// stated in. bench_micro's BM_DeleteBatchSweep sweeps Δ with these
 // streams.
 #pragma once
 

@@ -1,9 +1,7 @@
 #include "obs/exporters.hpp"
 
-#include <cctype>
 #include <cinttypes>
 #include <cstdint>
-#include <cstdlib>
 
 namespace bdc::obs {
 namespace {
@@ -98,136 +96,6 @@ void export_jsonl(std::ostream& out, const metrics_snapshot& snap,
     }
     out << "}\n";
   }
-}
-
-namespace {
-
-// Minimal scanner for the fixed export_jsonl schema. Returns false when
-// the expected token is absent.
-struct line_scanner {
-  std::string_view s;
-  size_t i = 0;
-
-  void skip_ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])))
-      ++i;
-  }
-  bool lit(char c) {
-    skip_ws();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  bool string(std::string& out) {
-    skip_ws();
-    if (i >= s.size() || s[i] != '"') return false;
-    ++i;
-    out.clear();
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\' && i + 1 < s.size()) {
-        ++i;
-        switch (s[i]) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (i + 4 >= s.size()) return false;
-            const unsigned v = static_cast<unsigned>(
-                std::strtoul(std::string(s.substr(i + 1, 4)).c_str(),
-                             nullptr, 16));
-            out += static_cast<char>(v);
-            i += 4;
-            break;
-          }
-          default: out += s[i]; break;
-        }
-      } else {
-        out += s[i];
-      }
-      ++i;
-    }
-    if (i >= s.size()) return false;
-    ++i;  // closing quote
-    return true;
-  }
-  bool integer(int64_t& out) {
-    skip_ws();
-    const size_t start = i;
-    if (i < s.size() && s[i] == '-') ++i;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])))
-      ++i;
-    if (i == start) return false;
-    out = std::strtoll(std::string(s.substr(start, i - start)).c_str(),
-                       nullptr, 10);
-    return true;
-  }
-};
-
-}  // namespace
-
-std::vector<jsonl_record> parse_jsonl(std::istream& in) {
-  std::vector<jsonl_record> out;
-  std::string line;
-  while (std::getline(in, line)) {
-    line_scanner sc{line};
-    if (!sc.lit('{')) continue;
-    jsonl_record rec;
-    bool ok = true, have_metric = false;
-    bool first = true;
-    while (ok) {
-      if (!first && !sc.lit(',')) break;
-      first = false;
-      std::string key;
-      if (!sc.string(key) || !sc.lit(':')) {
-        ok = false;
-        break;
-      }
-      if (key == "label") {
-        ok = sc.string(rec.label);
-      } else if (key == "metric") {
-        ok = sc.string(rec.row.name);
-        have_metric = ok;
-      } else if (key == "kind") {
-        std::string kind;
-        ok = sc.string(kind);
-        if (kind == "gauge")
-          rec.row.kind = metric_kind::gauge;
-        else if (kind == "histogram")
-          rec.row.kind = metric_kind::histogram;
-        else
-          rec.row.kind = metric_kind::counter;
-      } else if (key == "value") {
-        ok = sc.integer(rec.row.value);
-      } else if (key == "count") {
-        int64_t v = 0;
-        ok = sc.integer(v);
-        rec.row.count = static_cast<uint64_t>(v);
-        rec.row.value = v;
-      } else if (key == "sum") {
-        int64_t v = 0;
-        ok = sc.integer(v);
-        rec.row.sum = static_cast<uint64_t>(v);
-      } else if (key == "buckets") {
-        ok = sc.lit('[');
-        if (ok && !sc.lit(']')) {
-          do {
-            int64_t v = 0;
-            if (!sc.integer(v)) {
-              ok = false;
-              break;
-            }
-            rec.row.buckets.push_back(static_cast<uint64_t>(v));
-          } while (sc.lit(','));
-          if (ok) ok = sc.lit(']');
-        }
-      } else {
-        ok = false;  // unknown key: not our schema
-      }
-    }
-    if (ok && have_metric && sc.lit('}')) out.push_back(std::move(rec));
-  }
-  return out;
 }
 
 namespace {

@@ -11,13 +11,9 @@
 //                     buckets, index = bit_width of the value).
 //   * export_chrome_trace — Chrome trace-event JSON ("traceEvents"
 //                     array) for chrome://tracing / Perfetto.
-//
-// parse_jsonl() reads export_jsonl output back (round-trip tested); it
-// understands exactly this schema, not general JSON.
 #pragma once
 
 #include <cstdio>
-#include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -35,16 +31,6 @@ void export_text(std::FILE* out, const metrics_snapshot& snap);
 /// "dynamic/blocked"); empty is allowed.
 void export_jsonl(std::ostream& out, const metrics_snapshot& snap,
                   std::string_view label);
-
-/// One parsed export_jsonl line.
-struct jsonl_record {
-  std::string label;
-  metric_row row;
-};
-
-/// Parses export_jsonl output (and nothing more general). Lines that do
-/// not match the schema are skipped.
-[[nodiscard]] std::vector<jsonl_record> parse_jsonl(std::istream& in);
 
 /// Chrome trace-event JSON. `dropped` (from trace_recorder::dropped())
 /// is recorded as metadata so truncated traces are self-describing.

@@ -1,7 +1,7 @@
 // Tests for the telemetry subsystem (src/obs/): sharded metric storage,
 // log2 histogram bucketing, concurrent increments (the TSan build runs
 // this suite too — that run IS the data-race check), exporter
-// round-trips, and the collectors' metric catalogs.
+// output, and the collectors' metric catalogs.
 #include <atomic>
 #include <cstring>
 #include <sstream>
@@ -164,7 +164,7 @@ TEST(TelemetrySpan, MacroRecordsIntoGlobalRegistry) {
 // Exporters
 // ---------------------------------------------------------------------
 
-TEST(TelemetryExport, JsonlRoundTrip) {
+TEST(TelemetryExport, JsonlExactOutput) {
   metrics_snapshot snap;
   snap.add_counter("core.edges_inserted", 12345);
   snap.add_gauge("pool.outstanding", -3);
@@ -177,35 +177,18 @@ TEST(TelemetryExport, JsonlRoundTrip) {
   h.buckets = {0, 2, 1, 1};
   snap.rows.push_back(h);
 
+  // The schema bench_diff.py --counters and check_telemetry.py read: one
+  // object per row, the label escaped on every line, histograms carrying
+  // count/sum/buckets instead of a value.
   std::ostringstream out;
   export_jsonl(out, snap, "unit/\"quoted\"\nlabel");
-  std::istringstream in(out.str());
-  auto recs = parse_jsonl(in);
-  ASSERT_EQ(recs.size(), 3u);
-  EXPECT_EQ(recs[0].label, "unit/\"quoted\"\nlabel");
-  EXPECT_EQ(recs[0].row.name, "core.edges_inserted");
-  EXPECT_EQ(recs[0].row.kind, metric_kind::counter);
-  EXPECT_EQ(recs[0].row.value, 12345);
-  EXPECT_EQ(recs[1].row.name, "pool.outstanding");
-  EXPECT_EQ(recs[1].row.kind, metric_kind::gauge);
-  EXPECT_EQ(recs[1].row.value, -3);
-  EXPECT_EQ(recs[2].row.name, "span.batch.delete.us");
-  EXPECT_EQ(recs[2].row.kind, metric_kind::histogram);
-  EXPECT_EQ(recs[2].row.count, 4u);
-  EXPECT_EQ(recs[2].row.sum, 100u);
-  EXPECT_EQ(recs[2].row.buckets, (std::vector<uint64_t>{0, 2, 1, 1}));
-}
-
-TEST(TelemetryExport, ParseJsonlSkipsForeignLines) {
-  std::istringstream in(
-      "not json at all\n"
-      "{\"something\":\"else\"}\n"
-      "{\"label\":\"l\",\"metric\":\"a.b\",\"kind\":\"counter\","
-      "\"value\":7}\n");
-  auto recs = parse_jsonl(in);
-  ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0].row.name, "a.b");
-  EXPECT_EQ(recs[0].row.value, 7);
+  EXPECT_EQ(out.str(),
+            R"({"label":"unit/\"quoted\"\nlabel","metric":"core.edges_inserted","kind":"counter","value":12345})"
+            "\n"
+            R"({"label":"unit/\"quoted\"\nlabel","metric":"pool.outstanding","kind":"gauge","value":-3})"
+            "\n"
+            R"({"label":"unit/\"quoted\"\nlabel","metric":"span.batch.delete.us","kind":"histogram","count":4,"sum":100,"buckets":[0,2,1,1]})"
+            "\n");
 }
 
 TEST(TelemetryExport, ChromeTraceIsWellFormed) {

@@ -1,51 +1,40 @@
 #!/usr/bin/env python3
-"""Diff Google Benchmark JSON artifacts and flag regressions.
+"""Diff two Google Benchmark JSON artifacts and flag regressions.
 
-Two modes:
+    tools/bench_diff.py OLD.json NEW.json [--threshold PCT] [--no-fail]
 
-* Pairwise (the original): compare the current run against one previous
-  artifact.
+CI diffs a fresh ``bench_micro`` run against the committed ledger,
+``BENCH_micro.json`` at the repository root, with ``--no-fail``.
 
-      tools/bench_diff.py OLD.json NEW.json [--threshold PCT] [--no-fail]
+``--counters`` reads the JSON-lines metric snapshots written by
+``stream_runner --metrics=FILE`` (one ``{"label":...,"metric":...}``
+object per line) instead of Google Benchmark JSON; CI diffs the
+telemetry smoke's snapshot against the committed
+``BENCH_counters.jsonl``. Counter diffs are ALWAYS advisory (exit 0):
+pipeline counters like publishes_full or edges_fetched are workload
+truth, not timing noise, so a change beyond the threshold in EITHER
+direction is flagged ``CHANGED`` for a human to read — a dropped fetch
+count and a doubled full-walk count both deserve eyes, but neither
+should gate a merge on its own. Keyed by ``label/metric``; histograms
+compare their ``count``. Gauges flow through unchanged, which makes the
+memory footprint gauges (``levels.materialized`` /
+``levels.active_vertices`` / ``levels.bytes``, plus the ``pool.*``
+retention set) diffable the same way — a silent return to
+O(n)-per-level allocation shows up here as a ``levels.bytes`` jump on
+the committed trace.
 
-* Rolling history: compare the current run against the per-benchmark
-  MEDIAN of the last N artifacts in a history directory, so one noisy CI
-  run can neither mask nor fake a trend. CI appends every Release run's
-  ``BENCH_substrates.json`` to the ``bench-history`` artifact series and
-  diffs against the rolling median instead of only the immediately
-  preceding run.
-
-      tools/bench_diff.py NEW.json --history DIR [--median-of N]
-                          [--threshold PCT] [--no-fail]
-
-Either mode also accepts ``--counters``: the artifacts are then the
-JSON-lines metric snapshots written by ``stream_runner --metrics=FILE``
-(one ``{"label":...,"metric":...}`` object per line) instead of Google
-Benchmark JSON. Counter diffs are ALWAYS advisory (exit 0): pipeline
-counters like publishes_full or edges_fetched are workload truth, not
-timing noise, so a change beyond the threshold in EITHER direction is
-flagged ``CHANGED`` for a human to read — a dropped fetch count and
-a doubled full-walk count both deserve eyes, but neither should gate a
-merge on its own. Keyed by ``label/metric``; histograms compare their
-``count``. Gauges flow through unchanged, which makes the memory
-footprint gauges (``levels.materialized`` / ``levels.active_vertices``
-/ ``levels.bytes``, plus the ``pool.*`` retention set) diffable across
-CI runs the same way — a silent return to O(n)-per-level allocation
-shows up here as a ``levels.bytes`` jump on the committed trace.
-
-History files are consumed in sorted-name order (CI names them by run
-number, so sorted order is chronological); only the last ``--median-of``
-(default 5) contribute to the median. Exit status is 0 when clean, 1 on
-regression (with ``--no-fail`` the report still prints but the exit
-status stays 0 — useful on noisy shared runners where the trajectory
-matters more than any single datapoint).
+Exit status is 0 when clean, 1 on regression (with ``--no-fail`` the
+report still prints but the exit status stays 0 — useful on noisy shared
+runners).
 """
 
 import argparse
 import json
-import os
-import statistics
 import sys
+
+
+# Google Benchmark writes real_time in each row's own time_unit.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_benchmarks(path):
@@ -62,7 +51,7 @@ def load_benchmarks(path):
         real = bench.get("real_time")
         if name is None or real is None:
             continue
-        out[name] = float(real)
+        out[name] = float(real) * NS_PER_UNIT[bench.get("time_unit", "ns")]
     return out
 
 
@@ -71,7 +60,7 @@ def load_counters(path):
 
     Counters and gauges contribute their value; histograms contribute
     their count (how often the phase ran — its duration is timing, which
-    the benchmark series already tracks).
+    the micro-benchmark ledger already tracks).
     """
     out = {}
     with open(path) as f:
@@ -113,32 +102,6 @@ def diff_counters(old, new, threshold):
     return common, changed
 
 
-def load_history_median(history_dir, median_of, loader=load_benchmarks):
-    """Per-benchmark median over the last `median_of` history artifacts.
-
-    Returns (baseline dict, number of artifacts used). A benchmark only
-    enters the baseline if at least one retained artifact carries it.
-    """
-    paths = sorted(
-        os.path.join(history_dir, name)
-        for name in os.listdir(history_dir)
-        if name.endswith(".json") or name.endswith(".jsonl")
-    )
-    paths = paths[-median_of:]
-    series = {}
-    used = 0
-    for path in paths:
-        try:
-            run = loader(path)
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"bench_diff: skipping unreadable artifact {path}: {err}")
-            continue
-        used += 1
-        for name, real in run.items():
-            series.setdefault(name, []).append(real)
-    return {name: statistics.median(vals) for name, vals in series.items()}, used
-
-
 def diff(old, new, threshold):
     """Returns (common, only_old, only_new, regressions, improvements)."""
     common = sorted(set(old) & set(new))
@@ -159,27 +122,13 @@ def diff(old, new, threshold):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("artifacts", nargs="+",
-                        help="OLD.json NEW.json, or just NEW.json with "
-                             "--history")
+    parser.add_argument("old", help="baseline artifact")
+    parser.add_argument("new", help="current artifact")
     parser.add_argument(
         "--threshold",
         type=float,
         default=10.0,
         help="regression threshold in percent (default: 10)",
-    )
-    parser.add_argument(
-        "--history",
-        metavar="DIR",
-        help="diff NEW.json against the rolling median of the *.json "
-             "artifacts in DIR instead of a single OLD.json",
-    )
-    parser.add_argument(
-        "--median-of",
-        type=int,
-        default=5,
-        help="number of most-recent history artifacts in the median "
-             "(default: 5)",
     )
     parser.add_argument(
         "--no-fail",
@@ -196,29 +145,13 @@ def main():
 
     loader = load_counters if args.counters else load_benchmarks
 
-    if args.history is not None:
-        if len(args.artifacts) != 1:
-            parser.error("--history takes exactly one NEW.json")
-        if args.median_of < 1:
-            parser.error("--median-of must be >= 1")
-        old, used = load_history_median(args.history, args.median_of,
-                                        loader)
-        if used == 0:
-            print("bench_diff: empty history; nothing to diff against")
-            return 0
-        baseline_desc = f"median of last {used} run(s)"
-        new = loader(args.artifacts[0])
-    else:
-        if len(args.artifacts) != 2:
-            parser.error("expected OLD.json NEW.json (or NEW.json --history DIR)")
-        old = loader(args.artifacts[0])
-        new = loader(args.artifacts[1])
-        baseline_desc = "previous run"
+    old = loader(args.old)
+    new = loader(args.new)
 
     if args.counters:
         common, changed = diff_counters(old, new, args.threshold)
         print(f"bench_diff: {len(common)} comparable counters vs "
-              f"{baseline_desc}, threshold {args.threshold:.1f}% "
+              f"{args.old}, threshold {args.threshold:.1f}% "
               f"(advisory: always exit 0)")
         for key, o, n, pct in changed:
             arrow = "inf" if pct == float("inf") else f"{pct:+.1f}%"
@@ -231,7 +164,7 @@ def main():
         old, new, args.threshold)
 
     print(f"bench_diff: {len(common)} comparable benchmarks vs "
-          f"{baseline_desc} ({len(only_new)} new, {len(only_old)} removed), "
+          f"{args.old} ({len(only_new)} new, {len(only_old)} removed), "
           f"threshold {args.threshold:.1f}%")
     for name, o, n, pct in improvements:
         print(f"  IMPROVED  {name}: {o:.0f} -> {n:.0f} ns ({pct:+.1f}%)")
@@ -243,11 +176,10 @@ def main():
         # Advisory, not fatal: a benchmark present in the baseline but
         # absent from the current run usually means a renamed case or a
         # dropped registration — silent disappearance would otherwise
-        # read as "no regression" forever (the rolling median keeps the
-        # stale name alive for --median-of runs).
+        # read as "no regression" until the ledger is re-recorded.
         for name in only_old:
             print(f"  WARNING disappeared benchmark: {name} "
-                  f"(in {baseline_desc}, missing from current run)")
+                  f"(in {args.old}, missing from current run)")
     if not regressions:
         print("  no regressions beyond threshold")
         return 0

@@ -1,28 +1,32 @@
 #!/usr/bin/env python3
-"""Self-test for bench_diff.py: pairwise mode, rolling-median history
-mode (one outlier run must not fake or mask a regression), and the
-empty-history edge case. Run by CTest as smoke.bench_diff."""
+"""Self-test for bench_diff.py: the pairwise and --counters modes, and
+the committed ledgers (BENCH_micro.json, BENCH_counters.jsonl) CI diffs
+against, which must load and carry rows. Run by CTest as
+smoke.bench_diff."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
-SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "bench_diff.py")
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+SCRIPT = os.path.join(TOOLS, "bench_diff.py")
+REPO = os.path.dirname(TOOLS)
 
 
-def write_run(path, times):
-    doc = {"benchmarks": [{"name": name, "real_time": t, "run_type":
-                           "iteration"} for name, t in times.items()]}
+def write_run(path, times, unit="ns"):
+    doc = {"benchmarks": [{"name": name, "real_time": t, "time_unit": unit,
+                           "run_type": "iteration"}
+                          for name, t in times.items()]}
     with open(path, "w") as f:
         json.dump(doc, f)
 
 
 def write_counters(path, values, label="dynamic/blocked"):
-    """One stream_runner-style JSONL snapshot; values of None become a
-    histogram row with that key's count carried in a `count` field."""
+    """One stream_runner-style JSONL snapshot; a ("histogram", count)
+    value becomes a histogram row with that count in its `count` field."""
     with open(path, "w") as f:
         for metric, value in values.items():
             if isinstance(value, tuple):  # (kind="histogram", count)
@@ -66,54 +70,22 @@ def main():
         rc, out = run(old, old, "--threshold", "10")
         check("pairwise.clean", rc == 0 and "no regressions" in out, out)
 
-        # History: three steady runs plus one wild outlier. The rolling
-        # median must sit at the steady value, so the outlier neither
-        # fakes a regression for a steady NEW run nor masks a real one.
-        hist = os.path.join(tmp, "history")
-        os.mkdir(hist)
-        write_run(os.path.join(hist, "run-001.json"), {"BM_A": 100.0})
-        write_run(os.path.join(hist, "run-002.json"), {"BM_A": 102.0})
-        write_run(os.path.join(hist, "run-003.json"), {"BM_A": 1000.0})
-        write_run(os.path.join(hist, "run-004.json"), {"BM_A": 98.0})
-
-        steady = os.path.join(tmp, "steady.json")
-        write_run(steady, {"BM_A": 101.0})
-        rc, out = run(steady, "--history", hist, "--median-of", "4")
-        check("history.outlier_does_not_fake", rc == 0 and
-              "no regressions" in out, out)
-
-        slow = os.path.join(tmp, "slow.json")
-        write_run(slow, {"BM_A": 200.0})
-        rc, out = run(slow, "--history", hist, "--median-of", "4")
-        check("history.outlier_does_not_mask",
-              rc == 1 and "REGRESSED BM_A" in out, out)
-
-        # --median-of windows from the most recent (sorted) artifacts:
-        # with a window of 1 the baseline is run-004 (98 ns).
-        rc, out = run(steady, "--history", hist, "--median-of", "1")
-        check("history.window", rc == 0 and "last 1 run" in out, out)
-
-        empty = os.path.join(tmp, "empty")
-        os.mkdir(empty)
-        rc, out = run(steady, "--history", empty)
-        check("history.empty", rc == 0 and "empty history" in out, out)
+        # Rows timed in ms are reported, and compared, in ns.
+        old_ms = os.path.join(tmp, "old_ms.json")
+        new_ms = os.path.join(tmp, "new_ms.json")
+        write_run(old_ms, {"BM_Ms": 2.0}, unit="ms")
+        write_run(new_ms, {"BM_Ms": 3.0}, unit="ms")
+        rc, out = run(old_ms, new_ms, "--threshold", "10")
+        check("pairwise.time_unit",
+              rc == 1 and "BM_Ms: 2000000 -> 3000000 ns" in out, out)
 
         # Disappeared benchmarks warn (advisory — exit stays 0 when the
-        # surviving benchmarks are clean), in both modes.
+        # surviving benchmarks are clean).
         shrunk = os.path.join(tmp, "shrunk.json")
         write_run(shrunk, {"BM_A": 100.0})
         rc, out = run(old, shrunk, "--threshold", "10")
         check("pairwise.disappeared_warns",
               rc == 0 and "WARNING disappeared benchmark: BM_B" in out, out)
-        rc, out = run(steady, "--history", hist, "--median-of", "4")
-        check("history.no_spurious_disappeared_warning",
-              "WARNING disappeared" not in out, out)
-        write_run(os.path.join(hist, "run-005.json"),
-                  {"BM_A": 100.0, "BM_GONE": 50.0})
-        rc, out = run(steady, "--history", hist, "--median-of", "4")
-        check("history.disappeared_warns",
-              rc == 0 and "WARNING disappeared benchmark: BM_GONE" in out,
-              out)
 
         # --counters mode: advisory (exit 0 even on change), flags moves
         # in EITHER direction, keys by label/metric, histograms by count.
@@ -149,17 +121,17 @@ def main():
               rc == 0 and "CHANGED dynamic/blocked/publish.full_walks"
               in out, out)
 
-        # History mode composes with --counters (.jsonl files in DIR).
-        chist = os.path.join(tmp, "counter-history")
-        os.mkdir(chist)
-        for i, fetched in enumerate([1000, 1010, 990]):
-            write_counters(os.path.join(chist, f"metrics-{i:03d}.jsonl"),
-                           {"core.edges_fetched": fetched})
-        rc, out = run(cnew, "--counters", "--history", chist,
-                      "--median-of", "3")
-        check("counters.history_median",
-              rc == 0 and "CHANGED dynamic/blocked/core.edges_fetched"
-              in out, out)
+    # The committed ledgers: each must load, and diffing it against
+    # itself must compare at least one row.
+    rc, out = run(os.path.join(REPO, "BENCH_micro.json"),
+                  os.path.join(REPO, "BENCH_micro.json"))
+    rows = re.search(r"(\d+) comparable benchmarks", out)
+    check("ledger.micro", rc == 0 and rows and int(rows.group(1)) > 0, out)
+    rc, out = run(os.path.join(REPO, "BENCH_counters.jsonl"),
+                  os.path.join(REPO, "BENCH_counters.jsonl"), "--counters")
+    rows = re.search(r"(\d+) comparable counters", out)
+    check("ledger.counters", rc == 0 and rows and int(rows.group(1)) > 0,
+          out)
 
     if failures:
         print(f"{len(failures)} check(s) failed")
