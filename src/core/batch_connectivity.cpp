@@ -9,6 +9,27 @@
 //   is only restructured by promotions, which the simple engine commits
 //   between rounds (after all rep reads) and the interleaved engine defers
 //   to the end of the level (the paper's key structural idea).
+// * The ascent tracks cut edges, not seeds. At each level i, the
+//   replacements S found below are linked into F_i first (Algorithm 3's
+//   line 2, hoisted out of the level searches). A cut whose endpoints F_i
+//   then connects is healed and dropped: F_i is a subforest of every
+//   higher forest, so it stays healed. HDT stops at its first
+//   replacement for the same reason. A level with no open cut is not
+//   searched, and the seeds are the open cuts' endpoints.
+// * Two-piece rule (Algorithm 5 only). The open cuts form a graph on the
+//   pieces, and a pre-batch component's pieces are connected in it (its
+//   tree minus the cuts, plus S). A cut whose two pieces end no other
+//   open cut therefore split its component in exactly two, and every
+//   level-i replacement for it leaves the smaller piece. Only that piece
+//   searches; the larger one is passive: inactive, and counted as larger
+//   than active_cap, so a find into it stays at level i. That is HDT's
+//   replace. It only removes probes and pushes, so Theorem 9's charging
+//   and Theorem 7's depth are unchanged.
+// * Three or more pieces keep the paper's rule. Skipping the largest
+//   piece there is unsound: with active_cap 128 and pieces of 100, 90 and
+//   50 vertices, if the 90-piece finds the 50-piece first, their
+//   supercomponent is large and stops, so its edge to the unsearched
+//   100-piece is never found.
 #include "core/batch_connectivity.hpp"
 
 #include <algorithm>
@@ -549,33 +570,33 @@ void batch_dynamic_connectivity::batch_delete(std::span<const edge> edges) {
     }
   }
 
-  // Seeds: endpoints of deleted tree edges, introduced at the level where
-  // the edge was deleted.
-  std::vector<std::vector<vertex_id>> seeds_by_level(
-      static_cast<size_t>(top) + 1);
-  for (auto& [lvl, e] : tree_edges) {
-    seeds_by_level[static_cast<size_t>(lvl)].push_back(e.u);
-    seeds_by_level[static_cast<size_t>(lvl)].push_back(e.v);
-  }
+  // Cuts enter the search at the level of the deleted tree edge.
+  std::vector<std::vector<edge>> cuts_by_level(static_cast<size_t>(top) + 1);
+  for (auto& [lvl, e] : tree_edges)
+    cuts_by_level[static_cast<size_t>(lvl)].push_back(e);
 
   // Ascend, searching each level for replacement edges (Algorithms 4/5).
-  std::vector<vertex_id> carried;
+  std::vector<edge> open;      // cuts F_i has not reconnected
   std::vector<edge> buffered;  // S: new tree edges awaiting higher levels
+  std::vector<uint32_t> piece_of;
   for (int i = minl; i <= top; ++i) {
-    auto& sl = seeds_by_level[static_cast<size_t>(i)];
-    carried.insert(carried.end(), sl.begin(), sl.end());
-    sort_unique(carried);
-    stats_.levels_searched++;
     BDC_PHASE_SPAN(sp, "delete.level_search");  // one span per level
+    ls_.link_tree(i, buffered);  // line 2: commit lower-level discoveries
+    const auto& cl = cuts_by_level[static_cast<size_t>(i)];
+    open.insert(open.end(), cl.begin(), cl.end());
+    if (open.empty()) continue;
+    auto pieces = resolve_cuts(i, open, piece_of);
+    if (open.empty()) continue;  // S healed every cut: nothing to search
+    stats_.levels_searched++;
     switch (opts_.search) {
       case level_search_kind::interleaved:
-        level_search_interleaved(i, carried, buffered);
+        level_search_interleaved(i, pieces, piece_of, buffered);
         break;
       case level_search_kind::simple:
-        level_search_simple(i, carried, buffered, /*scan_all=*/false);
+        level_search_simple(i, pieces, buffered, /*scan_all=*/false);
         break;
       case level_search_kind::scan_all:
-        level_search_simple(i, carried, buffered, /*scan_all=*/true);
+        level_search_simple(i, pieces, buffered, /*scan_all=*/true);
         break;
     }
   }
@@ -590,21 +611,49 @@ void batch_dynamic_connectivity::batch_delete(std::span<const edge> edges) {
 // ---------------------------------------------------------------------
 
 std::vector<batch_dynamic_connectivity::piece>
-batch_dynamic_connectivity::resolve_pieces(
-    int level, std::span<const vertex_id> seeds) const {
+batch_dynamic_connectivity::resolve_cuts(
+    int level, std::vector<edge>& open,
+    std::vector<uint32_t>& piece_of) const {
   const blocked_ett* f = ls_.forest_if(level);
   assert(f != nullptr);
-  auto reps = f->batch_find_rep(seeds);
-  // Dedupe by representative, keeping one seed per piece.
-  std::vector<std::pair<rep, vertex_id>> pairs(seeds.size());
-  parallel_for(0, seeds.size(),
-               [&](size_t i) { pairs[i] = {reps[i], seeds[i]}; });
+  std::vector<vertex_id> ends(2 * open.size());
+  parallel_for(0, open.size(), [&](size_t j) {
+    ends[2 * j] = open[j].u;
+    ends[2 * j + 1] = open[j].v;
+  });
+  auto reps = f->batch_find_rep(ends);
+  // A healed cut stays healed above: F_level is a subforest of every
+  // higher forest.
+  auto open_end = [&](size_t i) {
+    return reps[i & ~size_t{1}] != reps[i | 1];
+  };
+  open = pack(open, [&](size_t j) { return open_end(2 * j); });
+  ends = pack(ends, open_end);
+  reps = pack(reps, open_end);
+  return resolve_pieces(level, ends, reps, &piece_of);
+}
+
+std::vector<batch_dynamic_connectivity::piece>
+batch_dynamic_connectivity::resolve_pieces(
+    int level, std::span<const vertex_id> seeds, std::span<const rep> reps,
+    std::vector<uint32_t>* piece_of) const {
+  const blocked_ett* f = ls_.forest_if(level);
+  assert(f != nullptr);
+  // Group by representative; a run's length counts its piece's seeds.
+  std::vector<std::pair<rep, uint32_t>> pairs(seeds.size());
+  parallel_for(0, seeds.size(), [&](size_t i) {
+    pairs[i] = {reps[i], static_cast<uint32_t>(i)};
+  });
   parallel_sort(pairs);
+  if (piece_of != nullptr) piece_of->resize(seeds.size());
   std::vector<piece> out;
   out.reserve(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
-    if (i > 0 && pairs[i].first == pairs[i - 1].first) continue;
-    out.push_back({pairs[i].second, pairs[i].first, 0, 0, 0});
+    if (i == 0 || pairs[i].first != pairs[i - 1].first)
+      out.push_back({seeds[pairs[i].second], pairs[i].first, 0, 0, 0, 0});
+    out.back().seeds++;
+    if (piece_of != nullptr)
+      (*piece_of)[pairs[i].second] = static_cast<uint32_t>(out.size() - 1);
   }
   parallel_for(
       0, out.size(),
@@ -660,13 +709,10 @@ std::vector<edge> batch_dynamic_connectivity::fetch_nontree_edges(
 // ---------------------------------------------------------------------
 
 void batch_dynamic_connectivity::level_search_simple(
-    int level, std::span<const vertex_id> seeds, std::vector<edge>& buffered,
+    int level, const std::vector<piece>& pieces, std::vector<edge>& buffered,
     bool scan_all) {
   blocked_ett& f = ls_.forest(level);
-  f.batch_link(buffered);  // line 2: commit lower-level discoveries
-
   uint64_t active_cap = ls_.capacity(level) / 2;
-  auto pieces = resolve_pieces(level, seeds);
   std::vector<piece> active;
   for (auto& p : pieces)
     if (p.size <= active_cap) active.push_back(p);
@@ -755,7 +801,7 @@ void batch_dynamic_connectivity::level_search_simple(
         next_seeds.push_back(active[i].seed);
       }
       // Exhausted pieces leave the active set (paper line 17-19); their
-      // seeds stay in the carried set for the next level.
+      // cuts stay open for the next level.
     }
     dedupe(found);
     if (!found.empty()) {
@@ -789,7 +835,8 @@ void batch_dynamic_connectivity::level_search_simple(
     // Re-resolve surviving pieces (reps changed after linking).
     active.clear();
     if (!next_seeds.empty()) {
-      for (auto& p : resolve_pieces(level, next_seeds))
+      auto reps = f.batch_find_rep(next_seeds);
+      for (auto& p : resolve_pieces(level, next_seeds, reps, nullptr))
         if (p.size <= active_cap) active.push_back(p);
     }
   }
@@ -800,18 +847,28 @@ void batch_dynamic_connectivity::level_search_simple(
 // ---------------------------------------------------------------------
 
 void batch_dynamic_connectivity::level_search_interleaved(
-    int level, std::span<const vertex_id> seeds,
-    std::vector<edge>& buffered) {
+    int level, const std::vector<piece>& pieces,
+    std::span<const uint32_t> piece_of, std::vector<edge>& buffered) {
   blocked_ett& f = ls_.forest(level);
-  f.batch_link(buffered);  // line 2
-
   uint64_t active_cap = ls_.capacity(level) / 2;
-  auto pieces = resolve_pieces(level, seeds);
   size_t np = pieces.size();
+
+  // Two-piece rule (HDT's replace): a cut whose pieces end no other open
+  // cut split its component in exactly two, so every replacement for it
+  // leaves the smaller piece. Only that piece searches (ties: the piece
+  // of the cut's u); the other is passive. See the header notes for why
+  // three or more pieces keep the paper's rule.
+  std::vector<uint8_t> passive(np, 0);
+  parallel_for(0, piece_of.size() / 2, [&](size_t j) {
+    const uint32_t a = piece_of[2 * j], b = piece_of[2 * j + 1];
+    if (pieces[a].seeds != 1 || pieces[b].seeds != 1) return;
+    passive[pieces[b].size < pieces[a].size ? a : b] = 1;
+  });
 
   // M: union-find over piece indices tracking supercomponent sizes
   // (line 7). Includes inactive pieces: replacement edges may merge into
-  // them.
+  // them. A passive piece counts as larger than active_cap, so merging
+  // with it deactivates the searcher and keeps its finds at this level.
   std::unordered_map<rep, uint32_t> piece_index;
   piece_index.reserve(2 * np);
   for (size_t i = 0; i < np; ++i)
@@ -821,8 +878,9 @@ void batch_dynamic_connectivity::level_search_interleaved(
   std::vector<uint8_t> active(np);
   std::vector<piece> active_list;
   for (size_t i = 0; i < np; ++i) {
-    super_size[i] = pieces[i].size;
-    active[i] = pieces[i].size <= active_cap ? 1 : 0;
+    super_size[i] = passive[i] ? std::max(pieces[i].size, active_cap + 1)
+                               : pieces[i].size;
+    active[i] = super_size[i] <= active_cap ? 1 : 0;
     if (active[i]) active_list.push_back(pieces[i]);
   }
   push_tree_edges(level, active_list);  // line 5

@@ -313,19 +313,34 @@ class batch_dynamic_connectivity {
     uint64_t size;          // vertex count
     uint64_t nontree_slots; // incident same-level non-tree slots (2x edges)
     uint64_t tree_slots;    // incident same-level tree slots
+    uint32_t seeds;         // seeds resolved into it (at a level's start:
+                            // the open cuts ending in it)
   };
 
+  /// Drops from `open` every cut whose endpoints F_level connects and
+  /// resolves the pieces the rest end in. Cut j's endpoints are seeds 2j
+  /// and 2j+1; `piece_of` receives each seed's piece index.
+  std::vector<piece> resolve_cuts(int level, std::vector<edge>& open,
+                                  std::vector<uint32_t>& piece_of) const;
+  /// One piece per distinct rep; reps[i] is seeds[i]'s F_level rep.
+  /// `piece_of`, if non-null, receives each seed's piece index.
   std::vector<piece> resolve_pieces(int level,
-                                    std::span<const vertex_id> seeds) const;
+                                    std::span<const vertex_id> seeds,
+                                    std::span<const rep> reps,
+                                    std::vector<uint32_t>* piece_of) const;
   void push_tree_edges(int level, const std::vector<piece>& active);
   /// Fetches up to `want` non-tree slots of `p`, expands and dedupes to
   /// edges in tour order.
   std::vector<edge> fetch_nontree_edges(int level, const piece& p,
                                         uint64_t want) const;
 
-  void level_search_simple(int level, std::span<const vertex_id> seeds,
+  /// Level searches over the pieces resolve_cuts returned; both append
+  /// the replacements they promote to `buffered` (S).
+  void level_search_simple(int level, const std::vector<piece>& pieces,
                            std::vector<edge>& buffered, bool scan_all);
-  void level_search_interleaved(int level, std::span<const vertex_id> seeds,
+  /// `piece_of` is resolve_cuts' output for `pieces`.
+  void level_search_interleaved(int level, const std::vector<piece>& pieces,
+                                std::span<const uint32_t> piece_of,
                                 std::vector<edge>& buffered);
 };
 

@@ -14,6 +14,7 @@
 // under every level search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <tuple>
@@ -189,6 +190,106 @@ INSTANTIATE_TEST_SUITE_P(
         std::tuple<level_search_kind, sub_config>>& info) {
       return "engine" +
              std::to_string(static_cast<int>(std::get<0>(info.param))) + "_" +
+             row_name(std::get<1>(info.param));
+    });
+
+// Multi-piece splits. The interleaved search lets only the smaller piece
+// of a two-piece split search (HDT's replace). A component cut into three
+// or more pieces keeps the paper's rule, because skipping its largest
+// piece is unsound. Counterexample, active_cap 128: pieces of 100, 90 and
+// 50 vertices. If the 90-piece finds the 50-piece first, their
+// supercomponent (140) is large and stops searching, so its edge to the
+// unsearched 100-piece is never found. Every batch here cuts 2-3 tree
+// edges of one component of a grid or of a path with chords, so the
+// component splits into three or more pieces, then the next batch puts
+// the edges back. Churn sinks tree edges, so the cuts land at several
+// levels. A union-find over the test's own edge set checks the labels
+// after every batch.
+struct split_shape {
+  const char* name;
+  vertex_id n;
+  std::vector<edge> (*make)(vertex_id n);
+};
+
+const split_shape kSplitShapes[] = {
+    {"grid", 256, [](vertex_id) { return gen_grid(16, 16); }},
+    {"chorded_path", 300,
+     [](vertex_id n) {
+       std::vector<edge> es = gen_path(n);
+       for (vertex_id i = 0; i + 4 < n; i += 3) es.push_back({i, i + 4});
+       return es;
+     }},
+};
+
+class MultiPieceSplit
+    : public ::testing::TestWithParam<std::tuple<split_shape, sub_config>> {};
+
+TEST_P(MultiPieceSplit, OracleAfterEveryBatch) {
+  const split_shape& sh = std::get<0>(GetParam());
+  const sub_config& cfg = std::get<1>(GetParam());
+  worker_pool_guard pool(cfg.workers);
+  const vertex_id n = sh.n;
+  batch_dynamic_connectivity dc(n, cfg.apply({}));
+  std::set<std::pair<vertex_id, vertex_id>> present;
+  auto check = [&](const std::string& where) {
+    auto rep = dc.check_invariants();
+    ASSERT_TRUE(rep.ok) << where << ": " << rep.message;
+    expect_snapshot_matches(dc, where);
+    union_find oracle(n);
+    for (auto& pe : present) oracle.unite(pe.first, pe.second);
+    auto labels = dc.components();
+    size_t oracle_comps = 0, comps = 0;
+    for (vertex_id v = 0; v < n; ++v) {
+      ASSERT_TRUE(oracle.connected(v, labels[v])) << where << " v" << v;
+      oracle_comps += oracle.find(v) == v;
+      comps += labels[v] == v;
+    }
+    ASSERT_EQ(comps, oracle_comps) << where;
+  };
+
+  std::vector<edge> graph = sh.make(n);
+  dc.batch_insert(graph);
+  for (const edge& e : graph)
+    present.insert({e.canonical().u, e.canonical().v});
+  check("build");
+
+  random_stream rs(17);
+  std::set<int> cut_levels;
+  for (int round = 0; round < 120; ++round) {
+    // A random tree edge, plus 1-2 more tree edges of its component.
+    std::vector<std::pair<edge, int>> tree;
+    for (const auto& [key, rec] : dc.levels().dict().entries())
+      if (rec.is_tree) tree.push_back({edge_from_key(key), rec.level});
+    ASSERT_FALSE(tree.empty());
+    const edge first = tree[rs.next(tree.size())].first;
+    std::vector<std::pair<edge, int>> same;
+    for (const auto& t : tree)
+      if (dc.connected(first.u, t.first.u)) same.push_back(t);
+    const size_t want = std::min<size_t>(2 + rs.next(2), same.size());
+    std::vector<edge> cuts;
+    for (size_t t = 0; t < want; ++t) {
+      const size_t pick = t + rs.next(same.size() - t);
+      std::swap(same[t], same[pick]);
+      cuts.push_back(same[t].first);
+      cut_levels.insert(same[t].second);
+    }
+    dc.batch_delete(cuts);
+    for (const edge& e : cuts) present.erase({e.u, e.v});
+    check("cut r" + std::to_string(round));
+    dc.batch_insert(cuts);
+    for (const edge& e : cuts) present.insert({e.u, e.v});
+    check("restore r" + std::to_string(round));
+  }
+  EXPECT_GE(cut_levels.size(), 3u) << "cuts never left the top levels";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MultiPieceSplit,
+    ::testing::Combine(::testing::ValuesIn(kSplitShapes),
+                       ::testing::ValuesIn(kEngineConfigs)),
+    [](const ::testing::TestParamInfo<std::tuple<split_shape, sub_config>>&
+           info) {
+      return std::string(std::get<0>(info.param).name) + "_" +
              row_name(std::get<1>(info.param));
     });
 

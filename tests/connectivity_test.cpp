@@ -20,6 +20,7 @@
 #include "core/batch_connectivity.hpp"
 #include "gen/graph_gen.hpp"
 #include "gen/update_stream.hpp"
+#include "hdt/hdt_connectivity.hpp"
 #include "test_substrates.hpp"
 #include "test_workers.hpp"
 
@@ -367,6 +368,58 @@ TEST_P(CostModel, PushesBoundedByInsertsTimesTop) {
   }
   EXPECT_GT(dc.stats().edges_pushed, 0u) << "stream never pushed an edge";
   expect_healthy(dc, "hub churn");
+}
+
+// At Δ = 1, Theorem 9's bound equals HDT's O(lg^2 n), so the level
+// search should do HDT's work, not a multiple of it. Searching only the
+// smaller piece of a two-piece split and skipping levels where every cut
+// has healed brought this stream's pushes from 2.30x HDT's to 1.06x and
+// its levels searched from 1.93x to 1.04x, the same at 1, 2 and 4
+// workers; 1.25x keeps a margin. It is `stream_runner gen
+// --stream=deletion erdos 1024 4096 1 3`.
+TEST_P(CostModel, SingleDeletionsTrackHdt) {
+  const vertex_id n = 1024;
+  auto graph = gen_erdos_renyi(n, 4 * static_cast<size_t>(n), 3);
+  auto stream = make_deletion_stream(graph, n, 1, 1, 0, 4);
+  worker_pool_guard pool(GetParam().workers);
+  batch_dynamic_connectivity dc(n, GetParam().apply({}));
+  hdt_connectivity hdt(n);
+  // HDT has no labels; it agrees with dc.components() when every vertex
+  // is HDT-connected to its label and the component counts match. The
+  // count is kept per edge: HDT updates one edge at a time.
+  size_t hdt_comps = n;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const auto& b = stream[i];
+    if (b.op == update_batch::kind::insert) {
+      dc.batch_insert(b.edges);
+      for (const edge& e : b.edges) {
+        hdt_comps -= !hdt.connected(e.u, e.v);
+        hdt.insert(e);
+      }
+    } else {
+      dc.batch_delete(b.edges);
+      for (const edge& e : b.edges) {
+        hdt.erase(e);
+        hdt_comps += !hdt.connected(e.u, e.v);
+      }
+    }
+    auto labels = dc.components();
+    size_t comps = 0;
+    for (vertex_id v = 0; v < n; ++v) {
+      ASSERT_TRUE(hdt.connected(v, labels[v])) << "batch " << i;
+      comps += labels[v] == v;
+    }
+    ASSERT_EQ(comps, hdt_comps) << "batch " << i;
+  }
+  const auto& st = dc.stats();
+  const auto& hs = hdt.stats();
+  ASSERT_GT(hs.edges_pushed, 0u);
+  ASSERT_GT(hs.levels_searched, 0u);
+  EXPECT_LE(4 * st.edges_pushed, 5 * hs.edges_pushed)
+      << st.edges_pushed << " pushes vs HDT's " << hs.edges_pushed;
+  EXPECT_LE(4 * st.levels_searched, 5 * hs.levels_searched)
+      << st.levels_searched << " levels vs HDT's " << hs.levels_searched;
+  expect_healthy(dc, "single deletions");
 }
 
 INSTANTIATE_TEST_SUITE_P(Substrates, CostModel,
