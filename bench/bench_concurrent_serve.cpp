@@ -1,10 +1,11 @@
 // BM_ConcurrentServe — update-batch throughput under concurrent query
 // serving. A persistent batch_dynamic_connectivity with the
 // epoch-snapshot read service enabled churns insert/delete batches while
-// R reader threads (started once, OUTSIDE the timing loop) hammer
-// snapshot_query()->connected(). The sweep runs R in {0, 2, 4}; readers
-// answer from the latest published snapshot. R=0 isolates the serving
-// overhead itself: the snapshot publish every batch plus epoch
+// R reader threads (served_reads from gen/replay_oracle.hpp, the reader
+// pool the tests and stream_runner check; started once, OUTSIDE the
+// timing loop) hammer snapshot_query(). The sweep runs R in {0, 2, 4};
+// readers answer from the latest published snapshot. R=0 isolates the
+// serving overhead itself: the snapshot publish every batch plus epoch
 // bookkeeping.
 //
 // Counters: "served" is the total number of concurrent queries answered
@@ -12,13 +13,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "core/batch_connectivity.hpp"
 #include "gen/graph_gen.hpp"
-#include "util/random.hpp"
+#include "gen/replay_oracle.hpp"
 #include "util/timer.hpp"
 
 using namespace bdc;
@@ -44,25 +43,7 @@ static void BM_ConcurrentServe(benchmark::State& state) {
   o.concurrent_reads = true;
   batch_dynamic_connectivity s(kN, o);
 
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> served{0};
-  std::vector<std::thread> pool;
-  pool.reserve(readers);
-  for (unsigned t = 0; t < readers; ++t) {
-    pool.emplace_back([&s, &stop, &served, t] {
-      random_stream rng(hash_combine(0xbe7c, t));
-      uint64_t local = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        auto view = s.snapshot_query();
-        uint64_t st = 0;
-        benchmark::DoNotOptimize(
-            view.connected(static_cast<vertex_id>(rng.next(kN)),
-                           static_cast<vertex_id>(rng.next(kN)), &st));
-        ++local;
-      }
-      served.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
+  served_reads pool(s, readers, 0xbe7c);
 
   // Each iteration builds the graph up and tears it back down, so the
   // structure re-enters the same (empty) state and iterations compose.
@@ -72,14 +53,13 @@ static void BM_ConcurrentServe(benchmark::State& state) {
     for (const auto& b : batches) s.batch_delete(b);
     state.SetIterationTime(t.elapsed());
   }
-  stop.store(true, std::memory_order_release);
-  for (auto& th : pool) th.join();
+  const auto served = static_cast<double>(pool.finish().reads);
 
   state.SetItemsProcessed(static_cast<int64_t>(2 * graph.size()) *
                           state.iterations());
-  state.counters["served"] = static_cast<double>(served.load());
-  state.counters["served/s"] = benchmark::Counter(
-      static_cast<double>(served.load()), benchmark::Counter::kIsRate);
+  state.counters["served"] = served;
+  state.counters["served/s"] =
+      benchmark::Counter(served, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ConcurrentServe)
     ->Arg(0)

@@ -10,7 +10,7 @@
 // items/s is total operations (updates + queries) per second — the
 // headline "auto ≥ every fixed engine" criterion reads straight off the
 // items_per_second column. Correctness rides along: every query batch is
-// differential-checked against precomputed union-find oracle answers and
+// differential-checked against precomputed stream-oracle answers and
 // surfaces as the "wrong" counter — 0 for auto/dynamic/hdt/static. The
 // insert-only incremental engine is included as a lower-bound reference;
 // it ignores the deletion batches, so its (higher) throughput comes with
@@ -20,7 +20,6 @@
 // insert/delete phase switches.
 #include <benchmark/benchmark.h>
 
-#include <unordered_set>
 #include <vector>
 
 #include "baselines/incremental_connectivity.hpp"
@@ -28,9 +27,9 @@
 #include "core/batch_connectivity.hpp"
 #include "core/engine_router.hpp"
 #include "gen/graph_gen.hpp"
+#include "gen/replay_oracle.hpp"
 #include "gen/update_stream.hpp"
 #include "hdt/hdt_connectivity.hpp"
-#include "spanning/union_find.hpp"
 #include "util/timer.hpp"
 
 using namespace bdc;
@@ -71,47 +70,19 @@ const update_stream& mixed_trace() {
   return stream;
 }
 
-/// Expected answers per query batch (union-find oracle in lockstep,
+/// Expected answers per query batch (the stream oracle in lockstep,
 /// computed once and shared by every engine's run).
 const std::vector<std::vector<bool>>& oracle_answers() {
   static const std::vector<std::vector<bool>> answers = [] {
     std::vector<std::vector<bool>> out;
-    std::unordered_set<uint64_t> edges;
-    union_find uf(kN);
-    bool dirty = true;
-    auto rebuild = [&] {
-      uf = union_find(kN);
-      for (uint64_t key : edges) {
-        edge e = edge_from_key(key);
-        uf.unite(e.u, e.v);
-      }
-      dirty = false;
-    };
+    stream_oracle oracle(kN);
     for (const auto& b : mixed_trace()) {
-      switch (b.op) {
-        case update_batch::kind::insert:
-        case update_batch::kind::erase:
-          for (const edge& raw : b.edges) {
-            edge c = raw.canonical();
-            if (c.is_self_loop() || c.v >= kN) continue;
-            if (b.op == update_batch::kind::insert)
-              edges.insert(edge_key(c));
-            else
-              edges.erase(edge_key(c));
-          }
-          dirty = true;
-          break;
-        case update_batch::kind::query: {
-          if (dirty) rebuild();
-          std::vector<bool> ans(b.queries.size());
-          for (size_t i = 0; i < b.queries.size(); ++i) {
-            auto [u, v] = b.queries[i];
-            ans[i] = u < kN && v < kN && uf.find(u) == uf.find(v);
-          }
-          out.push_back(std::move(ans));
-          break;
-        }
-      }
+      oracle.apply(b);
+      if (b.op != update_batch::kind::query) continue;
+      std::vector<bool> ans(b.queries.size());
+      for (size_t i = 0; i < b.queries.size(); ++i)
+        ans[i] = oracle.connected(b.queries[i].first, b.queries[i].second);
+      out.push_back(std::move(ans));
     }
     return out;
   }();

@@ -10,7 +10,7 @@
 #include "baselines/incremental_connectivity.hpp"
 #include "baselines/static_connectivity.hpp"
 #include "gen/graph_gen.hpp"
-#include "spanning/union_find.hpp"
+#include "gen/replay_oracle.hpp"
 #include "util/random.hpp"
 
 namespace bdc {
@@ -20,7 +20,8 @@ TEST(StaticRecompute, MatchesOracleUnderChurn) {
   random_stream rs(21);
   const vertex_id n = 100;
   static_recompute_connectivity sc(n);
-  std::set<std::pair<vertex_id, vertex_id>> present;
+  stream_oracle oracle(n);
+  std::set<std::pair<vertex_id, vertex_id>> present;  // picks deletions
   for (int round = 0; round < 30; ++round) {
     std::vector<edge> ins;
     for (int t = 0; t < 20; ++t) {
@@ -31,20 +32,20 @@ TEST(StaticRecompute, MatchesOracleUnderChurn) {
                                   edge{u, v}.canonical().v});
     }
     sc.batch_insert(ins);
+    oracle.insert(ins);
     std::vector<edge> del;
     for (auto& pe : present)
       if (rs.next(3) == 0) del.push_back({pe.first, pe.second});
     sc.batch_delete(del);
+    oracle.erase(del);
     for (auto& e : del) present.erase({e.u, e.v});
 
-    union_find oracle(n);
-    for (auto& pe : present) oracle.unite(pe.first, pe.second);
     for (int q = 0; q < 100; ++q) {
       vertex_id a = static_cast<vertex_id>(rs.next(n));
       vertex_id b = static_cast<vertex_id>(rs.next(n));
       ASSERT_EQ(sc.connected(a, b), oracle.connected(a, b));
     }
-    ASSERT_EQ(sc.num_edges(), present.size());
+    ASSERT_EQ(sc.num_edges(), oracle.num_edges());
   }
 }
 
@@ -65,7 +66,7 @@ TEST(Incremental, MatchesOracle) {
   random_stream rs(31);
   const vertex_id n = 500;
   incremental_connectivity inc(n);
-  union_find oracle(n);
+  stream_oracle oracle(n);
   for (int round = 0; round < 20; ++round) {
     std::vector<edge> ins;
     for (int t = 0; t < 100; ++t) {
@@ -74,8 +75,7 @@ TEST(Incremental, MatchesOracle) {
       ins.push_back({u, v});
     }
     inc.batch_insert(ins);
-    for (auto& e : ins)
-      if (!e.is_self_loop()) oracle.unite(e.u, e.v);
+    oracle.insert(ins);
     auto qs = std::vector<std::pair<vertex_id, vertex_id>>{};
     for (int q = 0; q < 200; ++q)
       qs.push_back({static_cast<vertex_id>(rs.next(n)),

@@ -13,9 +13,9 @@
 
 #include "ett/blocked_ett.hpp"
 #include "gen/graph_gen.hpp"
+#include "gen/replay_oracle.hpp"
 #include "util/node_pool.hpp"
 #include "obs/telemetry.hpp"
-#include "spanning/union_find.hpp"
 #include "test_workers.hpp"
 #include "util/random.hpp"
 
@@ -141,16 +141,16 @@ TEST(BlockedEtt, OccupancyFloorSurvivesChurn) {
   const vertex_id n = 512;
   blocked_ett f(n);
   random_stream rs(77);
-  std::set<std::pair<vertex_id, vertex_id>> present;
+  stream_oracle forest(n);
+  std::set<std::pair<vertex_id, vertex_id>> present;  // picks cuts
   for (int round = 0; round < 40; ++round) {
-    union_find acyclic(n);
-    for (auto& pe : present) acyclic.unite(pe.first, pe.second);
     std::vector<edge> links;
     for (int t = 0; t < 64 && links.size() < 48; ++t) {
       vertex_id u = static_cast<vertex_id>(rs.next(n));
       vertex_id v = static_cast<vertex_id>(rs.next(n));
-      if (u == v || !acyclic.unite(u, v)) continue;
+      if (u == v || forest.connected(u, v)) continue;
       links.push_back({u, v});
+      forest.insert({&links.back(), 1});
       present.insert({edge{u, v}.canonical().u, edge{u, v}.canonical().v});
     }
     f.batch_link(links);
@@ -159,6 +159,7 @@ TEST(BlockedEtt, OccupancyFloorSurvivesChurn) {
     for (auto& pe : present)
       if (rs.next(3) == 0) cuts.push_back({pe.first, pe.second});
     f.batch_cut(cuts);
+    forest.erase(cuts);
     for (auto& c : cuts)
       present.erase({c.canonical().u, c.canonical().v});
     ASSERT_EQ(f.check_consistency(), "") << "cut round " << round;
@@ -357,16 +358,16 @@ TEST(BlockedEtt, ParallelBatchesKeepInvariants) {
   const vertex_id n = 2048;
   blocked_ett f(n);
   random_stream rs(31);
-  std::set<std::pair<vertex_id, vertex_id>> present;
+  stream_oracle forest(n);
+  std::set<std::pair<vertex_id, vertex_id>> present;  // picks cuts
   for (int round = 0; round < 10; ++round) {
-    union_find acyclic(n);
-    for (auto& pe : present) acyclic.unite(pe.first, pe.second);
     std::vector<edge> links;
     for (int t = 0; t < 2000 && links.size() < 300; ++t) {
       vertex_id u = static_cast<vertex_id>(rs.next(n));
       vertex_id v = static_cast<vertex_id>(rs.next(n));
-      if (u == v || !acyclic.unite(u, v)) continue;
+      if (u == v || forest.connected(u, v)) continue;
       links.push_back({u, v});
+      forest.insert({&links.back(), 1});
       present.insert({edge{u, v}.canonical().u, edge{u, v}.canonical().v});
     }
     f.batch_link(links);
@@ -375,6 +376,7 @@ TEST(BlockedEtt, ParallelBatchesKeepInvariants) {
     for (auto& pe : present)
       if (rs.next(4) == 0) cuts.push_back({pe.first, pe.second});
     f.batch_cut(cuts);
+    forest.erase(cuts);
     for (auto& c : cuts) present.erase({c.canonical().u, c.canonical().v});
     ASSERT_EQ(f.check_consistency(), "") << "parallel cut r" << round;
     auto s = f.debug_block_stats();

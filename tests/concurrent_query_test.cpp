@@ -3,12 +3,13 @@
 //
 // Reader threads hammer batch_dynamic_connectivity's snapshot_query()
 // views WHILE batch_insert/batch_delete run, across worker-pool sizes (1
-// and 2 workers plus the hardware default). Each reader reuses a view for
-// several reads, mixing the freshest-committed surface (connected) with
-// the frozen one (connected_pinned / component_size). Every answer must
-// match the union-find oracle of the exact committed batch count it
-// claims, and a freshest-committed answer may never claim an older count
-// than committed_version() read just before the call.
+// and 2 workers plus the hardware default), through the shared reader pool
+// of gen/replay_oracle.hpp. Each reader reuses a view for several reads,
+// mixing the freshest-committed surface (connected) with the frozen one
+// (connected_pinned / component_size). Every sampled answer must match
+// the stream oracle of the exact committed batch count it claims, and a
+// freshest-committed answer may never claim an older count than
+// committed_version() read just before the call.
 //
 // Iteration counts widen via BDC_CONC_ROUNDS / BDC_CONC_READERS (the TSan
 // CI job raises them); defaults keep the suite quick for local runs.
@@ -19,13 +20,12 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/batch_connectivity.hpp"
-#include "spanning/union_find.hpp"
+#include "gen/replay_oracle.hpp"
 #include "test_workers.hpp"
 #include "util/random.hpp"
 #include "util/types.hpp"
@@ -45,136 +45,15 @@ size_t env_size(const char* name, size_t fallback) {
 size_t conc_rounds() { return env_size("BDC_CONC_ROUNDS", 30); }
 size_t conc_readers() { return env_size("BDC_CONC_READERS", 4); }
 
-/// Min-vertex component labels of an edge-key set (the oracle).
-std::vector<vertex_id> oracle_labels(
-    vertex_id n, const std::unordered_set<uint64_t>& edges) {
-  union_find uf(n);
-  for (uint64_t key : edges) {
-    edge e = edge_from_key(key);
-    uf.unite(e.u, e.v);
-  }
-  std::vector<vertex_id> mins(n, kNoVertex);
-  std::vector<vertex_id> labels(n);
-  for (vertex_id v = 0; v < n; ++v) {
-    uint32_t r = uf.find(v);
-    if (mins[r] == kNoVertex) mins[r] = v;
-  }
-  for (vertex_id v = 0; v < n; ++v) labels[v] = mins[uf.find(v)];
-  return labels;
-}
-
-struct served_record {
-  vertex_id u, v;
-  uint64_t state;
-  bool ans;
-};
-
-void verify_records(const std::vector<std::vector<served_record>>& recs,
-                    const std::vector<std::vector<vertex_id>>& states,
-                    const char* what) {
-  size_t checked = 0, bad = 0;
-  for (const auto& buf : recs) {
-    for (const served_record& r : buf) {
-      ++checked;
-      ASSERT_LT(r.state, states.size()) << what << ": state out of range";
-      const auto& labels = states[r.state];
-      bool expect = labels[r.u] == labels[r.v];
-      if (expect != r.ans && bad++ < 5) {
-        ADD_FAILURE() << what << ": (" << r.u << "," << r.v << ") at state "
-                      << r.state << " answered " << r.ans << ", oracle says "
-                      << expect;
-      }
-    }
-  }
-  EXPECT_EQ(bad, 0u) << what << ": " << bad << " of " << checked
-                     << " concurrent answers disagreed with their oracle";
-  EXPECT_GT(checked, 0u) << what << ": readers never ran";
-}
-
 // ---------------------------------------------------------------------
 // snapshot_query() across update batches
 // ---------------------------------------------------------------------
 
-/// Reader threads over one serving structure. Each reader takes a view,
-/// reuses it for kReadsPerView reads over ids [0, n) and records every
-/// answer with the committed batch count it claims; every 8th read asks
-/// the pinned surface. A freshest-committed read that claims a count below
-/// committed_version() read just before the call counts as stale.
-class served_readers {
- public:
-  static constexpr int kReadsPerView = 8;
-
-  served_readers(const batch_dynamic_connectivity& s, size_t readers,
-                 uint64_t seed)
-      : recs_(readers) {
-    threads_.reserve(readers);
-    for (size_t t = 0; t < readers; ++t) {
-      threads_.emplace_back([this, &s, t, seed] {
-        const vertex_id n = s.num_vertices();
-        random_stream rng(hash_combine(seed, t));
-        auto& buf = recs_[t];
-        uint64_t count = 0;
-        while (!stop_.load(std::memory_order_acquire)) {
-          auto view = s.snapshot_query();
-          for (int i = 0; i < kReadsPerView; ++i) {
-            auto u = static_cast<vertex_id>(rng.next(n));
-            auto v = static_cast<vertex_id>(rng.next(n));
-            served_record r{u, v, 0, false};
-            if ((count++ & 7) == 0) {
-              r.state = view.version();
-              r.ans = view.connected_pinned(u, v);
-              // Frozen accessors must agree with each other.
-              if (r.ans) {
-                EXPECT_EQ(view.component_size(u), view.component_size(v));
-              }
-            } else {
-              const uint64_t floor = s.committed_version();
-              r.ans = view.connected(u, v, &r.state);
-              if (r.state < floor) stale_.fetch_add(1);
-            }
-            buf.push_back(r);
-          }
-          recorded_.fetch_add(1, std::memory_order_release);
-        }
-      });
-    }
-  }
-  ~served_readers() { stop(); }
-  served_readers(const served_readers&) = delete;
-  served_readers& operator=(const served_readers&) = delete;
-
-  /// Batches done: keeps serving until every reader has recorded
-  /// something (so the check cannot starve on a loaded machine), then
-  /// joins them.
-  const std::vector<std::vector<served_record>>& finish() {
-    while (recorded_.load(std::memory_order_acquire) < recs_.size())
-      std::this_thread::yield();
-    stop();
-    return recs_;
-  }
-
-  [[nodiscard]] uint64_t stale() const { return stale_.load(); }
-
- private:
-  void stop() {
-    stop_.store(true, std::memory_order_release);
-    for (auto& th : threads_)
-      if (th.joinable()) th.join();
-  }
-
-  std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> recorded_{0};
-  std::atomic<uint64_t> stale_{0};
-  std::vector<std::vector<served_record>> recs_;
-  std::vector<std::thread> threads_;
-};
-
-/// The serving structure under test, plus the oracle labels of every
-/// committed batch count (states[k] is the graph after k batches).
+/// The serving structure under test and the update log it applied
+/// (version k is the graph after the log's first k batches); `now` is the
+/// oracle of the latest version.
 struct served_graph {
-  explicit served_graph(vertex_id n) : s(n, serving()) {
-    states.push_back(oracle_labels(n, edges));
-  }
+  explicit served_graph(vertex_id n) : s(n, serving()), now(n) {}
   static options serving() {
     options o;
     o.concurrent_reads = true;
@@ -182,26 +61,30 @@ struct served_graph {
   }
   void insert(std::span<const edge> batch) {
     s.batch_insert(batch);
-    for (const edge& raw : batch) {
-      edge c = raw.canonical();
-      if (!c.is_self_loop() && c.v < s.num_vertices())
-        edges.insert(edge_key(c));
-    }
-    commit();
+    commit({update_batch::kind::insert, {batch.begin(), batch.end()}, {}});
   }
   void erase(std::span<const edge> batch) {
     s.batch_delete(batch);
-    for (const edge& raw : batch) edges.erase(edge_key(raw.canonical()));
-    commit();
+    commit({update_batch::kind::erase, {batch.begin(), batch.end()}, {}});
   }
-  void commit() {
-    states.push_back(oracle_labels(s.num_vertices(), edges));
-    ASSERT_EQ(s.committed_version(), states.size() - 1);
+  void commit(update_batch b) {
+    now.apply(b);
+    log.push_back(std::move(b));
+    ASSERT_EQ(s.committed_version(), now.version());
+  }
+  /// Joins the readers and holds every sampled read to the oracle of the
+  /// version it claims.
+  void verify(served_reads& readers, const char* what) {
+    const read_check c = check_reads(readers.finish(), log, s.num_vertices());
+    for (const std::string& m : c.messages) ADD_FAILURE() << what << ": " << m;
+    EXPECT_TRUE(c.ok()) << what << ": " << c.mismatches << " of "
+                        << c.checked << " sampled reads disagreed with their "
+                        << "oracle, " << c.stale << " stale";
   }
 
   batch_dynamic_connectivity s;
-  std::unordered_set<uint64_t> edges;
-  std::vector<std::vector<vertex_id>> states;
+  stream_oracle now;
+  update_stream log;
 };
 
 class ConcurrentServe : public ::testing::TestWithParam<unsigned> {};
@@ -213,7 +96,7 @@ TEST_P(ConcurrentServe, ViewsAgreeWithTheirCommittedOracle) {
   ASSERT_TRUE(g.s.serving());
   ASSERT_NE(g.s.read_epochs(), nullptr);
   EXPECT_EQ(g.s.committed_version(), 0u);
-  served_readers readers(g.s, conc_readers(), 0xfeed);
+  served_reads readers(g.s, conc_readers(), 0xfeed);
 
   random_stream rng(0xd1ce);
   for (size_t r = 0; r < conc_rounds(); ++r) {
@@ -226,14 +109,12 @@ TEST_P(ConcurrentServe, ViewsAgreeWithTheirCommittedOracle) {
       }
       g.insert(batch);
     } else {
-      for (uint64_t key : g.edges)
+      for (uint64_t key : g.now.edges())
         if (rng.next(2) == 0) batch.push_back(edge_from_key(key));
       g.erase(batch);
     }
   }
-  verify_records(readers.finish(), g.states, "snapshot_query");
-  EXPECT_EQ(readers.stale(), 0u)
-      << "a fresh read claimed a state older than the committed one";
+  g.verify(readers, "snapshot_query");
   auto rep = g.s.check_invariants();
   EXPECT_TRUE(rep.ok) << rep.message;
 }
@@ -249,7 +130,7 @@ TEST_P(ConcurrentServe, ReadsStayValidAcrossDirectoryGrowth) {
   // A region spans several 32-slot chunks of blocked_ett's directory.
   constexpr vertex_id kRegion = 96;
   served_graph g(static_cast<vertex_id>((rounds + 1) * kRegion));
-  served_readers readers(g.s, conc_readers(), 0x96e4);
+  served_reads readers(g.s, conc_readers(), 0x96e4);
 
   for (size_t r = 0; r < rounds; ++r) {
     std::vector<edge> links;
@@ -265,8 +146,7 @@ TEST_P(ConcurrentServe, ReadsStayValidAcrossDirectoryGrowth) {
       g.erase(cuts);
     }
   }
-  verify_records(readers.finish(), g.states, "directory growth");
-  EXPECT_EQ(readers.stale(), 0u);
+  g.verify(readers, "directory growth");
   auto rep = g.s.check_invariants();
   EXPECT_TRUE(rep.ok) << rep.message;
   // Only the two newest regions are still linked; everything older was
@@ -284,7 +164,7 @@ TEST_P(ConcurrentServe, ReadsStayValidWhileTourChangesSizeClass) {
   const size_t rounds = std::max<size_t>(1, conc_rounds() / 10);
   constexpr vertex_id kLength = 24;  // 70 entries: past one full block
   served_graph g(kLength + 8);       // a few ids that stay singletons
-  served_readers readers(g.s, conc_readers(), 0x51e);
+  served_reads readers(g.s, conc_readers(), 0x51e);
 
   for (size_t r = 0; r < rounds; ++r) {
     for (vertex_id k = 1; k < kLength; ++k) {
@@ -296,8 +176,7 @@ TEST_P(ConcurrentServe, ReadsStayValidWhileTourChangesSizeClass) {
       g.erase({&e, 1});
     }
   }
-  verify_records(readers.finish(), g.states, "size classes");
-  EXPECT_EQ(readers.stale(), 0u);
+  g.verify(readers, "size classes");
   auto rep = g.s.check_invariants();
   EXPECT_TRUE(rep.ok) << rep.message;
   EXPECT_EQ(g.s.levels().footprint().active_vertices, 0u);

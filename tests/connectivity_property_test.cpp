@@ -1,6 +1,7 @@
 // Randomized property tests for the core structure: every engine, several
-// graph shapes and batch regimes, driven in lock-step with a union-find
-// recompute oracle AND the independent sequential HDT implementation.
+// graph shapes and batch regimes, driven in lock-step with the stream
+// oracle (gen/replay_oracle.hpp) AND the independent sequential HDT
+// implementation.
 // Invariants are re-validated after every batch.
 //
 // Every scenario runs over the shared engine table (tests/
@@ -22,8 +23,8 @@
 
 #include "core/batch_connectivity.hpp"
 #include "gen/graph_gen.hpp"
+#include "gen/replay_oracle.hpp"
 #include "hdt/hdt_connectivity.hpp"
-#include "spanning/union_find.hpp"
 #include "test_substrates.hpp"
 #include "test_workers.hpp"
 #include "util/random.hpp"
@@ -66,7 +67,8 @@ TEST_P(PropertySweep, OracleLockstep) {
   o = cfg.apply(o);
   batch_dynamic_connectivity dc(n, o);
   hdt_connectivity hdt(n);
-  std::set<std::pair<vertex_id, vertex_id>> present;
+  stream_oracle oracle(n);
+  std::set<std::pair<vertex_id, vertex_id>> present;  // picks deletions
 
   for (int round = 0; round < sc.rounds; ++round) {
     // Insertion batch (with deliberate garbage: dups, self-loops).
@@ -81,6 +83,7 @@ TEST_P(PropertySweep, OracleLockstep) {
     if (rs.next(100) < static_cast<uint64_t>(sc.insert_rate)) {
       dc.batch_insert(ins);
       hdt.batch_insert(ins);
+      oracle.insert(ins);
       for (auto e : ins)
         if (!e.is_self_loop())
           present.insert({e.canonical().u, e.canonical().v});
@@ -97,15 +100,14 @@ TEST_P(PropertySweep, OracleLockstep) {
                    static_cast<vertex_id>(rs.next(n))});  // mostly absent
     dc.batch_delete(del);
     hdt.batch_delete(del);
+    oracle.erase(del);
     for (auto& e : del) present.erase({e.canonical().u, e.canonical().v});
     auto rep = dc.check_invariants();
     ASSERT_TRUE(rep.ok) << "delete r" << round << ": " << rep.message;
     expect_snapshot_matches(dc, "delete r" + std::to_string(round));
     ASSERT_TRUE(hdt.check_invariants().empty()) << "hdt r" << round;
 
-    // Cross-validation: dc vs union-find vs HDT.
-    union_find oracle(n);
-    for (auto& pe : present) oracle.unite(pe.first, pe.second);
+    // Cross-validation: dc vs the oracle vs HDT.
     std::vector<std::pair<vertex_id, vertex_id>> qs;
     for (int q = 0; q < 80; ++q)
       qs.push_back({static_cast<vertex_id>(rs.next(n)),
@@ -117,8 +119,8 @@ TEST_P(PropertySweep, OracleLockstep) {
       ASSERT_EQ(got[q], expect) << "r" << round << " q" << q;
       ASSERT_EQ(got_hdt[q], expect) << "r" << round << " q" << q;
     }
-    ASSERT_EQ(dc.num_edges(), present.size());
-    ASSERT_EQ(hdt.num_edges(), present.size());
+    ASSERT_EQ(dc.num_edges(), oracle.num_edges());
+    ASSERT_EQ(hdt.num_edges(), oracle.num_edges());
   }
 }
 
@@ -203,8 +205,7 @@ INSTANTIATE_TEST_SUITE_P(
 // edges of one component of a grid or of a path with chords, so the
 // component splits into three or more pieces, then the next batch puts
 // the edges back. Churn sinks tree edges, so the cuts land at several
-// levels. A union-find over the test's own edge set checks the labels
-// after every batch.
+// levels. The stream oracle checks the labels after every batch.
 struct split_shape {
   const char* name;
   vertex_id n;
@@ -230,27 +231,17 @@ TEST_P(MultiPieceSplit, OracleAfterEveryBatch) {
   worker_pool_guard pool(cfg.workers);
   const vertex_id n = sh.n;
   batch_dynamic_connectivity dc(n, cfg.apply({}));
-  std::set<std::pair<vertex_id, vertex_id>> present;
+  stream_oracle oracle(n);
   auto check = [&](const std::string& where) {
     auto rep = dc.check_invariants();
     ASSERT_TRUE(rep.ok) << where << ": " << rep.message;
     expect_snapshot_matches(dc, where);
-    union_find oracle(n);
-    for (auto& pe : present) oracle.unite(pe.first, pe.second);
-    auto labels = dc.components();
-    size_t oracle_comps = 0, comps = 0;
-    for (vertex_id v = 0; v < n; ++v) {
-      ASSERT_TRUE(oracle.connected(v, labels[v])) << where << " v" << v;
-      oracle_comps += oracle.find(v) == v;
-      comps += labels[v] == v;
-    }
-    ASSERT_EQ(comps, oracle_comps) << where;
+    ASSERT_EQ(dc.components(), oracle.labels()) << where;
   };
 
   std::vector<edge> graph = sh.make(n);
   dc.batch_insert(graph);
-  for (const edge& e : graph)
-    present.insert({e.canonical().u, e.canonical().v});
+  oracle.insert(graph);
   check("build");
 
   random_stream rs(17);
@@ -274,10 +265,10 @@ TEST_P(MultiPieceSplit, OracleAfterEveryBatch) {
       cut_levels.insert(same[t].second);
     }
     dc.batch_delete(cuts);
-    for (const edge& e : cuts) present.erase({e.u, e.v});
+    oracle.erase(cuts);
     check("cut r" + std::to_string(round));
     dc.batch_insert(cuts);
-    for (const edge& e : cuts) present.insert({e.u, e.v});
+    oracle.insert(cuts);
     check("restore r" + std::to_string(round));
   }
   EXPECT_GE(cut_levels.size(), 3u) << "cuts never left the top levels";

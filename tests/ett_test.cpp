@@ -13,7 +13,7 @@
 
 #include "ett/blocked_ett.hpp"
 #include "gen/graph_gen.hpp"
-#include "spanning/union_find.hpp"
+#include "gen/replay_oracle.hpp"
 #include "test_substrates.hpp"
 #include "test_workers.hpp"
 #include "util/random.hpp"
@@ -161,18 +161,18 @@ TEST_P(EttRandomSweep, BatchesAgainstUnionFindOracle) {
   const vertex_id n = static_cast<vertex_id>(nn);
   random_stream rs(trial * 131 + nn);
   blocked_ett f(n);
-  std::set<std::pair<vertex_id, vertex_id>> tree_edges;
+  stream_oracle oracle(n);
+  std::set<std::pair<vertex_id, vertex_id>> tree_edges;  // picks cuts
   for (int round = 0; round < 25; ++round) {
     // Random batch of links among distinct components.
-    union_find tmp(n);
-    for (auto& te : tree_edges) tmp.unite(te.first, te.second);
     std::vector<edge> batch;
     int tries = 10 + static_cast<int>(rs.next(30));
     for (int t = 0; t < tries; ++t) {
       vertex_id u = static_cast<vertex_id>(rs.next(n));
       vertex_id v = static_cast<vertex_id>(rs.next(n));
-      if (u == v) continue;
-      if (tmp.unite(u, v)) batch.push_back({u, v});
+      if (u == v || oracle.connected(u, v)) continue;
+      batch.push_back({u, v});
+      oracle.insert({&batch.back(), 1});
     }
     f.batch_link(batch);
     for (auto e : batch)
@@ -184,13 +184,12 @@ TEST_P(EttRandomSweep, BatchesAgainstUnionFindOracle) {
     for (auto& te : tree_edges)
       if (rs.next(3) == 0) cuts.push_back({te.first, te.second});
     f.batch_cut(cuts);
+    oracle.erase(cuts);
     for (auto& c : cuts)
       tree_edges.erase({c.canonical().u, c.canonical().v});
     ASSERT_TRUE(f.check_consistency().empty()) << "after cut r" << round;
 
     // Oracle comparison: connectivity, sizes, batch queries.
-    union_find oracle(n);
-    for (auto& te : tree_edges) oracle.unite(te.first, te.second);
     std::vector<std::pair<vertex_id, vertex_id>> qs;
     for (int q = 0; q < 60; ++q)
       qs.push_back({static_cast<vertex_id>(rs.next(n)),

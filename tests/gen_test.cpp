@@ -1,9 +1,11 @@
-// Generator sanity: sizes, distinctness, determinism, stream structure.
+// Generator sanity: sizes, distinctness, determinism, stream structure;
+// and the replay oracle that checks replays of those streams.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "gen/graph_gen.hpp"
+#include "gen/replay_oracle.hpp"
 #include "gen/update_stream.hpp"
 #include "spanning/union_find.hpp"
 
@@ -128,6 +130,81 @@ TEST(Stream, ShuffleIsPermutation) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
+}
+
+// ---------------------------------------------------------------------
+// The replay oracle (gen/replay_oracle.hpp).
+// ---------------------------------------------------------------------
+
+TEST(ReplayOracle, AppliesTheInputRulesOnce) {
+  stream_oracle o(8);
+  // Both orientations, self-loops and out-of-range ids: {1,2} and {5,6}.
+  o.insert(std::vector<edge>{{1, 2}, {2, 1}, {3, 3}, {4, 9}, {9, 9}, {6, 5}});
+  EXPECT_EQ(o.num_edges(), 2u);
+  EXPECT_TRUE(o.connected(2, 1));
+  EXPECT_TRUE(o.connected(3, 3));
+  EXPECT_FALSE(o.connected(9, 9));  // out of range answers false
+  o.erase(std::vector<edge>{{2, 1}, {7, 8}, {4, 9}});
+  EXPECT_EQ(o.num_edges(), 1u);
+  EXPECT_EQ(o.labels(), (std::vector<vertex_id>{0, 1, 2, 3, 4, 5, 5, 7}));
+  // A no-op update is still a version; a query batch is not an update.
+  o.insert(std::vector<edge>{});
+  o.apply({update_batch::kind::query, {}, {{0, 1}}});
+  EXPECT_EQ(o.version(), 3u);
+  // Inserts after an erase extend the rebuilt forest.
+  o.insert(std::vector<edge>{{0, 5}, {6, 7}});
+  EXPECT_EQ(o.labels(), (std::vector<vertex_id>{0, 1, 2, 3, 4, 0, 0, 0}));
+}
+
+TEST(ReplayOracle, ReservoirSpreadsOverTheWholeReplay) {
+  constexpr uint64_t kRecords = uint64_t{1} << 20;
+  read_sample sample;
+  random_stream rng(0x5eed);
+  for (uint64_t i = 0; i < kRecords; ++i)  // rising, as a replay's are
+    sample.offer({0, 0, i, 0, false, false}, rng);
+  EXPECT_EQ(sample.seen(), kRecords);
+  ASSERT_EQ(sample.kept().size(), read_sample::kCapacity);
+  size_t last_tenth = 0;
+  for (const served_record& r : sample.kept())
+    last_tenth += r.version >= kRecords - kRecords / 10;
+  // A uniform sample keeps ~10% of its records from the last tenth; one
+  // that kept the first kCapacity reads would keep none.
+  EXPECT_GE(last_tenth, read_sample::kCapacity / 20);
+}
+
+TEST(ReplayOracle, CheckReadsHoldsEachReadToItsVersion) {
+  // Version 0: empty; 1: {0,1}; 2: {0,1} deleted again.
+  const update_stream log = {{update_batch::kind::insert, {{0, 1}}, {}},
+                             {update_batch::kind::query, {}, {{0, 1}}},
+                             {update_batch::kind::erase, {{1, 0}}, {}}};
+  // Reads of (0,1): {u, v, version, size, pinned, ans}.
+  served_sample good;
+  good.committed = 2;
+  good.records = {{0, 1, 2, 0, false, false},
+                  {0, 1, 1, 2, true, true},
+                  {0, 1, 0, 0, false, false},
+                  {0, 1, 1, 0, false, true}};
+  const read_check ok = check_reads(good, log, 4);
+  EXPECT_TRUE(ok.ok());
+  EXPECT_EQ(ok.checked, 4u);
+  EXPECT_EQ(ok.first_version, 0u);
+  EXPECT_EQ(ok.last_version, 2u);
+
+  auto mismatches = [&](auto mutate) {
+    served_sample bad = good;
+    mutate(bad);
+    return check_reads(std::move(bad), log, 4).mismatches;
+  };
+  EXPECT_EQ(mismatches([](auto& s) { s.records[3].ans = false; }), 1u);
+  EXPECT_EQ(mismatches([](auto& s) { s.records[1].size = 1; }), 1u);
+  EXPECT_EQ(mismatches([](auto& s) { s.records[0].version = 3; }), 1u);
+  EXPECT_EQ(mismatches([](auto& s) { s.committed = 1; }), 1u);
+  served_sample stale = good;
+  stale.stale = 1;
+  const read_check st = check_reads(stale, log, 4);
+  EXPECT_EQ(st.mismatches, 0u);
+  EXPECT_FALSE(st.ok());
+  EXPECT_FALSE(check_reads(served_sample{}, {}, 4).ok()) << "nothing read";
 }
 
 }  // namespace

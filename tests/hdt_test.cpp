@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "gen/graph_gen.hpp"
+#include "gen/replay_oracle.hpp"
 #include "hdt/hdt_connectivity.hpp"
-#include "spanning/union_find.hpp"
 #include "util/random.hpp"
 
 namespace bdc {
@@ -62,7 +62,8 @@ TEST_P(HdtRandomSweep, AgainstRecomputeOracle) {
   random_stream rs(trial * 613 + 29);
   const vertex_id n = 120;
   hdt_connectivity dc(n);
-  std::set<std::pair<vertex_id, vertex_id>> present;
+  stream_oracle oracle(n);
+  std::set<std::pair<vertex_id, vertex_id>> present;  // picks deletions
   for (int step = 0; step < 2500; ++step) {
     vertex_id u = static_cast<vertex_id>(rs.next(n));
     vertex_id v = static_cast<vertex_id>(rs.next(n));
@@ -70,27 +71,29 @@ TEST_P(HdtRandomSweep, AgainstRecomputeOracle) {
     edge c = edge{u, v}.canonical();
     if (rs.next(100) < 60) {
       dc.insert(c);
+      oracle.insert({&c, 1});
       present.insert({c.u, c.v});
     } else if (present.count({c.u, c.v})) {
       dc.erase(c);
+      oracle.erase({&c, 1});
       present.erase({c.u, c.v});
     } else if (!present.empty()) {
       auto it = present.begin();
       std::advance(it, rs.next(present.size()));
-      dc.erase({it->first, it->second});
+      c = {it->first, it->second};
+      dc.erase(c);
+      oracle.erase({&c, 1});
       present.erase(it);
     }
     if (step % 200 == 0) {
       ASSERT_TRUE(dc.check_invariants().empty()) << "step " << step;
-      union_find oracle(n);
-      for (auto& pe : present) oracle.unite(pe.first, pe.second);
       for (int q = 0; q < 150; ++q) {
         vertex_id a = static_cast<vertex_id>(rs.next(n));
         vertex_id b = static_cast<vertex_id>(rs.next(n));
         ASSERT_EQ(dc.connected(a, b), oracle.connected(a, b))
             << "step " << step;
       }
-      ASSERT_EQ(dc.num_edges(), present.size());
+      ASSERT_EQ(dc.num_edges(), oracle.num_edges());
     }
   }
 }

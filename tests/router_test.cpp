@@ -3,8 +3,8 @@
 // Three groups:
 //   * RouterDifferential — phase-skewed mixed traces replayed in lockstep
 //     through the router AND every fixed engine (HDT batch structure,
-//     sequential HDT, static recompute), all checked against a union-find
-//     oracle rebuilt from scratch at every query batch. The router must be
+//     sequential HDT, static recompute), all checked against the stream
+//     oracle of gen/replay_oracle.hpp. The router must be
 //     indistinguishable from the fixed engines on every answer, edge
 //     count, and components() labelling.
 //   * Promotion boundaries — deletion in batch 0, deletions of
@@ -13,12 +13,11 @@
 //     accumulated edge set.
 //   * Queries — an update that changes connectivity is visible to the
 //     very next query, out-of-range ids answer false, and query batches
-//     from several threads at once all match the oracle, each both
-//     before and after promotion.
+//     from several threads at once all pass the served-read checker,
+//     each both before and after promotion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -29,9 +28,9 @@
 #include "core/batch_connectivity.hpp"
 #include "core/engine_router.hpp"
 #include "gen/graph_gen.hpp"
+#include "gen/replay_oracle.hpp"
 #include "gen/update_stream.hpp"
 #include "hdt/hdt_connectivity.hpp"
-#include "spanning/union_find.hpp"
 #include "test_workers.hpp"
 #include "util/random.hpp"
 
@@ -85,7 +84,7 @@ TEST_P(RouterDifferential, PhaseSkewedTraceLockstep) {
   hdt_connectivity hdt(p.n);
   static_recompute_connectivity stat(p.n);
 
-  std::set<std::pair<vertex_id, vertex_id>> present;
+  stream_oracle oracle(p.n);
   size_t batch_index = 0;
   for (const auto& b : stream) {
     SCOPED_TRACE("batch " + std::to_string(batch_index++));
@@ -95,24 +94,16 @@ TEST_P(RouterDifferential, PhaseSkewedTraceLockstep) {
         dynamic.batch_insert(b.edges);
         hdt.batch_insert(b.edges);
         stat.batch_insert(b.edges);
-        for (edge e : b.edges) {
-          edge c = e.canonical();
-          if (!c.is_self_loop() && c.v < p.n) present.insert({c.u, c.v});
-        }
+        oracle.insert(b.edges);
         break;
       case update_batch::kind::erase:
         router.batch_delete(b.edges);
         dynamic.batch_delete(b.edges);
         hdt.batch_delete(b.edges);
         stat.batch_delete(b.edges);
-        for (edge e : b.edges) {
-          edge c = e.canonical();
-          present.erase({c.u, c.v});
-        }
+        oracle.erase(b.edges);
         break;
       case update_batch::kind::query: {
-        union_find oracle(p.n);
-        for (auto& pe : present) oracle.unite(pe.first, pe.second);
         auto got_r = router.batch_connected(b.queries);
         auto got_d = dynamic.batch_connected(b.queries);
         auto got_h = hdt.batch_connected(b.queries);
@@ -128,7 +119,7 @@ TEST_P(RouterDifferential, PhaseSkewedTraceLockstep) {
         break;
       }
     }
-    ASSERT_EQ(router.num_edges(), present.size());
+    ASSERT_EQ(router.num_edges(), oracle.num_edges());
   }
 
   // The trace ends with a deletion burst, so the router must have
@@ -141,19 +132,9 @@ TEST_P(RouterDifferential, PhaseSkewedTraceLockstep) {
   EXPECT_GT(st.batches_on_unionfind, 0u);
   EXPECT_GT(st.batches_on_dynamic, 0u);
 
-  // components() labelling agrees with a from-scratch oracle walk.
-  union_find oracle(p.n);
-  for (auto& pe : present) oracle.unite(pe.first, pe.second);
-  std::vector<vertex_id> want(p.n);
-  std::vector<vertex_id> min_at(p.n, p.n);
-  for (vertex_id v = 0; v < p.n; ++v) {
-    vertex_id r = static_cast<vertex_id>(oracle.find(v));
-    if (min_at[r] == p.n) min_at[r] = v;
-  }
-  for (vertex_id v = 0; v < p.n; ++v)
-    want[v] = min_at[static_cast<vertex_id>(oracle.find(v))];
-  EXPECT_EQ(router.components(), want);
-  EXPECT_EQ(dynamic.components(), want);
+  // components() labelling agrees with the oracle's min-vertex labels.
+  EXPECT_EQ(router.components(), oracle.labels());
+  EXPECT_EQ(dynamic.components(), oracle.labels());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -178,11 +159,10 @@ TEST(RouterDifferential, InsertOnlyTraceNeverPromotes) {
   auto graph = gen_erdos_renyi(n, 2048, 21);
   auto stream = make_insertion_stream(graph, 64, 22);
   engine_router router(n);
-  union_find oracle(n);
+  stream_oracle oracle(n);
   for (const auto& b : stream) {
     router.batch_insert(b.edges);
-    for (edge e : b.edges)
-      if (!e.is_self_loop()) oracle.unite(e.u, e.v);
+    oracle.insert(b.edges);
     auto qs = make_query_batch(n, 64, b.edges.empty() ? 1 : b.edges[0].u);
     auto got = router.batch_connected(qs);
     for (size_t q = 0; q < qs.size(); ++q)
@@ -350,8 +330,9 @@ TEST(RouterQuery, OutOfRangeIdsAnswerFalse) {
 }
 
 // Router queries write nothing the router owns, so several threads may
-// send query batches to one router at once. Every answer must match the
-// union-find oracle; the TSan build runs this as the data-race check.
+// send query batches to one router at once. Every answer is recorded as a
+// served read of the current version and must pass check_reads; the TSan
+// build runs this as the data-race check.
 TEST(RouterQuery, ConcurrentQueryBatchesMatchOracle) {
   const vertex_id n = 2048;
   const auto graph = gen_erdos_renyi(n, 2 * static_cast<size_t>(n), 51);
@@ -361,10 +342,7 @@ TEST(RouterQuery, ConcurrentQueryBatchesMatchOracle) {
   constexpr size_t kQueries = 256;
   engine_router r(n);
   r.batch_insert(graph);
-
-  // Set semantics: a deleted edge is gone even if the graph repeats it.
-  std::set<std::pair<vertex_id, vertex_id>> present;
-  for (edge e : graph) present.insert({e.canonical().u, e.canonical().v});
+  update_stream log = {{update_batch::kind::insert, graph, {}}};
 
   auto hammer_and_check = [&](const char* phase) {
     SCOPED_TRACE(phase);
@@ -381,25 +359,29 @@ TEST(RouterQuery, ConcurrentQueryBatchesMatchOracle) {
       });
     }
     for (auto& th : threads) th.join();
-    union_find oracle(n);
-    for (const auto& [u, v] : present) oracle.unite(u, v);
+    served_sample sample;
+    sample.committed = log.size();
     for (int t = 0; t < kThreads; ++t) {
       ASSERT_EQ(got[t].size(), static_cast<size_t>(kBatches));
       for (int b = 0; b < kBatches; ++b) {
         const query_list& qs = sent[t][b];
         ASSERT_EQ(got[t][b].size(), qs.size());
         for (size_t q = 0; q < qs.size(); ++q)
-          ASSERT_EQ(got[t][b][q], oracle.connected(qs[q].first, qs[q].second))
-              << "thread " << t << ", batch " << b << ", query " << q;
+          sample.records.push_back({qs[q].first, qs[q].second, log.size(), 0,
+                                    false, got[t][b][q]});
       }
     }
+    const read_check c = check_reads(std::move(sample), log, n);
+    for (const std::string& m : c.messages) ADD_FAILURE() << m;
+    EXPECT_TRUE(c.ok());
+    EXPECT_EQ(c.checked, size_t{kThreads} * kBatches * kQueries);
   };
 
   ASSERT_FALSE(r.promoted());
   hammer_and_check("before promotion");
   r.batch_delete(deleted);  // promotes
   ASSERT_TRUE(r.promoted());
-  for (edge e : deleted) present.erase({e.canonical().u, e.canonical().v});
+  log.push_back({update_batch::kind::erase, {deleted.begin(), deleted.end()}, {}});
   hammer_and_check("after promotion");
 }
 

@@ -3,12 +3,13 @@
 //
 //   * OracleLockstep — long randomized mixed link/cut/count/query streams
 //     are driven directly against blocked_ett; every round's query batch,
-//     edge count and sampled component sizes are verified against a
-//     union-find oracle REBUILT from scratch from the current tree-edge
-//     set, so an oracle bug cannot track a forest bug.
+//     edge count and sampled component sizes are verified against the
+//     stream oracle of the current tree-edge set (gen/replay_oracle.hpp),
+//     a sequential union-find that shares no code with the forest, so an
+//     oracle bug cannot track a forest bug.
 //   * BdcDifferential — batch_dynamic_connectivity end-to-end (inserts
 //     and deletes with non-tree edges, replacement searches, level
-//     pushes) in lockstep with a from-scratch union-find oracle. The
+//     pushes) in lockstep with the same stream oracle. The
 //     structure runs with the read service on, and after every committed
 //     batch the incrementally published snapshot is compared against a
 //     from-scratch components() walk. The adaptive engine_router rides
@@ -37,7 +38,7 @@
 #include "core/batch_connectivity.hpp"
 #include "core/engine_router.hpp"
 #include "ett/blocked_ett.hpp"
-#include "spanning/union_find.hpp"
+#include "gen/replay_oracle.hpp"
 #include "test_workers.hpp"
 #include "util/random.hpp"
 
@@ -62,26 +63,28 @@ struct fuzz_params {
   size_t batch;
 };
 
-// One mutation/query round state: the present tree edges plus generators.
+// One mutation/query round state: the present tree edges (and the oracle
+// of the forest they form) plus generators.
 struct stream_state {
   vertex_id n;
   random_stream rs;
   std::set<std::pair<vertex_id, vertex_id>> present;
+  stream_oracle forest;
 
-  explicit stream_state(vertex_id n_, uint64_t seed) : n(n_), rs(seed) {}
+  explicit stream_state(vertex_id n_, uint64_t seed)
+      : n(n_), rs(seed), forest(n_) {}
 
   // A batch of links that is acyclic against the current forest AND within
   // itself, never already present, no self loops — the batch_link
   // preconditions the level structure guarantees in production.
   std::vector<edge> next_links(size_t want) {
-    union_find acyclic(n);
-    for (const auto& pe : present) acyclic.unite(pe.first, pe.second);
     std::vector<edge> links;
     for (size_t t = 0; t < 20 * want && links.size() < want; ++t) {
       vertex_id u = static_cast<vertex_id>(rs.next(n));
       vertex_id v = static_cast<vertex_id>(rs.next(n));
-      if (u == v || !acyclic.unite(u, v)) continue;
+      if (u == v || forest.connected(u, v)) continue;
       links.push_back({u, v});
+      forest.insert({&links.back(), 1});
       present.insert({edge{u, v}.canonical().u, edge{u, v}.canonical().v});
     }
     return links;
@@ -99,6 +102,7 @@ struct stream_state {
       cuts.push_back({pool[i].first, pool[i].second});
       present.erase(pool[i]);
     }
+    forest.erase(cuts);
     return cuts;
   }
 
@@ -118,7 +122,7 @@ vertex_id n_for_batch(size_t batch) {
 }
 
 // ---------------------------------------------------------------------
-// Union-find rebuild oracle.
+// The stream oracle in lockstep.
 // ---------------------------------------------------------------------
 
 class OracleLockstep : public ::testing::TestWithParam<fuzz_params> {};
@@ -163,26 +167,25 @@ TEST_P(OracleLockstep, MixedStream) {
       f.batch_add_counts(up);
       ASSERT_EQ(f.check_consistency(), "") << "after batch_add_counts";
 
-      // Oracle rebuilt from scratch: query agreement + component sizes.
-      union_find oracle(n);
-      for (const auto& pe : st.present) oracle.unite(pe.first, pe.second);
+      // The oracle: query agreement + component sizes.
       auto qs = st.next_queries(2 * p.batch + 16);
       for (auto [u, v] : qs) {
-        ASSERT_EQ(f.connected(u, v), oracle.connected(u, v))
+        ASSERT_EQ(f.connected(u, v), st.forest.connected(u, v))
             << "query " << u << "," << v;
       }
+      const std::vector<vertex_id>& labels = st.forest.labels();
       std::vector<uint32_t> comp_size(n, 0);
-      for (vertex_id v = 0; v < n; ++v) ++comp_size[oracle.find(v)];
+      for (vertex_id v = 0; v < n; ++v) ++comp_size[labels[v]];
       for (int probe = 0; probe < 8; ++probe) {
         vertex_id v = static_cast<vertex_id>(st.rs.next(n));
         auto cc = f.component_counts(v);
-        ASSERT_EQ(cc.vertices, comp_size[oracle.find(v)]) << "vertex " << v;
+        ASSERT_EQ(cc.vertices, comp_size[labels[v]]) << "vertex " << v;
         // Every sampled vertex in this component contributes 3 non-tree
         // slots; fetch must surface exactly min(want, total).
         auto fetched = f.fetch_nontree(v, cc.nontree_edges + 10);
         uint64_t sum = 0;
         for (const auto& [x, take] : fetched) {
-          ASSERT_TRUE(oracle.connected(v, x));
+          ASSERT_TRUE(st.forest.connected(v, x));
           sum += take;
         }
         ASSERT_EQ(sum, cc.nontree_edges);
@@ -272,7 +275,7 @@ bdc_stream make_bdc_stream(vertex_id n, uint64_t seed, size_t batch,
 }
 
 /// Replays `stream` through batch_dynamic_connectivity and the adaptive
-/// router in lockstep with a from-scratch union-find oracle. Returns ""
+/// router in lockstep with the stream oracle. Returns ""
 /// when clean, else a description of the first divergence. `thorough`
 /// validates invariants after every batch (used while minimizing, so the
 /// repro shrinks to the earliest corrupting batch rather than the query
@@ -285,19 +288,19 @@ std::string replay_bdc(vertex_id n, const bdc_stream& stream,
   o.concurrent_reads = true;
   batch_dynamic_connectivity dc(n, o);
   engine_router router(n);
-  std::set<std::pair<vertex_id, vertex_id>> present;
+  stream_oracle oracle(n);
   auto check_all = [&](size_t bi) -> std::string {
-    if (dc.num_edges() != present.size())
+    if (dc.num_edges() != oracle.num_edges())
       return "dynamic: edge count " + std::to_string(dc.num_edges()) +
-             " != oracle " + std::to_string(present.size()) +
+             " != oracle " + std::to_string(oracle.num_edges()) +
              " after batch " + std::to_string(bi);
     auto rep = dc.check_invariants();
     if (!rep.ok)
       return "dynamic: " + rep.message + " after batch " +
              std::to_string(bi);
-    if (router.num_edges() != present.size())
+    if (router.num_edges() != oracle.num_edges())
       return "router: edge count " + std::to_string(router.num_edges()) +
-             " != oracle " + std::to_string(present.size()) +
+             " != oracle " + std::to_string(oracle.num_edges()) +
              " after batch " + std::to_string(bi);
     if (router.stats().promotions > 1)
       return "router: promoted " + std::to_string(router.stats().promotions) +
@@ -321,21 +324,16 @@ std::string replay_bdc(vertex_id n, const bdc_stream& stream,
       case bdc_batch::kind::insert:
         dc.batch_insert(b.edges);
         router.batch_insert(b.edges);
-        for (auto e : b.edges)
-          if (!e.is_self_loop() && e.u < n && e.v < n)
-            present.insert({e.canonical().u, e.canonical().v});
+        oracle.insert(b.edges);
         if (auto err = check_snapshot(bi); !err.empty()) return err;
         break;
       case bdc_batch::kind::erase:
         dc.batch_delete(b.edges);
         router.batch_delete(b.edges);
-        for (auto& e : b.edges)
-          present.erase({e.canonical().u, e.canonical().v});
+        oracle.erase(b.edges);
         if (auto err = check_snapshot(bi); !err.empty()) return err;
         break;
       case bdc_batch::kind::query: {
-        union_find oracle(n);
-        for (auto& pe : present) oracle.unite(pe.first, pe.second);
         auto check_queries =
             [&](const std::vector<bool>& got,
                 const std::string& who) -> std::string {

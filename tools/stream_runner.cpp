@@ -28,16 +28,14 @@
 // report labels read "dynamic/blocked", "auto/blocked"). --workers
 // rebuilds the scheduler pool before the replay (equivalent to
 // BDC_NUM_WORKERS, but scoped to this run).
-// --serve-queries=T enables the epoch-snapshot read service and spawns T
-// plain std::threads that hammer snapshot_query() connectivity reads
-// CONCURRENTLY with the update batches; every recorded answer is
-// differential-checked against the exact oracle of the committed state it
-// claims to reflect (see serve_replay below), and any mismatch fails the
-// run.
-// --check replays a union-find oracle in lockstep and differential-checks
-// every phased query answer (for the insert-only incremental engine the
-// oracle skips deletion batches — it validates the engine against its own
-// restricted model). Any mismatch fails the run.
+// --check runs the stream oracle (gen/replay_oracle.hpp) in lockstep and
+// checks every phased query answer; for the insert-only incremental
+// engine it skips deletions, holding the engine to its own model.
+// --serve-queries=T (dynamic engines only) turns the snapshot read service
+// on and runs T reader threads (served_reads) during the replay; a
+// uniform sample of their reads, spread over the whole replay, is checked
+// against the oracle of the version each claims (check_reads). The two
+// compose. A mismatch or a stale read fails the run.
 // After a replay the structure's cumulative counters, the node-pool
 // report, and the phase-span timing histograms are rendered through the
 // telemetry text exporter (src/obs/) — one formatting path for every
@@ -48,7 +46,8 @@
 // phase spans, viewable in chrome://tracing or ui.perfetto.dev.
 // --assert-gauge-max=NAME:MAX fails the run (exit 1) if gauge NAME
 // exceeds MAX in any reported snapshot (e.g. levels.bytes, the level
-// hierarchy's retained memory).
+// hierarchy's retained memory). A run ends with "verdict: PASS (...)"
+// only when every check passed; a failed run prints no verdict.
 //
 // Vertex ids in a stream file need not be < the header's n: every
 // structure validates its inputs at the public API (out-of-range updates
@@ -63,20 +62,18 @@
 //   I <u1> <v1> <u2> <v2> ...     insertion batch
 //   D <u1> <v1> ...               deletion batch
 //   Q <u1> <v1> ...               connectivity-query batch
-#include <atomic>
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_set>
+#include <type_traits>
 #include <vector>
 
 #include "baselines/incremental_connectivity.hpp"
@@ -85,61 +82,46 @@
 #include "core/engine_router.hpp"
 #include "ett/tour_entry.hpp"
 #include "gen/graph_gen.hpp"
+#include "gen/replay_oracle.hpp"
 #include "gen/update_stream.hpp"
 #include "hdt/hdt_connectivity.hpp"
 #include "obs/collectors.hpp"
 #include "obs/exporters.hpp"
 #include "parallel/scheduler.hpp"
-#include "spanning/union_find.hpp"
-#include "util/random.hpp"
 #include "util/timer.hpp"
 
 using namespace bdc;
 
 namespace {
 
-enum class engine_kind {
-  auto_router,
-  dynamic,
-  dynamic_simple,
-  dynamic_scanall,
-  hdt,
-  static_recompute,
-  incremental,
-};
-
-std::optional<engine_kind> engine_from_string(const std::string& s) {
-  if (s == "auto") return engine_kind::auto_router;
-  if (s == "dynamic") return engine_kind::dynamic;
-  if (s == "dynamic-simple") return engine_kind::dynamic_simple;
-  if (s == "dynamic-scanall") return engine_kind::dynamic_scanall;
-  if (s == "hdt") return engine_kind::hdt;
-  if (s == "static") return engine_kind::static_recompute;
-  if (s == "incremental") return engine_kind::incremental;
-  return std::nullopt;
-}
+/// The --engine values.
+constexpr std::string_view kEngines[] = {
+    "auto", "dynamic", "dynamic-simple", "dynamic-scanall",
+    "hdt",  "static",  "incremental"};
 
 void write_stream(const std::string& path, vertex_id n,
                   const update_stream& stream) {
   std::ofstream out(path);
   out << "n " << n << "\n";
   for (const auto& b : stream) {
-    switch (b.op) {
-      case update_batch::kind::insert:
-        out << "I";
-        for (const edge& e : b.edges) out << ' ' << e.u << ' ' << e.v;
-        break;
-      case update_batch::kind::erase:
-        out << "D";
-        for (const edge& e : b.edges) out << ' ' << e.u << ' ' << e.v;
-        break;
-      case update_batch::kind::query:
-        out << "Q";
-        for (auto& [u, v] : b.queries) out << ' ' << u << ' ' << v;
-        break;
-    }
+    out << (b.op == update_batch::kind::insert  ? "I"
+            : b.op == update_batch::kind::erase ? "D"
+                                                : "Q");
+    for (const edge& e : b.edges) out << ' ' << e.u << ' ' << e.v;
+    for (auto& [u, v] : b.queries) out << ' ' << u << ' ' << v;
     out << "\n";
   }
+}
+
+/// An unsigned decimal flag value in [lo, hi].
+std::optional<unsigned> parse_count(const char* value, unsigned long lo,
+                                    unsigned long hi) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long v = std::strtoul(value, &end, 10);
+  if (errno != 0 || end == value || *end != '\0' || v < lo || v > hi)
+    return std::nullopt;
+  return static_cast<unsigned>(v);
 }
 
 /// One unsigned decimal vertex id: no sign, no trailing characters, and
@@ -241,80 +223,17 @@ std::string read_stream(const std::string& path, vertex_id& n,
   return {};
 }
 
-/// Min-vertex component labels of the canonical edge set (the oracle).
-std::vector<vertex_id> oracle_labels(
-    vertex_id n, const std::unordered_set<uint64_t>& edges) {
-  union_find uf(n);
-  for (uint64_t key : edges) {
-    edge e = edge_from_key(key);
-    uf.unite(e.u, e.v);
-  }
-  std::vector<vertex_id> mins(n, kNoVertex);
-  std::vector<vertex_id> labels(n);
-  for (vertex_id v = 0; v < n; ++v) {
-    uint32_t r = uf.find(v);
-    if (mins[r] == kNoVertex) mins[r] = v;  // ascending v: first is min
-  }
-  for (vertex_id v = 0; v < n; ++v) labels[v] = mins[uf.find(v)];
-  return labels;
-}
-
-// Lockstep union-find differential (--check): mirrors the library's edge
-// semantics (canonicalize; drop self-loops and out-of-range; set
-// semantics) and verifies every phased query answer against min-vertex
-// oracle labels, rebuilt lazily once per dirty query batch. Runs outside
-// the replay timers, so --check does not skew the throughput report.
-struct oracle_checker {
-  vertex_id n = 0;
-  /// false for the insert-only incremental engine: its model never sees
-  /// deletions, so neither does its oracle.
-  bool track_deletes = true;
-  std::unordered_set<uint64_t> edges;
-  std::vector<vertex_id> labels;
-  bool dirty = true;
-  size_t checked = 0;
-  size_t mismatches = 0;
-
-  void on_update(std::span<const edge> es, bool insert) {
-    if (!insert && !track_deletes) return;
-    for (const edge& raw : es) {
-      edge c = raw.canonical();
-      if (c.is_self_loop() || c.v >= n) continue;
-      if (insert)
-        edges.insert(edge_key(c));
-      else
-        edges.erase(edge_key(c));
-    }
-    dirty = true;
-  }
-
-  void on_query(std::span<const std::pair<vertex_id, vertex_id>> qs,
-                const std::vector<bool>& ans) {
-    if (dirty) {
-      labels = oracle_labels(n, edges);
-      dirty = false;
-    }
-    for (size_t i = 0; i < qs.size(); ++i) {
-      auto [u, v] = qs[i];
-      bool expect = u < n && v < n && labels[u] == labels[v];
-      checked++;
-      if (expect != static_cast<bool>(ans[i]) && mismatches++ < 5) {
-        std::fprintf(stderr,
-                     "check MISMATCH: (%u,%u): got %d, oracle %d\n", u, v,
-                     static_cast<int>(ans[i]), static_cast<int>(expect));
-      }
-    }
-  }
-};
-
 struct replay_report {
   double insert_sec = 0, delete_sec = 0, query_sec = 0;
   size_t inserted = 0, deleted = 0, queried = 0, connected_answers = 0;
+  size_t checked = 0, mismatches = 0;  // phased answers, with --check
 };
 
+/// The one replay loop. With an oracle (--check), every phased query
+/// answer is differential-checked against it, outside the timers.
 template <typename Structure>
 replay_report replay(Structure& s, const update_stream& stream,
-                     oracle_checker* check = nullptr) {
+                     stream_oracle* oracle) {
   replay_report r;
   timer t;
   for (const auto& b : stream) {
@@ -324,14 +243,21 @@ replay_report replay(Structure& s, const update_stream& stream,
         s.batch_insert(b.edges);
         r.insert_sec += t.elapsed();
         r.inserted += b.edges.size();
-        if (check) check->on_update(b.edges, /*insert=*/true);
+        if (oracle) oracle->insert(b.edges);
         break;
       case update_batch::kind::erase:
-        t.reset();
-        s.batch_delete(b.edges);
-        r.delete_sec += t.elapsed();
         r.deleted += b.edges.size();
-        if (check) check->on_update(b.edges, /*insert=*/false);
+        if constexpr (requires { s.batch_delete(b.edges); }) {
+          t.reset();
+          s.batch_delete(b.edges);
+          r.delete_sec += t.elapsed();
+          if (oracle) oracle->erase(b.edges);
+        } else {
+          // The insert-only incremental engine; its oracle skips the
+          // deletions too, holding it to its own restricted model.
+          std::fprintf(stderr,
+                       "warning: incremental structure ignores deletions\n");
+        }
         break;
       case update_batch::kind::query: {
         t.reset();
@@ -339,7 +265,17 @@ replay_report replay(Structure& s, const update_stream& stream,
         r.query_sec += t.elapsed();
         r.queried += b.queries.size();
         for (bool a : ans) r.connected_answers += a;
-        if (check) check->on_query(b.queries, ans);
+        if (!oracle) break;
+        for (size_t i = 0; i < b.queries.size(); ++i) {
+          auto [u, v] = b.queries[i];
+          const bool want = oracle->connected(u, v);
+          r.checked++;
+          if (want != ans[i] && r.mismatches++ < 5) {
+            std::fprintf(stderr,
+                         "check MISMATCH: (%u,%u): got %d, oracle %d\n", u, v,
+                         static_cast<int>(ans[i]), static_cast<int>(want));
+          }
+        }
         break;
       }
     }
@@ -347,177 +283,16 @@ replay_report replay(Structure& s, const update_stream& stream,
   return r;
 }
 
-// ---------------------------------------------------------------------
-// Concurrent query serving (--serve-queries=T)
-//
-// Reader threads hammer snapshot_query() WHILE the driver replays update
-// batches, and every recorded answer is differential-checked afterwards:
-// the view reports which committed batch count ("state") its answer
-// reflects, the driver rebuilds the exact connectivity oracle (union-find
-// over the canonical edge set) after every update batch, and an answer is
-// correct iff it matches the oracle of its reported state. A torn read —
-// any answer matching neither the pre- nor post-batch boundary of some
-// batch — cannot pass this check.
-// ---------------------------------------------------------------------
-
-struct served_record {
-  vertex_id u, v;
-  uint64_t state;  // committed batch count the answer claims to reflect
-  bool pinned;     // answered by the frozen view (connected_pinned)
-  bool ans;
-};
-
-struct serve_result {
-  replay_report rep;
-  uint64_t served = 0;     // total concurrent queries answered
-  size_t checked = 0;      // recorded answers differential-checked
-  size_t mismatches = 0;
-};
-
-serve_result serve_replay(batch_dynamic_connectivity& s, vertex_id n,
-                          const update_stream& stream, unsigned readers) {
-  serve_result out;
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> served{0};
-  // Bound the per-thread evidence buffers; the count keeps running.
-  constexpr size_t kMaxRecords = size_t{1} << 16;
-  std::vector<std::vector<served_record>> recs(readers);
-  std::vector<std::thread> pool;
-  pool.reserve(readers);
-  for (unsigned t = 0; t < readers; ++t) {
-    pool.emplace_back([&, t] {
-      random_stream rng(hash_combine(0x5e57e, t));
-      auto& buf = recs[t];
-      buf.reserve(kMaxRecords);
-      uint64_t count = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        auto view = s.snapshot_query();
-        served_record r{};
-        r.u = static_cast<vertex_id>(rng.next(n));
-        r.v = static_cast<vertex_id>(rng.next(n));
-        if ((count & 7) == 0) {
-          // Every 8th query exercises the frozen-view accessors.
-          r.pinned = true;
-          r.state = view.version();
-          r.ans = view.connected_pinned(r.u, r.v);
-        } else {
-          r.ans = view.connected(r.u, r.v, &r.state);
-        }
-        if (buf.size() < kMaxRecords) buf.push_back(r);
-        ++count;
-      }
-      served.fetch_add(count, std::memory_order_relaxed);
-    });
-  }
-
-  // Driver: replay the stream, mirroring the library's edge semantics
-  // (canonicalize; drop self-loops and out-of-range; set semantics) and
-  // appending the post-batch oracle after EVERY update batch — the
-  // structure commits one serving state per batch_insert/batch_delete
-  // call, no-op batches included.
-  std::unordered_set<uint64_t> edges;
-  std::vector<std::vector<vertex_id>> states;
-  states.push_back(oracle_labels(n, edges));  // state 0: empty graph
-  auto commit = [&](std::span<const edge> es, bool insert) {
-    for (const edge& raw : es) {
-      edge c = raw.canonical();
-      if (c.is_self_loop() || c.v >= n) continue;
-      if (insert)
-        edges.insert(edge_key(c));
-      else
-        edges.erase(edge_key(c));
-    }
-    states.push_back(oracle_labels(n, edges));
-  };
-  timer t;
-  for (const auto& b : stream) {
-    switch (b.op) {
-      case update_batch::kind::insert:
-        t.reset();
-        s.batch_insert(b.edges);
-        out.rep.insert_sec += t.elapsed();
-        out.rep.inserted += b.edges.size();
-        commit(b.edges, /*insert=*/true);
-        break;
-      case update_batch::kind::erase:
-        t.reset();
-        s.batch_delete(b.edges);
-        out.rep.delete_sec += t.elapsed();
-        out.rep.deleted += b.edges.size();
-        commit(b.edges, /*insert=*/false);
-        break;
-      case update_batch::kind::query: {
-        t.reset();
-        auto ans = s.batch_connected(b.queries);
-        out.rep.query_sec += t.elapsed();
-        out.rep.queried += b.queries.size();
-        for (bool a : ans) out.rep.connected_answers += a;
-        break;
-      }
-    }
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& th : pool) th.join();
-  out.served = served.load(std::memory_order_relaxed);
-
-  if (s.committed_version() != states.size() - 1) {
-    std::fprintf(stderr,
-                 "serve: committed_version %" PRIu64
-                 " != driver batch count %zu\n",
-                 s.committed_version(), states.size() - 1);
-    out.mismatches++;
-  }
-  for (const auto& buf : recs) {
-    for (const served_record& r : buf) {
-      out.checked++;
-      if (r.state >= states.size()) {
-        if (out.mismatches++ < 5)
-          std::fprintf(stderr,
-                       "serve MISMATCH: state %" PRIu64
-                       " out of range (%zu committed)\n",
-                       r.state, states.size() - 1);
-        continue;
-      }
-      const auto& labels = states[r.state];
-      bool expect = labels[r.u] == labels[r.v];
-      if (expect != r.ans) {
-        if (out.mismatches++ < 5)
-          std::fprintf(stderr,
-                       "serve MISMATCH: (%u,%u) at state %" PRIu64
-                       " (%s): got %d, oracle %d\n",
-                       r.u, r.v, r.state, r.pinned ? "pinned" : "fresh",
-                       r.ans, expect);
-      }
-    }
-  }
-  return out;
-}
-
-/// Adapters give every structure the same batch surface.
-struct incremental_adapter {
-  incremental_connectivity inner;
-  explicit incremental_adapter(vertex_id n) : inner(n) {}
-  void batch_insert(std::span<const edge> es) { inner.batch_insert(es); }
-  void batch_delete(std::span<const edge>) {
-    std::fprintf(stderr,
-                 "warning: incremental structure ignores deletions\n");
-  }
-  std::vector<bool> batch_connected(
-      std::span<const std::pair<vertex_id, vertex_id>> qs) {
-    return inner.batch_connected(qs);
-  }
-};
-
-void print_report(const char* name, const replay_report& r) {
+void print_report(const std::string& name, const replay_report& r) {
   auto rate = [](size_t items, double sec) {
     return sec > 0 ? static_cast<double>(items) / sec / 1e3 : 0.0;
   };
   std::printf("%-16s ins %8zu in %7.3fs (%8.1f K/s) | del %8zu in %7.3fs "
               "(%8.1f K/s) | qry %8zu in %7.3fs (%8.1f K/s) | conn %zu\n",
-              name, r.inserted, r.insert_sec, rate(r.inserted, r.insert_sec),
-              r.deleted, r.delete_sec, rate(r.deleted, r.delete_sec),
-              r.queried, r.query_sec, rate(r.queried, r.query_sec),
-              r.connected_answers);
+              name.c_str(), r.inserted, r.insert_sec,
+              rate(r.inserted, r.insert_sec), r.deleted, r.delete_sec,
+              rate(r.deleted, r.delete_sec), r.queried, r.query_sec,
+              rate(r.queried, r.query_sec), r.connected_answers);
 }
 
 // --metrics / --trace destinations (empty = disabled), set in main.
@@ -527,7 +302,14 @@ std::string g_trace_path;
 // --assert-gauge-max=NAME:MAX budget assertions, checked against every
 // reported snapshot (CI smoke tests pin e.g. levels.bytes this way).
 std::vector<std::pair<std::string, int64_t>> g_gauge_max;
-int g_gauge_asserts_failed = 0;
+
+/// What the runs of this process checked, for the verdict line.
+struct verdict {
+  size_t phased_checked = 0;  // --check answers
+  size_t served_checked = 0;  // sampled served reads
+  size_t budgets_held = 0;    // --assert-gauge-max evaluations
+};
+verdict g_verdict;
 
 /// Replay wall times join the snapshot so the span breakdown can be
 /// checked against them (tools/check_telemetry.py asserts the batch
@@ -543,8 +325,10 @@ void collect_replay(obs::metrics_snapshot& snap, const replay_report& r) {
 
 /// The single reporting sink: merges the global registry (span
 /// histograms, retention gauges) into the per-structure rows, prints the
-/// text report, and appends the run to --metrics as JSON-lines.
-void report_metrics(const std::string& label, obs::metrics_snapshot snap) {
+/// text report, holds it to the gauge budgets (returns 1 if one is
+/// missing or exceeded), and appends the run to --metrics as JSON-lines.
+int report_metrics(const std::string& label, obs::metrics_snapshot snap) {
+  int rc = 0;
   obs::metrics_snapshot reg = obs::metric_registry::global().snapshot();
   snap.rows.insert(snap.rows.end(),
                    std::make_move_iterator(reg.rows.begin()),
@@ -557,13 +341,15 @@ void report_metrics(const std::string& label, obs::metrics_snapshot snap) {
       std::fprintf(stderr,
                    "--assert-gauge-max: gauge '%s' not reported by %s\n",
                    gauge_name.c_str(), label.c_str());
-      ++g_gauge_asserts_failed;
+      rc = 1;
     } else if (row->value > limit) {
       std::fprintf(stderr,
                    "--assert-gauge-max: %s = %" PRId64
                    " exceeds budget %" PRId64 " in %s\n",
                    gauge_name.c_str(), row->value, limit, label.c_str());
-      ++g_gauge_asserts_failed;
+      rc = 1;
+    } else {
+      ++g_verdict.budgets_held;
     }
   }
   if (!g_metrics_path.empty()) {
@@ -575,133 +361,120 @@ void report_metrics(const std::string& label, obs::metrics_snapshot snap) {
       obs::export_jsonl(out, snap, label);
     }
   }
+  return rc;
 }
 
-/// The historical pool report ended with a high-watermark trim; keep the
-/// side effect and report what it released through the snapshot instead
-/// of a bespoke printf.
-void collect_pool_and_trim(obs::metrics_snapshot& snap,
-                           batch_dynamic_connectivity& s) {
-  obs::collect(snap, s.pool_stats());
-  snap.add_gauge("pool.trim_released_bytes",
-                 static_cast<int64_t>(s.trim_pools()));
-}
-
-/// Prints the --check verdict; returns 1 on any mismatch.
-int finish_check(const oracle_checker* chk) {
-  if (chk == nullptr) return 0;
-  std::printf("  check: %zu answers differential-checked, %zu mismatches%s\n",
-              chk->checked, chk->mismatches,
-              chk->mismatches == 0 ? " (OK)" : "");
-  if (chk->mismatches != 0) {
-    std::fprintf(stderr, "oracle differential check FAILED\n");
-    return 1;
-  }
-  return 0;
-}
-
-int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
-                  unsigned serve_threads, bool check) {
-  oracle_checker chk;
-  chk.n = n;
-  chk.track_deletes = eng != engine_kind::incremental;
-  oracle_checker* cp = check ? &chk : nullptr;
-
-  if (eng == engine_kind::dynamic || eng == engine_kind::dynamic_simple ||
-      eng == engine_kind::dynamic_scanall) {
-    const char* which = eng == engine_kind::dynamic ? "dynamic"
-                        : eng == engine_kind::dynamic_simple
-                            ? "dynamic-simple"
-                            : "dynamic-scanall";
-    options o;
-    o.search = eng == engine_kind::dynamic ? level_search_kind::interleaved
-               : eng == engine_kind::dynamic_simple
-                   ? level_search_kind::simple
-                   : level_search_kind::scan_all;
-    o.concurrent_reads = serve_threads > 0;
-    batch_dynamic_connectivity s(n, o);
-    std::string label = std::string(which) + "/" + config_label(o);
-    // Per-run registry baseline: self-demo replays several
-    // configurations in one process, and each report should cover only
-    // its own replay (construction-time publishes excluded too).
-    obs::metric_registry::global().reset();
-    obs::metrics_snapshot snap;
-    if (serve_threads > 0) {
-      auto sr = serve_replay(s, n, stream, serve_threads);
-      print_report(label.c_str(), sr.rep);
-      std::printf("  serve: %u reader threads answered %" PRIu64
-                  " queries during the replay; %zu differential-checked, "
-                  "%zu mismatches%s\n",
-                  serve_threads, sr.served, sr.checked, sr.mismatches,
-                  sr.mismatches == 0 ? " (OK)" : "");
-      if (sr.mismatches != 0) {
-        std::fprintf(stderr, "concurrent differential check FAILED\n");
-        return 1;
-      }
-      collect_replay(snap, sr.rep);
-    } else {
-      replay_report rep = replay(s, stream, cp);
-      print_report(label.c_str(), rep);
-      collect_replay(snap, rep);
-    }
-    obs::collect(snap, s.stats());
-    collect_pool_and_trim(snap, s);
-    report_metrics(label, std::move(snap));
-    return finish_check(cp);
-  }
-
-  if (serve_threads > 0) {
+/// One run on any engine: the replay (lockstep-checked with --check) with
+/// the reader pool serving (--serve-queries), the served-read check and
+/// the report; `collect` adds the engine's own metrics.
+template <typename Structure, typename Collect>
+int run_engine(const std::string& label, Structure& s, vertex_id n,
+               const update_stream& stream, unsigned serve_threads,
+               bool check, Collect collect) {
+  // Per-run registry baseline: the self-demo replays several engines in
+  // one process, and each report should cover only its own replay
+  // (construction-time publishes excluded too).
+  obs::metric_registry::global().reset();
+  std::optional<served_reads> readers;
+  if constexpr (std::is_same_v<Structure, batch_dynamic_connectivity>) {
+    if (serve_threads > 0) readers.emplace(s, serve_threads, 0x5e57e);
+  } else if (serve_threads > 0) {
     std::fprintf(stderr,
                  "warning: --serve-queries applies only to the dynamic "
                  "structures; ignoring\n");
   }
-  if (eng == engine_kind::auto_router) {
+  replay_report rep;
+  {
+    std::optional<stream_oracle> oracle;
+    if (check) oracle.emplace(n);
+    rep = replay(s, stream, oracle ? &*oracle : nullptr);
+  }
+  std::optional<read_check> served;
+  if (readers) served = check_reads(readers->finish(), stream, n);
+
+  print_report(label, rep);
+  int rc = 0;
+  if (check) {
+    std::printf("  check: %zu answers differential-checked, %zu mismatches%s\n",
+                rep.checked, rep.mismatches,
+                rep.mismatches == 0 ? " (OK)" : "");
+    g_verdict.phased_checked += rep.checked;
+    if (rep.mismatches != 0) {
+      std::fprintf(stderr, "oracle differential check FAILED\n");
+      rc = 1;
+    }
+  }
+  if (served) {
+    std::printf("  serve: %u reader threads answered %" PRIu64
+                " reads during the replay; %zu differential-checked "
+                "(versions %" PRIu64 "..%" PRIu64 "), %zu mismatches, "
+                "%" PRIu64 " stale%s\n",
+                serve_threads, served->reads, served->checked,
+                served->first_version, served->last_version,
+                served->mismatches, served->stale,
+                served->ok() ? " (OK)" : "");
+    g_verdict.served_checked += served->checked;
+    for (const std::string& m : served->messages)
+      std::fprintf(stderr, "serve: %s\n", m.c_str());
+    if (!served->ok()) {
+      std::fprintf(stderr, "concurrent differential check FAILED\n");
+      rc = 1;
+    }
+  }
+  obs::metrics_snapshot snap;
+  collect_replay(snap, rep);
+  collect(snap);
+  return std::max(rc, report_metrics(label, std::move(snap)));
+}
+
+int run_structure(const std::string& engine, vertex_id n,
+                  const update_stream& stream, unsigned serve_threads,
+                  bool check) {
+  auto run = [&](const std::string& label, auto& s, auto collect) {
+    return run_engine(label, s, n, stream, serve_threads, check, collect);
+  };
+  if (engine.rfind("dynamic", 0) == 0) {
+    options o;
+    o.search = engine == "dynamic-simple"    ? level_search_kind::simple
+               : engine == "dynamic-scanall" ? level_search_kind::scan_all
+                                             : level_search_kind::interleaved;
+    o.concurrent_reads = serve_threads > 0;
+    batch_dynamic_connectivity s(n, o);
+    return run(engine + "/" + config_label(o), s,
+               [&](obs::metrics_snapshot& snap) {
+                 obs::collect(snap, s.stats());
+                 // The historical pool report ended with a high-watermark
+                 // trim; keep the side effect and report what it released.
+                 obs::collect(snap, s.pool_stats());
+                 snap.add_gauge("pool.trim_released_bytes",
+                                static_cast<int64_t>(s.trim_pools()));
+               });
+  }
+  if (engine == "auto") {
     options o;
     engine_router s(n, o);
-    std::string label = "auto/" + config_label(o);
-    obs::metric_registry::global().reset();
-    obs::metrics_snapshot snap;
-    replay_report rep = replay(s, stream, cp);
-    print_report(label.c_str(), rep);
-    collect_replay(snap, rep);
-    obs::collect(snap, s.stats());
-    if (const batch_dynamic_connectivity* d = s.dynamic_engine()) {
-      obs::collect(snap, d->stats());
-      obs::collect(snap, d->pool_stats());
-    }
-    report_metrics(label, std::move(snap));
-    return finish_check(cp);
+    return run("auto/" + config_label(o), s, [&](obs::metrics_snapshot& snap) {
+      obs::collect(snap, s.stats());
+      if (const batch_dynamic_connectivity* d = s.dynamic_engine()) {
+        obs::collect(snap, d->stats());
+        obs::collect(snap, d->pool_stats());
+      }
+    });
   }
-  if (eng == engine_kind::hdt) {
+  if (engine == "hdt") {
     hdt_connectivity s(n);
-    obs::metric_registry::global().reset();
-    obs::metrics_snapshot snap;
-    replay_report rep = replay(s, stream, cp);
-    print_report("hdt", rep);
-    collect_replay(snap, rep);
-    obs::collect(snap, s.stats());
-    report_metrics("hdt", std::move(snap));
-    return finish_check(cp);
+    return run("hdt", s, [&](obs::metrics_snapshot& snap) {
+      obs::collect(snap, s.stats());
+    });
   }
-  if (eng == engine_kind::static_recompute) {
+  if (engine == "static") {
     static_recompute_connectivity s(n);
-    obs::metric_registry::global().reset();
-    obs::metrics_snapshot snap;
-    replay_report rep = replay(s, stream, cp);
-    print_report("static", rep);
-    collect_replay(snap, rep);
-    snap.add_counter("static.full_recomputes", s.recomputes());
-    report_metrics("static", std::move(snap));
-    return finish_check(cp);
+    return run("static", s, [&](obs::metrics_snapshot& snap) {
+      snap.add_counter("static.full_recomputes", s.recomputes());
+    });
   }
-  incremental_adapter s(n);
-  obs::metric_registry::global().reset();
-  obs::metrics_snapshot snap;
-  replay_report rep = replay(s, stream, cp);
-  print_report("incremental", rep);
-  collect_replay(snap, rep);
-  report_metrics("incremental", std::move(snap));
-  return finish_check(cp);
+  incremental_connectivity s(n);
+  return run("incremental", s, [](obs::metrics_snapshot&) {});
 }
 
 int self_demo(unsigned serve_threads) {
@@ -711,16 +484,13 @@ int self_demo(unsigned serve_threads) {
   const vertex_id n = 4096;
   auto graph = gen_erdos_renyi(n, 4 * n, 1);
   auto stream = make_deletion_stream(graph, n, 1024, 512, 256, 2);
-  // With --serve-queries, the dynamic pass additionally serves (and
-  // differential-checks) concurrent reads.
-  if (int rc = run_structure(engine_kind::dynamic, n, stream, serve_threads,
-                             /*check=*/false);
-      rc != 0)
-    return rc;
-  for (engine_kind eng :
-       {engine_kind::dynamic_simple, engine_kind::hdt,
-        engine_kind::static_recompute, engine_kind::auto_router}) {
-    if (int rc = run_structure(eng, n, stream, 0, /*check=*/false);
+  // With --serve-queries, the first (dynamic) pass also serves and
+  // differential-checks concurrent reads.
+  for (const char* engine :
+       {"dynamic", "dynamic-simple", "hdt", "static", "auto"}) {
+    const unsigned serving =
+        std::string_view(engine) == "dynamic" ? serve_threads : 0;
+    if (int rc = run_structure(engine, n, stream, serving, /*check=*/false);
         rc != 0)
       return rc;
   }
@@ -744,36 +514,42 @@ int usage(const char* prog) {
   return 2;
 }
 
-/// Post-replay trace flush. Called once, after every structure and
-/// reader thread has been joined, so the recorder's quiescence
-/// requirement holds.
+/// Post-replay trace flush, then the verdict line if every check passed.
+/// Called once, after every structure and reader thread has been joined,
+/// so the recorder's quiescence requirement holds.
 int finish_run(int rc) {
-  if (g_gauge_asserts_failed != 0 && rc == 0) rc = 1;
   obs::trace_recorder& tr = obs::trace_recorder::global();
-  if (g_trace_path.empty() || !tr.active()) return rc;
-  tr.disable();
-  std::ofstream out(g_trace_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write trace file '%s'\n",
+  if (!g_trace_path.empty() && tr.active()) {
+    tr.disable();
+    std::ofstream out(g_trace_path);
+    if (!out) {
+      std::fprintf(stderr, "cannot write trace file '%s'\n",
+                   g_trace_path.c_str());
+      return rc != 0 ? rc : 2;
+    }
+    const uint64_t dropped = tr.dropped();
+    obs::export_chrome_trace(out, tr.drain(), dropped);
+    std::fprintf(stderr,
+                 "wrote chrome trace to %s (load via chrome://tracing or "
+                 "ui.perfetto.dev)\n",
                  g_trace_path.c_str());
-    return rc != 0 ? rc : 2;
   }
-  const uint64_t dropped = tr.dropped();
-  obs::export_chrome_trace(out, tr.drain(), dropped);
-  std::fprintf(stderr,
-               "wrote chrome trace to %s (load via chrome://tracing or "
-               "ui.perfetto.dev)\n",
-               g_trace_path.c_str());
+  if (rc == 0) {
+    std::printf("verdict: PASS (phased answers checked: %zu, served reads "
+                "checked: %zu, gauge budgets held: %zu)\n",
+                g_verdict.phased_checked, g_verdict.served_checked,
+                g_verdict.budgets_held);
+  }
   return rc;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 1) return self_demo(0);
+  if (argc == 1) return finish_run(self_demo(0));
 
   // Flags may appear anywhere; everything else is positional.
-  engine_kind eng = engine_kind::dynamic;
+  std::string engine = "dynamic";
   unsigned serve_threads = 0;
   bool check = false;
   std::string stream_kind = "deletion";
@@ -781,36 +557,29 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a.rfind("--engine=", 0) == 0) {
-      auto parsed = engine_from_string(a.substr(9));
-      if (!parsed) {
-        std::fprintf(stderr, "unknown engine '%s'\n", a.c_str() + 9);
+      engine = a.substr(9);
+      if (std::find(std::begin(kEngines), std::end(kEngines), engine) ==
+          std::end(kEngines)) {
+        std::fprintf(stderr, "unknown engine '%s'\n", engine.c_str());
         return 2;
       }
-      eng = *parsed;
     } else if (a.rfind("--workers=", 0) == 0) {
-      const char* value = a.c_str() + 10;
-      char* end = nullptr;
-      errno = 0;
-      unsigned long w = std::strtoul(value, &end, 10);
-      if (errno != 0 || end == value || *end != '\0' || w == 0 ||
-          w > 4096) {
+      auto w = parse_count(a.c_str() + 10, 1, 4096);
+      if (!w) {
         std::fprintf(stderr, "bad --workers value '%s' (want 1..4096)\n",
-                     value);
+                     a.c_str() + 10);
         return 2;
       }
-      set_num_workers(static_cast<unsigned>(w));
+      set_num_workers(*w);
     } else if (a.rfind("--serve-queries=", 0) == 0) {
-      const char* value = a.c_str() + 16;
-      char* end = nullptr;
-      errno = 0;
-      unsigned long t = std::strtoul(value, &end, 10);
-      if (errno != 0 || end == value || *end != '\0' || t > 256) {
+      auto t = parse_count(a.c_str() + 16, 0, 256);
+      if (!t) {
         std::fprintf(stderr,
                      "bad --serve-queries value '%s' (want 0..256)\n",
-                     value);
+                     a.c_str() + 16);
         return 2;
       }
-      serve_threads = static_cast<unsigned>(t);
+      serve_threads = *t;
     } else if (a.rfind("--stream=", 0) == 0) {
       stream_kind = a.substr(9);
       if (stream_kind != "deletion" && stream_kind != "mixed" &&
@@ -925,7 +694,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     return finish_run(
-        run_structure(eng, n, stream, serve_threads, check));
+        run_structure(engine, n, stream, serve_threads, check));
   }
   return usage(argv[0]);
 }
