@@ -16,24 +16,34 @@
 //   higher forest, so it stays healed. HDT stops at its first
 //   replacement for the same reason. A level with no open cut is not
 //   searched, and the seeds are the open cuts' endpoints.
-// * Two-piece rule (Algorithm 5 only). The open cuts form a graph on the
+// * k-piece rule (Algorithm 5 only). The open cuts form a graph on the
 //   pieces, and a pre-batch component's pieces are connected in it (its
-//   tree minus the cuts, plus S). A cut whose two pieces end no other
-//   open cut therefore split its component in exactly two, and every
-//   level-i replacement for it leaves the smaller piece. Only that piece
-//   searches; the larger one is passive: inactive, and counted as larger
-//   than active_cap, so a find into it stays at level i. That is HDT's
-//   replace. It only removes probes and pushes, so Theorem 9's charging
-//   and Theorem 7's depth are unchanged.
-// * Three or more pieces keep the paper's rule. Skipping the largest
-//   piece there is unsound: with active_cap 128 and pieces of 100, 90 and
-//   50 vertices, if the 90-piece finds the 50-piece first, their
-//   supercomponent is large and stops, so its edge to the unsearched
-//   100-piece is never found.
+//   tree minus the cuts, plus S, which only joins pieces of one
+//   component). Each connected group of it is therefore one component's
+//   pieces, and every level-i replacement joins two pieces of one group.
+//   A group's largest piece (ties: smallest seed id, since piece order
+//   follows rep addresses) is passive when the other pieces together
+//   hold at most active_cap vertices: inactive, and counted as larger
+//   than active_cap, so a find into it stays at level i. Then no
+//   supercomponent without the passive piece can grow past active_cap,
+//   so each one searches until it is exhausted or merges with the
+//   passive piece. A level-i non-tree edge between two supercomponents
+//   left at the end has an exhausted end, so it was found: none is
+//   missed. Two pieces are the special case, HDT's replace: the smaller
+//   holds at most half of at most 2^(i+1). The rule only removes probes
+//   and pushes, so Theorem 9's charging and Theorem 7's depth are
+//   unchanged.
+// * Without the size test the rule is unsound: with active_cap 128 and
+//   pieces of 100, 90 and 50 vertices (the rest hold 140), if the
+//   90-piece finds the 50-piece first, their supercomponent is large and
+//   stops, so its edge to an unsearched 100-piece is never found. Such a
+//   group keeps the paper's rule: every piece of at most active_cap
+//   vertices searches.
 #include "core/batch_connectivity.hpp"
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -639,7 +649,7 @@ batch_dynamic_connectivity::resolve_pieces(
     std::vector<uint32_t>* piece_of) const {
   const blocked_ett* f = ls_.forest_if(level);
   assert(f != nullptr);
-  // Group by representative; a run's length counts its piece's seeds.
+  // Group by representative.
   std::vector<std::pair<rep, uint32_t>> pairs(seeds.size());
   parallel_for(0, seeds.size(), [&](size_t i) {
     pairs[i] = {reps[i], static_cast<uint32_t>(i)};
@@ -650,8 +660,7 @@ batch_dynamic_connectivity::resolve_pieces(
   out.reserve(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
     if (i == 0 || pairs[i].first != pairs[i - 1].first)
-      out.push_back({seeds[pairs[i].second], pairs[i].first, 0, 0, 0, 0});
-    out.back().seeds++;
+      out.push_back({seeds[pairs[i].second], pairs[i].first, 0, 0, 0});
     if (piece_of != nullptr)
       (*piece_of)[pairs[i].second] = static_cast<uint32_t>(out.size() - 1);
   }
@@ -853,17 +862,31 @@ void batch_dynamic_connectivity::level_search_interleaved(
   uint64_t active_cap = ls_.capacity(level) / 2;
   size_t np = pieces.size();
 
-  // Two-piece rule (HDT's replace): a cut whose pieces end no other open
-  // cut split its component in exactly two, so every replacement for it
-  // leaves the smaller piece. Only that piece searches (ties: the piece
-  // of the cut's u); the other is passive. See the header notes for why
-  // three or more pieces keep the paper's rule.
+  // k-piece rule: group the pieces by the open-cut graph (one group per
+  // pre-batch component). A group's largest piece (ties: smallest seed
+  // id) is passive when the others together fit active_cap.
   std::vector<uint8_t> passive(np, 0);
-  parallel_for(0, piece_of.size() / 2, [&](size_t j) {
-    const uint32_t a = piece_of[2 * j], b = piece_of[2 * j + 1];
-    if (pieces[a].seeds != 1 || pieces[b].seeds != 1) return;
-    passive[pieces[b].size < pieces[a].size ? a : b] = 1;
-  });
+  {
+    union_find groups(np);
+    for (size_t j = 0; j < piece_of.size(); j += 2)
+      groups.unite(piece_of[j], piece_of[j + 1]);
+    std::vector<uint64_t> total(np, 0);
+    std::vector<uint32_t> largest(np);  // per group root
+    std::iota(largest.begin(), largest.end(), 0u);
+    auto larger = [&](uint32_t a, uint32_t b) {
+      return std::tie(pieces[a].size, pieces[b].seed) >
+             std::tie(pieces[b].size, pieces[a].seed);
+    };
+    for (uint32_t i = 0; i < np; ++i) {
+      const uint32_t g = groups.find(i);
+      total[g] += pieces[i].size;
+      if (larger(i, largest[g])) largest[g] = i;
+    }
+    for (uint32_t g = 0; g < np; ++g)
+      if (groups.find(g) == g &&
+          total[g] - pieces[largest[g]].size <= active_cap)
+        passive[largest[g]] = 1;
+  }
 
   // M: union-find over piece indices tracking supercomponent sizes
   // (line 7). Includes inactive pieces: replacement edges may merge into

@@ -313,8 +313,6 @@ class batch_dynamic_connectivity {
     uint64_t size;          // vertex count
     uint64_t nontree_slots; // incident same-level non-tree slots (2x edges)
     uint64_t tree_slots;    // incident same-level tree slots
-    uint32_t seeds;         // seeds resolved into it (at a level's start:
-                            // the open cuts ending in it)
   };
 
   /// Drops from `open` every cut whose endpoints F_level connects and

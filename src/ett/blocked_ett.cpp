@@ -134,12 +134,12 @@ uint32_t blocked_ett::index_in_block(const block* b, uint64_t tag) {
   return 0;
 }
 
-void blocked_ett::recompute_agg(block* b) const {
+ett_counts blocked_ett::sum_own(const uint64_t* tags, uint32_t m) const {
   ett_counts agg{};
-  for (uint32_t i = 0; i < b->count; ++i)
-    if (!is_arc_tag(b->tags[i]))
-      agg = agg + own_of(static_cast<vertex_id>(b->tags[i]));
-  b->agg = agg;
+  for (uint32_t i = 0; i < m; ++i)
+    if (!is_arc_tag(tags[i]))
+      agg = agg + own_of(static_cast<vertex_id>(tags[i]));
+  return agg;
 }
 
 void blocked_ett::reregister(block* b, uint32_t from, uint32_t to) {
@@ -189,8 +189,8 @@ blocked_ett::block* blocked_ett::split_at(block* b, uint32_t i) {
   b->next->prev = nb;
   b->next = nb;
   ++t->nblocks;
-  recompute_agg(b);
-  recompute_agg(nb);
+  nb->agg = sum_own(nb->tags, nb->count);
+  b->agg = b->agg - nb->agg;
   reregister(nb);
   return nb;
 }
@@ -199,9 +199,7 @@ void blocked_ett::append_entries(block* b, const uint64_t* tags, uint32_t m) {
   assert(b->count + m <= b->cap);
   std::memcpy(b->tags + b->count, tags, m * sizeof(uint64_t));
   b->count += m;
-  for (uint32_t i = 0; i < m; ++i)
-    if (!is_arc_tag(tags[i]))
-      b->agg = b->agg + own_of(static_cast<vertex_id>(tags[i]));
+  b->agg = b->agg + sum_own(tags, m);
 }
 
 void blocked_ett::prepend_entry(block* b, uint64_t tag) {
@@ -219,6 +217,7 @@ void blocked_ett::rebalance(block* b, seam_blocks& dead) {
     assert(nb != b);
     if (b->count + nb->count <= kBlockCap) {
       // Merge nb into b wholesale.
+      const uint32_t from = b->count;
       std::memcpy(b->tags + b->count, nb->tags,
                   nb->count * sizeof(uint64_t));
       b->count += nb->count;
@@ -228,7 +227,7 @@ void blocked_ett::rebalance(block* b, seam_blocks& dead) {
       --t->nblocks;
       if (t->head == nb) t->head = b;
       // Entries that lived in nb now live in b.
-      reregister(b);
+      reregister(b, from, b->count);
       dead.push(nb);
       free_block(nb);
     } else {
@@ -236,14 +235,15 @@ void blocked_ett::rebalance(block* b, seam_blocks& dead) {
       uint32_t total = b->count + nb->count;
       uint32_t take = total / 2 - b->count;
       assert(take > 0 && take < nb->count);
+      const ett_counts moved = sum_own(nb->tags, take);
       std::memcpy(b->tags + b->count, nb->tags, take * sizeof(uint64_t));
       std::memmove(nb->tags, nb->tags + take,
                    (nb->count - take) * sizeof(uint64_t));
+      b->agg = b->agg + moved;
+      nb->agg = nb->agg - moved;
       b->count += take;
       nb->count -= take;
-      recompute_agg(b);
-      recompute_agg(nb);
-      reregister(b);
+      reregister(b, b->count - take, b->count);
       return;
     }
   }
@@ -526,7 +526,7 @@ void blocked_ett::cut_within_block(tour* t, uint64_t fwd_tag,
     }
     std::memcpy(nb->tags, run[side], m * sizeof(uint64_t));
     nb->count = static_cast<uint16_t>(m);
-    recompute_agg(nb);
+    nb->agg = sum_own(nb->tags, m);
     owner->head = nb;
     owner->agg = nb->agg;
     owner->nentries = m;

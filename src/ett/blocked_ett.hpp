@@ -279,8 +279,8 @@ class blocked_ett final {
   tour* materialize(vertex_id v);
   /// Index of `tag` within b (must be present).
   [[nodiscard]] static uint32_t index_in_block(const block* b, uint64_t tag);
-  /// Recomputes b's aggregate from its entries.
-  void recompute_agg(block* b) const;
+  /// Sum of own() over the sentinel entries among tags[0, m).
+  [[nodiscard]] ett_counts sum_own(const uint64_t* tags, uint32_t m) const;
   /// Points the location record (slot vloc / arcs_) of entries
   /// [from, to) of b at b; by default every entry.
   void reregister(block* b, uint32_t from = 0, uint32_t to = UINT32_MAX);

@@ -195,13 +195,13 @@ INSTANTIATE_TEST_SUITE_P(
              row_name(std::get<1>(info.param));
     });
 
-// Multi-piece splits. The interleaved search lets only the smaller piece
-// of a two-piece split search (HDT's replace). A component cut into three
-// or more pieces keeps the paper's rule, because skipping its largest
-// piece is unsound. Counterexample, active_cap 128: pieces of 100, 90 and
-// 50 vertices. If the 90-piece finds the 50-piece first, their
-// supercomponent (140) is large and stops searching, so its edge to the
-// unsearched 100-piece is never found. Every batch here cuts 2-3 tree
+// Multi-piece splits. The interleaved search keeps a component's largest
+// piece passive (unsearched) when the other pieces together fit one level
+// down (the k-piece rule; HDT's replace is its two-piece case). Without
+// that size test it is unsound. Counterexample, active_cap 128: pieces
+// of 100, 90 and 50 vertices. If the 90-piece finds the 50-piece first,
+// their supercomponent (140) is large and stops searching, so its edge to
+// an unsearched 100-piece is never found. Every batch here cuts 2-3 tree
 // edges of one component of a grid or of a path with chords, so the
 // component splits into three or more pieces, then the next batch puts
 // the edges back. Churn sinks tree edges, so the cuts land at several
@@ -282,6 +282,160 @@ INSTANTIATE_TEST_SUITE_P(
            info) {
       return std::string(std::get<0>(info.param).name) + "_" +
              row_name(std::get<1>(info.param));
+    });
+
+// The k-piece rule on hand-built splits of one path, all of whose edges
+// start at the top level. `cuts` splits it into three pieces; the test
+// reads each path edge's level after the batch. A searching piece pushes
+// its level-top tree edges down one level (line 5); a passive one keeps
+// them.
+class PieceRule : public ::testing::TestWithParam<sub_config> {
+ protected:
+  /// Builds path 0..len-1 plus `chords` on n vertices, deletes `cuts`, and
+  /// returns the level of every remaining path edge (index i: (i, i+1)).
+  std::vector<int> path_levels_after(vertex_id n, vertex_id len,
+                                     const std::vector<edge>& chords,
+                                     const std::vector<edge>& cuts) {
+    const sub_config& cfg = GetParam();
+    worker_pool_guard pool(cfg.workers);
+    batch_dynamic_connectivity dc(n, cfg.apply({}));
+    stream_oracle oracle(n);
+    const std::vector<edge> path = gen_path(len);
+    for (const auto* batch : {&path, &chords}) {  // chords stay non-tree
+      dc.batch_insert(*batch);
+      oracle.insert(*batch);
+    }
+    top_ = dc.levels().top();
+    dc.batch_delete(cuts);
+    oracle.erase(cuts);
+    auto rep = dc.check_invariants();
+    EXPECT_TRUE(rep.ok) << rep.message;
+    expect_snapshot_matches(dc, "after the cuts");
+    EXPECT_EQ(dc.components(), oracle.labels());
+    std::vector<int> levels(len - 1, -1);
+    for (vertex_id i = 0; i + 1 < len; ++i)
+      if (const edge_record* r = dc.levels().record_of({i, i + 1})) {
+        EXPECT_TRUE(r->is_tree) << "path edge " << i;
+        levels[i] = r->level;
+      }
+    return levels;
+  }
+  int top_ = 0;
+};
+
+// n = 64: top level 5, active_cap 32. Cuts leave pieces of 10, 10 and 30
+// vertices; the rest hold 20 <= 32, so the 30-piece is passive and keeps
+// its level-5 tree edges, which the paper's rule (30 <= 32) would push.
+// The 10-pieces search: one finds the chord (5, 30) into the passive
+// piece, the other nothing.
+TEST_P(PieceRule, LargestPieceStaysPassiveWhenTheRestFit) {
+  auto levels = path_levels_after(64, 50, {{5, 30}}, {{9, 10}, {19, 20}});
+  ASSERT_EQ(top_, 5);
+  for (vertex_id i = 0; i < 49; ++i) {
+    if (i == 9 || i == 19) continue;  // cut
+    EXPECT_EQ(levels[i], i >= 20 ? 5 : 4) << "path edge (" << i << ", "
+                                          << i + 1 << ")";
+  }
+}
+
+// n = 256: top level 7, active_cap 128. The 100/90/50 shape: the rest of
+// the largest piece hold 140 > 128, so no piece is passive and all three
+// search (their tree edges drop to level 6). Chords join the 90- and
+// 50-pieces and the 100- and 50-pieces, so the labels only come out right
+// if the 100-piece searched too.
+TEST_P(PieceRule, EveryPieceSearchesWhenTheRestOverflow) {
+  auto levels = path_levels_after(256, 240, {{150, 200}, {50, 220}},
+                                  {{99, 100}, {189, 190}});
+  ASSERT_EQ(top_, 7);
+  for (vertex_id i = 0; i < 239; ++i) {
+    if (i == 99 || i == 189) continue;  // cut
+    EXPECT_EQ(levels[i], 6) << "path edge (" << i << ", " << i + 1 << ")";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, PieceRule, ::testing::ValuesIn(kEngineConfigs),
+    [](const ::testing::TestParamInfo<sub_config>& info) {
+      return row_name(info.param);
+    });
+
+// Seeded multi-piece sweep: a path plus grid edges plus random chords on
+// 16-316 vertices; each round deletes 1-48 edges, most of them tree
+// edges, so components split into many pieces of every size mix, and
+// puts back as many. Invariants and the oracle's labels are checked
+// after every batch. Marking the largest piece passive without the size
+// test fails here on Invariant 2.
+class PieceSweep
+    : public ::testing::TestWithParam<std::tuple<uint64_t, unsigned>> {};
+
+TEST_P(PieceSweep, OracleAfterEveryBatch) {
+  const uint64_t seed = std::get<0>(GetParam());
+  worker_pool_guard pool(std::get<1>(GetParam()));
+  random_stream rs(seed);
+  const vertex_id n = 16 + static_cast<vertex_id>(rs.next(301));
+  vertex_id side = 1;
+  while ((side + 1) * (side + 1) <= n) ++side;
+  std::vector<edge> graph = gen_path(n);
+  for (const edge& e : gen_grid(side, side)) graph.push_back(e);
+  for (vertex_id c = 0; c < n / 3; ++c)
+    graph.push_back({static_cast<vertex_id>(rs.next(n)),
+                     static_cast<vertex_id>(rs.next(n))});
+  batch_dynamic_connectivity dc(n);
+  stream_oracle oracle(n);
+  auto check = [&](const std::string& where) {
+    auto rep = dc.check_invariants();
+    ASSERT_TRUE(rep.ok) << where << ": " << rep.message;
+    ASSERT_EQ(dc.components(), oracle.labels()) << where;
+  };
+  dc.batch_insert(graph);
+  oracle.insert(graph);
+  check("build");
+
+  std::vector<edge> removed;
+  for (int round = 0; round < 160; ++round) {
+    std::vector<edge> tree, nontree;
+    for (const auto& [key, rec] : dc.levels().dict().entries())
+      (rec.is_tree ? tree : nontree).push_back(edge_from_key(key));
+    std::vector<edge> del;
+    const size_t k = 1 + rs.next(48);
+    for (size_t t = 0; t < k && !(tree.empty() && nontree.empty()); ++t) {
+      auto& from = (rs.next(4) != 0 && !tree.empty()) || nontree.empty()
+                       ? tree
+                       : nontree;
+      const size_t pick = rs.next(from.size());
+      del.push_back(from[pick]);
+      from[pick] = from.back();
+      from.pop_back();
+    }
+    dc.batch_delete(del);
+    oracle.erase(del);
+    check("delete r" + std::to_string(round));
+    if (HasFatalFailure()) return;
+    removed.insert(removed.end(), del.begin(), del.end());
+
+    std::vector<edge> ins;
+    const size_t back = std::min<size_t>(1 + rs.next(48), removed.size());
+    for (size_t t = 0; t < back; ++t) {
+      const size_t pick = rs.next(removed.size());
+      ins.push_back(removed[pick]);
+      removed[pick] = removed.back();
+      removed.pop_back();
+    }
+    dc.batch_insert(ins);
+    oracle.insert(ins);
+    check("insert r" + std::to_string(round));
+    if (HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, PieceSweep,
+    ::testing::Combine(::testing::Range<uint64_t>(1, 13),
+                       ::testing::Values(1u, 4u)),
+    [](const ::testing::TestParamInfo<std::tuple<uint64_t, unsigned>>&
+           info) {
+      return "seed" + std::to_string(std::get<0>(info.param)) + "_w" +
+             std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace

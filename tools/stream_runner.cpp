@@ -29,8 +29,10 @@
 // rebuilds the scheduler pool before the replay (equivalent to
 // BDC_NUM_WORKERS, but scoped to this run).
 // --check runs the stream oracle (gen/replay_oracle.hpp) in lockstep and
-// checks every phased query answer; for the insert-only incremental
-// engine it skips deletions, holding the engine to its own model.
+// checks every phased query answer and, after each erase batch,
+// connected(u, v) of every deleted edge (streams without query batches
+// are checked too); for the insert-only incremental engine it skips
+// deletions, holding the engine to its own model.
 // --serve-queries=T (dynamic engines only) turns the snapshot read service
 // on and runs T reader threads (served_reads) during the replay; a
 // uniform sample of their reads, spread over the whole replay, is checked
@@ -227,15 +229,27 @@ struct replay_report {
   double insert_sec = 0, delete_sec = 0, query_sec = 0;
   size_t inserted = 0, deleted = 0, queried = 0, connected_answers = 0;
   size_t checked = 0, mismatches = 0;  // phased answers, with --check
+  size_t deleted_checked = 0;          // deleted edges, with --check
 };
 
 /// The one replay loop. With an oracle (--check), every phased query
-/// answer is differential-checked against it, outside the timers.
+/// answer and, after each erase batch, connected(u, v) of every deleted
+/// edge are differential-checked against it, outside the timers. The
+/// single-pair connected() records no span, so the deleted-edge checks
+/// leave the batch.connected telemetry to the stream's own queries.
 template <typename Structure>
 replay_report replay(Structure& s, const update_stream& stream,
                      stream_oracle* oracle) {
   replay_report r;
   timer t;
+  auto check = [&](vertex_id u, vertex_id v, bool got, size_t& count) {
+    const bool want = oracle->connected(u, v);
+    count++;
+    if (want != got && r.mismatches++ < 5) {
+      std::fprintf(stderr, "check MISMATCH: (%u,%u): got %d, oracle %d\n",
+                   u, v, static_cast<int>(got), static_cast<int>(want));
+    }
+  };
   for (const auto& b : stream) {
     switch (b.op) {
       case update_batch::kind::insert:
@@ -251,7 +265,10 @@ replay_report replay(Structure& s, const update_stream& stream,
           t.reset();
           s.batch_delete(b.edges);
           r.delete_sec += t.elapsed();
-          if (oracle) oracle->erase(b.edges);
+          if (!oracle) break;
+          oracle->erase(b.edges);
+          for (const edge& e : b.edges)
+            check(e.u, e.v, s.connected(e.u, e.v), r.deleted_checked);
         } else {
           // The insert-only incremental engine; its oracle skips the
           // deletions too, holding it to its own restricted model.
@@ -266,16 +283,8 @@ replay_report replay(Structure& s, const update_stream& stream,
         r.queried += b.queries.size();
         for (bool a : ans) r.connected_answers += a;
         if (!oracle) break;
-        for (size_t i = 0; i < b.queries.size(); ++i) {
-          auto [u, v] = b.queries[i];
-          const bool want = oracle->connected(u, v);
-          r.checked++;
-          if (want != ans[i] && r.mismatches++ < 5) {
-            std::fprintf(stderr,
-                         "check MISMATCH: (%u,%u): got %d, oracle %d\n", u, v,
-                         static_cast<int>(ans[i]), static_cast<int>(want));
-          }
-        }
+        for (size_t i = 0; i < b.queries.size(); ++i)
+          check(b.queries[i].first, b.queries[i].second, ans[i], r.checked);
         break;
       }
     }
@@ -306,6 +315,7 @@ std::vector<std::pair<std::string, int64_t>> g_gauge_max;
 /// What the runs of this process checked, for the verdict line.
 struct verdict {
   size_t phased_checked = 0;  // --check answers
+  size_t deleted_checked = 0;  // --check deleted edges
   size_t served_checked = 0;  // sampled served reads
   size_t budgets_held = 0;    // --assert-gauge-max evaluations
 };
@@ -395,10 +405,12 @@ int run_engine(const std::string& label, Structure& s, vertex_id n,
   print_report(label, rep);
   int rc = 0;
   if (check) {
-    std::printf("  check: %zu answers differential-checked, %zu mismatches%s\n",
-                rep.checked, rep.mismatches,
+    std::printf("  check: %zu answers and %zu deleted edges "
+                "differential-checked, %zu mismatches%s\n",
+                rep.checked, rep.deleted_checked, rep.mismatches,
                 rep.mismatches == 0 ? " (OK)" : "");
     g_verdict.phased_checked += rep.checked;
+    g_verdict.deleted_checked += rep.deleted_checked;
     if (rep.mismatches != 0) {
       std::fprintf(stderr, "oracle differential check FAILED\n");
       rc = 1;
@@ -535,10 +547,11 @@ int finish_run(int rc) {
                  g_trace_path.c_str());
   }
   if (rc == 0) {
-    std::printf("verdict: PASS (phased answers checked: %zu, served reads "
-                "checked: %zu, gauge budgets held: %zu)\n",
-                g_verdict.phased_checked, g_verdict.served_checked,
-                g_verdict.budgets_held);
+    std::printf("verdict: PASS (phased answers checked: %zu, deleted edges "
+                "checked: %zu, served reads checked: %zu, gauge budgets "
+                "held: %zu)\n",
+                g_verdict.phased_checked, g_verdict.deleted_checked,
+                g_verdict.served_checked, g_verdict.budgets_held);
   }
   return rc;
 }
