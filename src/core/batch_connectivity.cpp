@@ -475,31 +475,35 @@ void batch_dynamic_connectivity::batch_insert(std::span<const edge> edges) {
   int top = ls_.top();
   blocked_ett& f = ls_.forest(top);
 
-  // Contract current components and find which edges grow the forest.
-  std::vector<vertex_id> endpoints(2 * k);
-  parallel_for(0, k, [&](size_t i) {
-    endpoints[2 * i] = clean[i].u;
-    endpoints[2 * i + 1] = clean[i].v;
-  });
-  auto reps = f.batch_find_rep(endpoints);
-  std::vector<rep> uniq(reps.begin(), reps.end());
-  sort_unique(uniq);
-  auto label_of = [&](rep r) {
-    return static_cast<vertex_id>(
-        std::lower_bound(uniq.begin(), uniq.end(), r) - uniq.begin());
-  };
-  std::vector<edge> contracted(k);
-  parallel_for(0, k, [&](size_t i) {
-    contracted[i] = {label_of(reps[2 * i]), label_of(reps[2 * i + 1])};
-  });
-  auto sf = spanning_forest(uniq.size(), contracted);
+  // Contract current components (dense ids of the endpoints' reps) and
+  // find which edges grow the forest.
+  dense_id_map<rep> comp;
+  spanning_forest_result sf;
+  {
+    BDC_PHASE_SPAN(sp, "insert.contract");
+    std::vector<vertex_id> endpoints(2 * k);
+    parallel_for(0, k, [&](size_t i) {
+      endpoints[2 * i] = clean[i].u;
+      endpoints[2 * i + 1] = clean[i].v;
+    });
+    auto reps = f.batch_find_rep(endpoints);
+    comp = dense_ids(reps.size(), [&](size_t i) { return reps[i]; });
+    std::vector<edge> contracted(k);
+    parallel_for(0, k, [&](size_t i) {
+      contracted[i] = {comp.ids[2 * i], comp.ids[2 * i + 1]};
+    });
+    sf = spanning_forest(comp.keys.size(), contracted);
+  }
 
   std::vector<uint8_t> is_tree(k, 0);
   parallel_for(0, sf.tree_edge_indices.size(),
                [&](size_t i) { is_tree[sf.tree_edge_indices[i]] = 1; });
 
   // Register everything at the top level, then link the new tree edges.
-  ls_.add_edges(top, clean, is_tree);
+  {
+    BDC_PHASE_SPAN(sp, "insert.register");
+    ls_.add_edges(top, clean, is_tree);
+  }
   std::vector<edge> tree_edges(sf.tree_edge_indices.size());
   parallel_for(0, tree_edges.size(), [&](size_t i) {
     tree_edges[i] = clean[sf.tree_edge_indices[i]];
@@ -508,12 +512,12 @@ void batch_dynamic_connectivity::batch_insert(std::span<const edge> edges) {
   // the incremental publish learns which components they merge, and
   // walks the ones changing label, while the tours are still apart.
   if (serving() && !tree_edges.empty()) {
-    std::vector<vertex_id> seed(uniq.size());
+    std::vector<vertex_id> seed(comp.keys.size());
     for (size_t i = 0; i < k; ++i) {
-      seed[contracted[i].u] = clean[i].u;
-      seed[contracted[i].v] = clean[i].v;
+      seed[comp.ids[2 * i]] = clean[i].u;
+      seed[comp.ids[2 * i + 1]] = clean[i].v;
     }
-    note_merges(f, uniq, seed, sf.labels);
+    note_merges(f, comp.keys, seed, sf.labels);
   }
   ls_.link_tree(top, tree_edges);
 }
@@ -820,17 +824,12 @@ void batch_dynamic_connectivity::level_search_simple(
         endpoints[2 * i + 1] = found[i].v;
       });
       auto reps = f.batch_find_rep(endpoints);
-      std::vector<rep> uniq(reps.begin(), reps.end());
-      sort_unique(uniq);
+      auto comp = dense_ids(reps.size(), [&](size_t i) { return reps[i]; });
       std::vector<edge> contracted(found.size());
       parallel_for(0, found.size(), [&](size_t i) {
-        auto lbl = [&](rep r) {
-          return static_cast<vertex_id>(
-              std::lower_bound(uniq.begin(), uniq.end(), r) - uniq.begin());
-        };
-        contracted[i] = {lbl(reps[2 * i]), lbl(reps[2 * i + 1])};
+        contracted[i] = {comp.ids[2 * i], comp.ids[2 * i + 1]};
       });
-      auto sf = spanning_forest(uniq.size(), contracted);
+      auto sf = spanning_forest(comp.keys.size(), contracted);
       std::vector<edge> chosen(sf.tree_edge_indices.size());
       parallel_for(0, chosen.size(), [&](size_t i) {
         chosen[i] = found[sf.tree_edge_indices[i]];

@@ -700,7 +700,7 @@ void blocked_ett::batch_link(std::span<const edge> links) {
   // Phase 3: partition the batch into groups whose merged components
   // are disjoint (ett/link_partition.hpp). All-distinct fast path: each
   // link is a singleton group.
-  auto part = partition_links(rep_u, rep_v, scratch_.part);
+  auto part = partition_links(rep_u, rep_v);
   if (part.all_distinct) {
     parallel_for(
         0, k, [&](size_t i) { link_one(links[i].u, links[i].v); },

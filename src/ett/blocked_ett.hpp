@@ -61,7 +61,6 @@
 #include <vector>
 
 #include "ett/ett_contract.hpp"
-#include "ett/link_partition.hpp"
 #include "ett/tour_entry.hpp"
 #include "ett/vertex_directory.hpp"
 #include "hashtable/phase_concurrent_map.hpp"
@@ -330,7 +329,6 @@ class blocked_ett final {
   /// allocations matter here.
   struct mutation_scratch {
     std::vector<uintptr_t> rep_u, rep_v;
-    link_partition_scratch part;
     std::vector<uint64_t> keys;
   };
   mutation_scratch scratch_;

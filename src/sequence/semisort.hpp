@@ -6,11 +6,14 @@
 //
 // The grouped output is flattened: `records` holds the reordered pairs and
 // `group_starts` delimits maximal runs of equal keys, avoiding per-group
-// allocations on the hot path of batch updates.
+// allocations on the hot path of batch updates. `dense_ids` builds on it
+// to give n keys dense ids (the paper's contraction relabel).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "parallel/primitives.hpp"
@@ -81,6 +84,9 @@ template <typename K, typename V, typename KeyHash>
 grouped_records<K, V> group_by_key(std::vector<std::pair<K, V>> pairs,
                                    const KeyHash& key_hash) {
   using P = std::pair<K, V>;
+  const auto by_key = [](const P& a, const P& b) {
+    return std::less<K>{}(a.first, b.first);
+  };
   grouped_records<K, V> result;
   size_t n = pairs.size();
   if (n == 0) {
@@ -89,11 +95,8 @@ grouped_records<K, V> group_by_key(std::vector<std::pair<K, V>> pairs,
     return result;
   }
   if (n <= 2048) {
-    // Small batches: sequential sort by hash, then group.
-    std::sort(pairs.begin(), pairs.end(), [&](const P& a, const P& b) {
-      uint64_t ha = key_hash(a.first), hb = key_hash(b.first);
-      return ha != hb ? ha < hb : a.first < b.first;
-    });
+    // Small batches: one sequential sort by key.
+    std::sort(pairs.begin(), pairs.end(), by_key);
     result.records = std::move(pairs);
   } else {
     size_t num_buckets =
@@ -103,8 +106,9 @@ grouped_records<K, V> group_by_key(std::vector<std::pair<K, V>> pairs,
     internal::counting_sort_by_bucket(
         pairs, result.records, num_buckets,
         [&](const P& p) { return key_hash(p.first) & mask; }, bucket_offsets);
-    // Sort each (expected small) bucket to make equal keys contiguous.
-    // Grain 1: a bucket holds about 256 records, a sort worth its fork.
+    // Sort each (expected small) bucket by key to make equal keys
+    // contiguous (the bucket already holds one hash range). Grain 1: a
+    // bucket holds about 256 records, a sort worth its fork.
     parallel_for(
         0, num_buckets,
         [&](size_t k) {
@@ -112,10 +116,7 @@ grouped_records<K, V> group_by_key(std::vector<std::pair<K, V>> pairs,
                     static_cast<ptrdiff_t>(bucket_offsets[k]);
           auto hi = result.records.begin() +
                     static_cast<ptrdiff_t>(bucket_offsets[k + 1]);
-          std::sort(lo, hi, [&](const P& a, const P& b) {
-            uint64_t ha = key_hash(a.first), hb = key_hash(b.first);
-            return ha != hb ? ha < hb : a.first < b.first;
-          });
+          std::sort(lo, hi, by_key);
         },
         1);
   }
@@ -131,11 +132,51 @@ grouped_records<K, V> group_by_key(std::vector<std::pair<K, V>> pairs,
   return result;
 }
 
+/// hash64 of an integral or pointer key.
+template <typename K>
+uint64_t hash_key(const K& k) {
+  if constexpr (std::is_pointer_v<K>)
+    return hash64(static_cast<uint64_t>(reinterpret_cast<uintptr_t>(k)));
+  else
+    return hash64(static_cast<uint64_t>(k));
+}
+
 template <typename K, typename V>
 grouped_records<K, V> group_by_key(std::vector<std::pair<K, V>> pairs) {
-  return group_by_key(std::move(pairs), [](const K& k) {
-    return hash64(static_cast<uint64_t>(k));
+  return group_by_key(std::move(pairs), hash_key<K>);
+}
+
+/// Dense relabelling of n keys: `ids[i]` names key_of(i), equal keys get
+/// equal ids, the ids run over [0, keys.size()), and keys[ids[i]] ==
+/// key_of(i). One semisort: O(n) expected work, no comparison sort of the
+/// whole input. `keys` come in no particular order.
+template <typename K>
+struct dense_id_map {
+  std::vector<K> keys;        // the distinct keys, indexed by id
+  std::vector<uint32_t> ids;  // per input position
+};
+
+template <typename KeyOf>
+auto dense_ids(size_t n, const KeyOf& key_of) {
+  using K = std::decay_t<decltype(key_of(size_t{0}))>;
+  std::vector<std::pair<K, uint32_t>> keyed(n);
+  parallel_for(0, n, [&](size_t i) {
+    keyed[i] = {key_of(i), static_cast<uint32_t>(i)};
   });
+  auto groups = group_by_key(std::move(keyed));
+  dense_id_map<K> out;
+  out.keys.resize(groups.num_groups());
+  out.ids.resize(n);
+  parallel_for(
+      0, groups.num_groups(),
+      [&](size_t g) {
+        out.keys[g] = groups.group_key(g);
+        for (uint32_t j = groups.group_starts[g];
+             j < groups.group_starts[g + 1]; ++j)
+          out.ids[groups.records[j].second] = static_cast<uint32_t>(g);
+      },
+      work_grain(groups.num_groups(), n));
+  return out;
 }
 
 }  // namespace bdc

@@ -438,5 +438,55 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+// Bulk load: one batch_insert of an ER(2^13, 2^15) graph with duplicates,
+// reversed edges and self-loops mixed in, into a fresh structure (the
+// router's promotion shape). The batch takes the > 2048 paths of the
+// contraction's relabel, of partition_links (at more than one worker)
+// and of the adjacency grouping. Then a random quarter of the edges is
+// deleted in one batch.
+class BulkInsert : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(BulkInsert, OneBatchMatchesOracle) {
+  worker_pool_guard pool(GetParam());
+  const vertex_id n = vertex_id{1} << 13;
+  const std::vector<edge> graph = gen_erdos_renyi(n, size_t{1} << 15, 26);
+  random_stream rs(26);
+  std::vector<edge> batch;
+  for (const edge& e : graph) {
+    batch.push_back(e);
+    if (rs.next(8) == 0) batch.push_back(e);  // duplicate
+    if (rs.next(8) == 0) batch.push_back({e.v, e.u});  // reversed
+    if (rs.next(64) == 0) batch.push_back({e.u, e.u});  // self-loop
+  }
+  for (size_t i = batch.size(); i > 1; --i)
+    std::swap(batch[i - 1], batch[rs.next(i)]);
+
+  batch_dynamic_connectivity dc(n);
+  stream_oracle oracle(n);
+  auto check = [&](const char* where) {
+    auto rep = dc.check_invariants();
+    ASSERT_TRUE(rep.ok) << where << ": " << rep.message;
+    ASSERT_EQ(dc.num_edges(), oracle.num_edges()) << where;
+    ASSERT_EQ(dc.components(), oracle.labels()) << where;
+  };
+  dc.batch_insert(batch);
+  oracle.insert(batch);
+  check("bulk insert");
+  if (HasFatalFailure()) return;
+
+  std::vector<edge> del;
+  for (const edge& e : graph)
+    if (rs.next(4) == 0) del.push_back(e);
+  dc.batch_delete(del);
+  oracle.erase(del);
+  check("quarter delete");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workers, BulkInsert, ::testing::ValuesIn(testing::kWorkerGrid),
+    [](const ::testing::TestParamInfo<unsigned>& info) {
+      return "w" + workers_name(info.param);
+    });
+
 }  // namespace
 }  // namespace bdc

@@ -15,7 +15,10 @@ pipeline counters like publishes_full or edges_fetched are workload
 truth, not timing noise, so a change beyond the threshold in EITHER
 direction is flagged ``CHANGED`` for a human to read — a dropped fetch
 count and a doubled full-walk count both deserve eyes, but neither
-should gate a merge on its own. Keyed by ``label/metric``; histograms
+should gate a merge on its own. The ``sched.*`` (forks, steals) and
+``replay.*`` (wall times) rows depend on the host and its load, not on
+the code: they are listed in a separate "host-dependent, not compared"
+section and never flagged. Keyed by ``label/metric``; histograms
 compare their ``count``. Gauges flow through unchanged, which makes the
 memory footprint gauges (``levels.materialized`` /
 ``levels.active_vertices`` / ``levels.bytes``, plus the ``pool.*``
@@ -83,12 +86,25 @@ def load_counters(path):
     return out
 
 
+# Metric prefixes whose values track the host (scheduler steals, wall
+# times), so two runs of one binary disagree on them.
+HOST_DEPENDENT = ("sched.", "replay.")
+
+
+def host_dependent(key):
+    return key.rsplit("/", 1)[-1].startswith(HOST_DEPENDENT)
+
+
 def diff_counters(old, new, threshold):
-    """Direction-agnostic: returns (common, changed) where changed is
-    [(key, old, new, pct)] for moves beyond the threshold either way.
-    A counter moving off or onto zero is always a change worth seeing.
+    """Direction-agnostic: returns (common, changed, host) where changed
+    is [(key, old, new, pct)] for moves beyond the threshold either way,
+    over the work counters only, and host lists the host-dependent keys
+    the two snapshots share. A counter moving off or onto zero is always
+    a change worth seeing.
     """
-    common = sorted(set(old) & set(new))
+    shared = sorted(set(old) & set(new))
+    common = [k for k in shared if not host_dependent(k)]
+    host = [k for k in shared if host_dependent(k)]
     changed = []
     for key in common:
         if old[key] == 0 and new[key] == 0:
@@ -99,7 +115,7 @@ def diff_counters(old, new, threshold):
         pct = 100.0 * (new[key] - old[key]) / old[key]
         if abs(pct) > threshold:
             changed.append((key, old[key], new[key], pct))
-    return common, changed
+    return common, changed, host
 
 
 def diff(old, new, threshold):
@@ -149,7 +165,7 @@ def main():
     new = loader(args.new)
 
     if args.counters:
-        common, changed = diff_counters(old, new, args.threshold)
+        common, changed, host = diff_counters(old, new, args.threshold)
         print(f"bench_diff: {len(common)} comparable counters vs "
               f"{args.old}, threshold {args.threshold:.1f}% "
               f"(advisory: always exit 0)")
@@ -158,6 +174,10 @@ def main():
             print(f"  CHANGED {key}: {o:.0f} -> {n:.0f} ({arrow})")
         if not changed:
             print("  no counter changes beyond threshold")
+        if host:
+            print(f"  host-dependent, not compared ({len(host)}):")
+            for key in host:
+                print(f"    {key}: {old[key]:.0f} -> {new[key]:.0f}")
         return 0
 
     common, only_old, only_new, regressions, improvements = diff(

@@ -110,6 +110,26 @@ def main():
         check("counters.clean",
               rc == 0 and "no counter changes" in out, out)
 
+        # Host-dependent rows (sched.*, replay.*) are listed in their own
+        # section, never flagged, and not counted as comparable.
+        hold = os.path.join(tmp, "hold.jsonl")
+        hnew = os.path.join(tmp, "hnew.jsonl")
+        write_counters(hold, {"core.edges_pushed": 100, "sched.steals": 83,
+                              "replay.insert_us": 1000})
+        write_counters(hnew, {"core.edges_pushed": 100,
+                              "sched.steals": 12456,
+                              "replay.insert_us": 0})
+        rc, out = run(hold, hnew, "--counters", "--threshold", "10")
+        check("counters.host_dependent_not_flagged",
+              rc == 0 and "CHANGED" not in out
+              and "no counter changes" in out
+              and "1 comparable counters" in out, out)
+        host = out.split("host-dependent, not compared", 1)[-1]
+        check("counters.host_dependent_listed",
+              "dynamic/blocked/sched.steals: 83 -> 12456" in host
+              and "dynamic/blocked/replay.insert_us: 1000 -> 0" in host,
+              out)
+
         # Zero-crossing counters are always flagged: 0 -> anything (and
         # back) is a behavior change no percentage can express.
         czero = os.path.join(tmp, "czero.jsonl")
