@@ -15,11 +15,18 @@
 //     extreme Δ) is Δ-independent and stays flat. The sweep follows the
 //     batch-size methodology of De Man et al., "Towards Scalable and
 //     Practical Batch-Dynamic Connectivity".
-//   * BM_LevelSearchAblation (E4, Theorems 5 & 7; E9, §3.3): Algorithm 5
-//     (interleaved) needs O(lg n) oracle phases per level vs O(lg^2 n) for
-//     Algorithm 4 (simple) — phases_per_level; scanning every non-tree
-//     edge of a component per round (scan_all) fetches work the doubling
-//     search never charges to a level decrease — fetch_per_push.
+//   * BM_LevelSearchAblation (E4, Theorems 5 & 7; E9, §3.3): the three
+//     fetch schedules of the one level search, which share everything
+//     else. Algorithm 5 (interleaved) runs one doubling sequence per
+//     level, O(lg n) phases per level; Algorithm 4 (simple) restarts a
+//     piece's doubling after its supercomponent merges, O(lg^2 n) —
+//     phases_per_level. On this ER graph the two read about the same
+//     phases_per_level (1.05 at batch 64, 1.3 at batch 4096): pieces
+//     rarely merge more than once per level here, so telling Theorem 5
+//     from Theorem 7 needs a shape where they merge repeatedly. Fetching
+//     every remaining non-tree edge at once (scan_all) fetches work the
+//     doubling search never charges to a level decrease —
+//     fetch_per_push.
 //   * BM_EpochVsStatic (E7, §1 motivation): a queried epoch costs the
 //     dynamic structure O(k polylog n), flat in m, while recompute from
 //     scratch pays O(m + n) — ms_per_epoch at batch 256 as m grows.

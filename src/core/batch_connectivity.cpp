@@ -1,14 +1,20 @@
 // Algorithms 1-5 of the paper. Engineering notes:
 //
-// * All doubling searches run phase-synchronously across components: every
-//   still-searching piece performs its 2^w-edge probe, then a barrier,
-//   then all pushes/merges commit together. This realizes the paper's
+// * The level search runs phase-synchronously across pieces: every
+//   still-searching piece performs its probe, then a barrier, then all
+//   merges and detaches commit together. This realizes the paper's
 //   parallel phases with the library's phase-concurrency contracts.
+// * One search, three fetch schedules (level_search_kind). Algorithms 4
+//   and 5 differ only in how many edges a piece's next probe fetches:
+//   min(2^w, remaining), where w grows every round (Algorithm 5), or is
+//   reset to 0 after the piece's supercomponent merges (Algorithm 4's
+//   restarted doubling); the scan-all ablation fetches every remaining
+//   edge. The ascent, the k-piece rule, M, the deferred pushes and the
+//   finalizer are shared.
 // * Pieces are identified by (seed vertex, F_level representative).
 //   Representatives stay valid through an entire level search because F_i
-//   is only restructured by promotions, which the simple engine commits
-//   between rounds (after all rep reads) and the interleaved engine defers
-//   to the end of the level (the paper's key structural idea).
+//   is only restructured by promotions, which the search defers to the
+//   end of the level (the paper's key structural idea).
 // * The ascent tracks cut edges, not seeds. At each level i, the
 //   replacements S found below are linked into F_i first (Algorithm 3's
 //   line 2, hoisted out of the level searches). A cut whose endpoints F_i
@@ -16,23 +22,29 @@
 //   higher forest, so it stays healed. HDT stops at its first
 //   replacement for the same reason. A level with no open cut is not
 //   searched, and the seeds are the open cuts' endpoints.
-// * k-piece rule (Algorithm 5 only). The open cuts form a graph on the
-//   pieces, and a pre-batch component's pieces are connected in it (its
-//   tree minus the cuts, plus S, which only joins pieces of one
-//   component). Each connected group of it is therefore one component's
-//   pieces, and every level-i replacement joins two pieces of one group.
-//   A group's largest piece (ties: smallest seed id, since piece order
-//   follows rep addresses) is passive when the other pieces together
-//   hold at most active_cap vertices: inactive, and counted as larger
-//   than active_cap, so a find into it stays at level i. Then no
-//   supercomponent without the passive piece can grow past active_cap,
-//   so each one searches until it is exhausted or merges with the
-//   passive piece. A level-i non-tree edge between two supercomponents
-//   left at the end has an exhausted end, so it was found: none is
-//   missed. Two pieces are the special case, HDT's replace: the smaller
-//   holds at most half of at most 2^(i+1). The rule only removes probes
-//   and pushes, so Theorem 9's charging and Theorem 7's depth are
-//   unchanged.
+// * k-piece rule. The open cuts form a graph on the pieces, and a pre-batch
+//   component's pieces are connected in it (its tree minus the cuts, plus S,
+//   which only joins pieces of one component). Each connected group of it is
+//   therefore one component's pieces, and every level-i replacement joins
+//   two pieces of one group. A group's largest piece (ties: smallest seed
+//   id, since piece order follows rep addresses) is passive when the other
+//   pieces together hold at most active_cap vertices: inactive, and counted
+//   as larger than active_cap, so a find into it stays at level i. Then no
+//   supercomponent without the passive piece can grow past active_cap, so
+//   each one searches until it is exhausted or merges with the passive
+//   piece. A level-i non-tree edge between two supercomponents left at the
+//   end has an exhausted end, so it was found: none is missed. Two pieces
+//   are the special case, HDT's replace: the smaller holds at most half of
+//   at most 2^(i+1). The rule only removes probes and pushes, so Theorem 9's
+//   charging and Theorem 7's depth are unchanged.
+// * The rule holds under every fetch schedule: the rule decides which
+//   pieces search, and the schedule only sizes their probes. An active
+//   piece with edges left fetches at least one new edge per round
+//   (min(2^w, remaining) >= 1), and the edges of a piece that stays
+//   active are detached, so they are never fetched again. Every
+//   searching piece therefore ends exhausted or merged into a
+//   supercomponent larger than active_cap, which is all the argument
+//   above uses.
 // * Without the size test the rule is unsound: with active_cap 128 and
 //   pieces of 100, 90 and 50 vertices (the rest hold 140), if the
 //   90-piece finds the 50-piece first, their supercomponent is large and
@@ -76,9 +88,6 @@ std::vector<edge> sanitize(std::span<const edge> edges, vertex_id n) {
   sort_unique(clean);
   return clean;
 }
-
-/// Deduplicates a canonical edge list (order not preserved).
-void dedupe(std::vector<edge>& es) { sort_unique(es); }
 
 }  // namespace
 
@@ -589,7 +598,7 @@ void batch_dynamic_connectivity::batch_delete(std::span<const edge> edges) {
   for (auto& [lvl, e] : tree_edges)
     cuts_by_level[static_cast<size_t>(lvl)].push_back(e);
 
-  // Ascend, searching each level for replacement edges (Algorithms 4/5).
+  // Ascend, searching each level for replacement edges (Algorithm 5).
   std::vector<edge> open;      // cuts F_i has not reconnected
   std::vector<edge> buffered;  // S: new tree edges awaiting higher levels
   std::vector<uint32_t> piece_of;
@@ -602,17 +611,7 @@ void batch_dynamic_connectivity::batch_delete(std::span<const edge> edges) {
     auto pieces = resolve_cuts(i, open, piece_of);
     if (open.empty()) continue;  // S healed every cut: nothing to search
     stats_.levels_searched++;
-    switch (opts_.search) {
-      case level_search_kind::interleaved:
-        level_search_interleaved(i, pieces, piece_of, buffered);
-        break;
-      case level_search_kind::simple:
-        level_search_simple(i, pieces, buffered, /*scan_all=*/false);
-        break;
-      case level_search_kind::scan_all:
-        level_search_simple(i, pieces, buffered, /*scan_all=*/true);
-        break;
-    }
+    level_search(i, pieces, piece_of, buffered);
   }
   // `buffered` now holds every replacement promoted at any level; all of
   // them were (or end the batch) linked into the top forest, so their
@@ -644,13 +643,13 @@ batch_dynamic_connectivity::resolve_cuts(
   open = pack(open, [&](size_t j) { return open_end(2 * j); });
   ends = pack(ends, open_end);
   reps = pack(reps, open_end);
-  return resolve_pieces(level, ends, reps, &piece_of);
+  return resolve_pieces(level, ends, reps, piece_of);
 }
 
 std::vector<batch_dynamic_connectivity::piece>
 batch_dynamic_connectivity::resolve_pieces(
     int level, std::span<const vertex_id> seeds, std::span<const rep> reps,
-    std::vector<uint32_t>* piece_of) const {
+    std::vector<uint32_t>& piece_of) const {
   const blocked_ett* f = ls_.forest_if(level);
   assert(f != nullptr);
   // Group by representative.
@@ -659,21 +658,19 @@ batch_dynamic_connectivity::resolve_pieces(
     pairs[i] = {reps[i], static_cast<uint32_t>(i)};
   });
   parallel_sort(pairs);
-  if (piece_of != nullptr) piece_of->resize(seeds.size());
+  piece_of.resize(seeds.size());
   std::vector<piece> out;
   out.reserve(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
     if (i == 0 || pairs[i].first != pairs[i - 1].first)
-      out.push_back({seeds[pairs[i].second], pairs[i].first, 0, 0, 0});
-    if (piece_of != nullptr)
-      (*piece_of)[pairs[i].second] = static_cast<uint32_t>(out.size() - 1);
+      out.push_back({seeds[pairs[i].second], pairs[i].first, 0, 0});
+    piece_of[pairs[i].second] = static_cast<uint32_t>(out.size() - 1);
   }
   parallel_for(
       0, out.size(),
       [&](size_t i) {
         ett_counts c = f->component_counts(out[i].seed);
         out[i].size = c.vertices;
-        out[i].nontree_slots = c.nontree_edges;
         out[i].tree_slots = c.tree_edges;
       },
       kWalkGrain);
@@ -695,7 +692,7 @@ void batch_dynamic_connectivity::push_tree_edges(
       },
       kWalkGrain);
   std::vector<edge> all = flatten(per_piece);
-  dedupe(all);  // each edge appears once per endpoint
+  sort_unique(all);  // each edge appears once per endpoint
   stats_.edges_pushed += all.size();
   ls_.move_down(level, all);
 }
@@ -718,143 +715,10 @@ std::vector<edge> batch_dynamic_connectivity::fetch_nontree_edges(
 }
 
 // ---------------------------------------------------------------------
-// Algorithm 4 (simple) and the scan-all ablation
+// Algorithm 5, under each fetch schedule
 // ---------------------------------------------------------------------
 
-void batch_dynamic_connectivity::level_search_simple(
-    int level, const std::vector<piece>& pieces, std::vector<edge>& buffered,
-    bool scan_all) {
-  blocked_ett& f = ls_.forest(level);
-  uint64_t active_cap = ls_.capacity(level) / 2;
-  std::vector<piece> active;
-  for (auto& p : pieces)
-    if (p.size <= active_cap) active.push_back(p);
-
-  while (!active.empty()) {
-    stats_.search_rounds++;
-    // Line 5, re-applied each round: an active piece must have no level-i
-    // tree edges before any of its non-tree edges are pushed, or pushed
-    // edges would land below their connecting path (Invariant 2). After a
-    // merge round this re-push moves the freshly promoted replacement
-    // edges of still-active merged pieces down as well.
-    push_tree_edges(level, active);
-    size_t m = active.size();
-    // Per-piece doubling, phase-synchronous across pieces.
-    struct outcome {
-      bool done = false;
-      bool found = false;
-      edge replacement{};
-      uint64_t fetched = 0;
-      std::vector<edge> to_push;
-    };
-    std::vector<outcome> res(m);
-    uint32_t w = 0;
-    BDC_PHASE_SPAN(span_search, "search.replacement");
-    while (true) {
-      std::atomic<bool> any_searching{false};
-      stats_.doubling_phases++;
-      parallel_for(0, m, [&](size_t i) {
-        if (res[i].done) return;
-        const piece& p = active[i];
-        uint64_t cmax = p.nontree_slots;
-        uint64_t csz = scan_all ? cmax
-                                : std::min<uint64_t>(uint64_t{1} << w, cmax);
-        auto ec = fetch_nontree_edges(level, p, csz);
-        res[i].fetched += ec.size();
-        // First replacement: endpoints in different pieces of F_level.
-        std::atomic<size_t> first{ec.size()};
-        parallel_for(
-            0, ec.size(),
-            [&](size_t j) {
-              if (!f.connected(ec[j].u, ec[j].v)) {
-                size_t cur = first.load(std::memory_order_relaxed);
-                while (j < cur && !first.compare_exchange_weak(
-                                      cur, j, std::memory_order_relaxed)) {
-                }
-              }
-            },
-            kWalkGrain);
-        size_t fi = first.load(std::memory_order_relaxed);
-        if (fi < ec.size()) {
-          res[i].found = true;
-          res[i].replacement = ec[fi];
-          res[i].to_push.assign(ec.begin(),
-                                ec.begin() + static_cast<ptrdiff_t>(fi));
-          res[i].done = true;
-        } else if (csz >= cmax) {
-          res[i].to_push = std::move(ec);  // exhausted: push everything
-          res[i].done = true;
-        } else {
-          any_searching.store(true, std::memory_order_relaxed);
-        }
-      }, kWalkGrain);
-      if (!any_searching.load(std::memory_order_relaxed)) break;
-      ++w;
-    }
-    for (auto& o : res) stats_.edges_fetched += o.fetched;
-
-    // Commit pushes (non-tree edges internal to their piece).
-    {
-      std::vector<std::vector<edge>> chunks(m);
-      for (size_t i = 0; i < m; ++i) chunks[i] = std::move(res[i].to_push);
-      std::vector<edge> pushes = flatten(chunks);
-      dedupe(pushes);
-      if (level > 0 && !pushes.empty()) {
-        stats_.edges_pushed += pushes.size();
-        ls_.move_down(level, pushes);
-      }
-    }
-
-    // Commit replacements: spanning forest over the contracted graph.
-    std::vector<edge> found;
-    std::vector<vertex_id> next_seeds;
-    for (size_t i = 0; i < m; ++i) {
-      if (res[i].found) {
-        found.push_back(res[i].replacement);
-        next_seeds.push_back(active[i].seed);
-      }
-      // Exhausted pieces leave the active set (paper line 17-19); their
-      // cuts stay open for the next level.
-    }
-    dedupe(found);
-    if (!found.empty()) {
-      std::vector<vertex_id> endpoints(2 * found.size());
-      parallel_for(0, found.size(), [&](size_t i) {
-        endpoints[2 * i] = found[i].u;
-        endpoints[2 * i + 1] = found[i].v;
-      });
-      auto reps = f.batch_find_rep(endpoints);
-      auto comp = dense_ids(reps.size(), [&](size_t i) { return reps[i]; });
-      std::vector<edge> contracted(found.size());
-      parallel_for(0, found.size(), [&](size_t i) {
-        contracted[i] = {comp.ids[2 * i], comp.ids[2 * i + 1]};
-      });
-      auto sf = spanning_forest(comp.keys.size(), contracted);
-      std::vector<edge> chosen(sf.tree_edge_indices.size());
-      parallel_for(0, chosen.size(), [&](size_t i) {
-        chosen[i] = found[sf.tree_edge_indices[i]];
-      });
-      stats_.replacements_promoted += chosen.size();
-      ls_.promote_to_tree(level, chosen);
-      ls_.link_tree(level, chosen);  // restructures F_level
-      buffered.insert(buffered.end(), chosen.begin(), chosen.end());
-    }
-
-    // Re-resolve surviving pieces (reps changed after linking).
-    active.clear();
-    if (!next_seeds.empty()) {
-      auto reps = f.batch_find_rep(next_seeds);
-      for (auto& p : resolve_pieces(level, next_seeds, reps, nullptr))
-        if (p.size <= active_cap) active.push_back(p);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Algorithm 5 (interleaved)
-// ---------------------------------------------------------------------
-
-void batch_dynamic_connectivity::level_search_interleaved(
+void batch_dynamic_connectivity::level_search(
     int level, const std::vector<piece>& pieces,
     std::span<const uint32_t> piece_of, std::vector<edge>& buffered) {
   blocked_ett& f = ls_.forest(level);
@@ -917,15 +781,21 @@ void batch_dynamic_connectivity::level_search_interleaved(
   std::vector<edge> detached_within;                      // piece-internal
   std::unordered_set<uint64_t> detached_keys;
 
+  // Fetch schedule: piece i's probe fetches min(2^w[i], remaining)
+  // edges (scan_all: every remaining edge). merged_in[root] == r + 1 when
+  // that supercomponent merged in round r.
+  const bool restart = opts_.search == level_search_kind::simple;
+  const bool scan_all = opts_.search == level_search_kind::scan_all;
+  std::vector<uint32_t> w(np, 0);
+  std::vector<uint32_t> merged_in(np, 0);
+
   uint32_t r = 0;
   bool any_active = !active_list.empty();
   while (any_active) {
     BDC_PHASE_SPAN(span_search, "search.replacement");
-    stats_.search_rounds++;
     stats_.doubling_phases++;
-    uint64_t sz = r < 62 ? (uint64_t{1} << r) : ~uint64_t{0} >> 1;
 
-    // Probe phase: each active piece fetches its next <= 2^r edges.
+    // Probe phase: each active piece fetches its next edges.
     struct probe {
       std::vector<edge> ec;
       bool exhausted = false;
@@ -937,10 +807,12 @@ void batch_dynamic_connectivity::level_search_interleaved(
     parallel_for(
         0, act_idx.size(),
         [&](size_t j) {
-          const piece& p = pieces[act_idx[j]];
-          uint64_t cmax = f.component_counts(p.seed).nontree_edges;
-          uint64_t csz = std::min(sz, cmax);
-          probes[j].ec = fetch_nontree_edges(level, p, csz);
+          const uint32_t pi = act_idx[j];
+          uint64_t cmax = f.component_counts(pieces[pi].seed).nontree_edges;
+          uint64_t csz =
+              scan_all ? cmax
+                       : std::min(uint64_t{1} << std::min(w[pi], 62u), cmax);
+          probes[j].ec = fetch_nontree_edges(level, pieces[pi], csz);
           probes[j].exhausted = (csz >= cmax);
         },
         kWalkGrain);
@@ -958,10 +830,7 @@ void batch_dynamic_connectivity::level_search_interleaved(
         },
         kWalkGrain);
     std::vector<edge> repl = flatten(repl_chunks);
-    dedupe(repl);
-    std::unordered_set<uint64_t> repl_keys;
-    repl_keys.reserve(2 * repl.size());
-    for (const edge& e : repl) repl_keys.insert(edge_key(e));
+    sort_unique(repl);
 
     // Merge supercomponents with a spanning forest over M-contracted
     // replacements (lines 16-21); sequential Kruskal over <= k edges.
@@ -982,7 +851,9 @@ void batch_dynamic_connectivity::level_search_interleaved(
         if (ru == rv) continue;
         uint64_t sz_merged = super_size[ru] + super_size[rv];
         m.unite(ru, rv);
-        super_size[m.find(ru)] = sz_merged;
+        const uint32_t root = m.find(ru);
+        super_size[root] = sz_merged;
+        merged_in[root] = r + 1;
         chosen_total.push_back({repl[i], it_u->second});
         stats_.replacements_promoted++;
       }
@@ -997,16 +868,19 @@ void batch_dynamic_connectivity::level_search_interleaved(
     any_active = false;
     for (size_t j = 0; j < probes.size(); ++j) {
       uint32_t pi = act_idx[j];
-      uint64_t msize = super_size[m.find(pi)];
-      if (msize <= active_cap && !probes[j].exhausted) {
+      const uint32_t root = m.find(pi);
+      if (super_size[root] <= active_cap && !probes[j].exhausted) {
         detach_chunks[j] = std::move(probes[j].ec);
         any_active = true;
+        // Algorithm 4 restarts the doubling of a piece whose
+        // supercomponent merged this round; Algorithm 5 never does.
+        w[pi] = restart && merged_in[root] == r + 1 ? 0 : w[pi] + 1;
       } else {
         active[pi] = 0;
       }
     }
     std::vector<edge> detach = flatten(detach_chunks);
-    dedupe(detach);
+    sort_unique(detach);
     detach = filter(detach, [&](const edge& e) {
       return !detached_keys.count(edge_key(e));
     });

@@ -32,15 +32,18 @@
 
 namespace bdc {
 
-/// Which replacement-search engine batch_delete uses.
+/// The fetch schedule of batch_delete's level search (Algorithm 5 with
+/// deferred pushes and the k-piece rule under every schedule): how many
+/// of its remaining non-tree edges a searching piece fetches per round.
 enum class level_search_kind {
-  /// Algorithm 5: single doubling sequence interleaved with spanning-forest
-  /// rounds; deferred pushes. O(lg n) oracle phases per level. Default.
+  /// Algorithm 5: min(2^w, remaining), w growing by one every round — a
+  /// single doubling sequence per level. O(lg n) phases per level. Default.
   interleaved,
-  /// Algorithm 4: per-round restarted doubling. O(lg^2 n) phases per level.
+  /// Algorithm 4: as interleaved, but w restarts at 0 after the piece's
+  /// supercomponent merges. O(lg^2 n) phases per level.
   simple,
-  /// Ablation: fetch ALL incident non-tree edges at once (the "natural
-  /// idea" of §3.3 that breaks the charging argument).
+  /// Ablation: every remaining edge at once (the "natural idea" of §3.3
+  /// that breaks the charging argument).
   scan_all,
 };
 
@@ -73,8 +76,7 @@ struct statistics {
   uint64_t edges_deleted = 0;
   uint64_t tree_edges_deleted = 0;
   uint64_t levels_searched = 0;   // ParallelLevelSearch invocations
-  uint64_t search_rounds = 0;     // spanning-forest rounds across levels
-  uint64_t doubling_phases = 0;   // oracle calls (edge-fetch phases)
+  uint64_t doubling_phases = 0;   // search rounds (edge-fetch phases)
   uint64_t edges_fetched = 0;     // non-tree edges examined
   uint64_t edges_pushed = 0;      // level decreases (tree + non-tree)
   uint64_t replacements_promoted = 0;  // non-tree edges become tree edges
@@ -311,7 +313,6 @@ class batch_dynamic_connectivity {
     vertex_id seed;         // any vertex inside the piece
     rep handle;             // F_level representative (stable per level)
     uint64_t size;          // vertex count
-    uint64_t nontree_slots; // incident same-level non-tree slots (2x edges)
     uint64_t tree_slots;    // incident same-level tree slots
   };
 
@@ -321,25 +322,23 @@ class batch_dynamic_connectivity {
   std::vector<piece> resolve_cuts(int level, std::vector<edge>& open,
                                   std::vector<uint32_t>& piece_of) const;
   /// One piece per distinct rep; reps[i] is seeds[i]'s F_level rep.
-  /// `piece_of`, if non-null, receives each seed's piece index.
+  /// `piece_of` receives each seed's piece index.
   std::vector<piece> resolve_pieces(int level,
                                     std::span<const vertex_id> seeds,
                                     std::span<const rep> reps,
-                                    std::vector<uint32_t>* piece_of) const;
+                                    std::vector<uint32_t>& piece_of) const;
   void push_tree_edges(int level, const std::vector<piece>& active);
   /// Fetches up to `want` non-tree slots of `p`, expands and dedupes to
   /// edges in tour order.
   std::vector<edge> fetch_nontree_edges(int level, const piece& p,
                                         uint64_t want) const;
 
-  /// Level searches over the pieces resolve_cuts returned; both append
-  /// the replacements they promote to `buffered` (S).
-  void level_search_simple(int level, const std::vector<piece>& pieces,
-                           std::vector<edge>& buffered, bool scan_all);
-  /// `piece_of` is resolve_cuts' output for `pieces`.
-  void level_search_interleaved(int level, const std::vector<piece>& pieces,
-                                std::span<const uint32_t> piece_of,
-                                std::vector<edge>& buffered);
+  /// Searches level `level` over the pieces resolve_cuts returned
+  /// (`piece_of` is its output for them) under opts_.search's fetch
+  /// schedule; appends the replacements it promotes to `buffered` (S).
+  void level_search(int level, const std::vector<piece>& pieces,
+                    std::span<const uint32_t> piece_of,
+                    std::vector<edge>& buffered);
 };
 
 /// Epoch-pinned read view; see the service section above. Move-only (it

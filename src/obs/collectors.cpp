@@ -9,7 +9,6 @@ void collect(metrics_snapshot& snap, const statistics& st) {
   snap.add_counter("core.edges_deleted", st.edges_deleted);
   snap.add_counter("core.tree_edges_deleted", st.tree_edges_deleted);
   snap.add_counter("core.levels_searched", st.levels_searched);
-  snap.add_counter("core.search_rounds", st.search_rounds);
   snap.add_counter("core.doubling_phases", st.doubling_phases);
   snap.add_counter("core.edges_fetched", st.edges_fetched);
   snap.add_counter("core.edges_pushed", st.edges_pushed);

@@ -34,6 +34,7 @@ namespace {
 
 using ::bdc::testing::expect_snapshot_matches;
 using ::bdc::testing::kEngineConfigs;
+using ::bdc::testing::search_name;
 using ::bdc::testing::sub_config;
 using ::bdc::testing::worker_pool_guard;
 using ::bdc::testing::workers_name;
@@ -195,7 +196,7 @@ INSTANTIATE_TEST_SUITE_P(
              row_name(std::get<1>(info.param));
     });
 
-// Multi-piece splits. The interleaved search keeps a component's largest
+// Multi-piece splits. The level search keeps a component's largest
 // piece passive (unsearched) when the other pieces together fit one level
 // down (the k-piece rule; HDT's replace is its two-piece case). Without
 // that size test it is unsound. Counterexample, active_cap 128: pieces
@@ -288,17 +289,21 @@ INSTANTIATE_TEST_SUITE_P(
 // start at the top level. `cuts` splits it into three pieces; the test
 // reads each path edge's level after the batch. A searching piece pushes
 // its level-top tree edges down one level (line 5); a passive one keeps
-// them.
-class PieceRule : public ::testing::TestWithParam<sub_config> {
+// them. The rule decides which pieces search under every fetch schedule,
+// so every schedule must leave the same levels.
+class PieceRule : public ::testing::TestWithParam<
+                      std::tuple<level_search_kind, sub_config>> {
  protected:
   /// Builds path 0..len-1 plus `chords` on n vertices, deletes `cuts`, and
   /// returns the level of every remaining path edge (index i: (i, i+1)).
   std::vector<int> path_levels_after(vertex_id n, vertex_id len,
                                      const std::vector<edge>& chords,
                                      const std::vector<edge>& cuts) {
-    const sub_config& cfg = GetParam();
+    const sub_config& cfg = std::get<1>(GetParam());
     worker_pool_guard pool(cfg.workers);
-    batch_dynamic_connectivity dc(n, cfg.apply({}));
+    options o;
+    o.search = std::get<0>(GetParam());
+    batch_dynamic_connectivity dc(n, cfg.apply(o));
     stream_oracle oracle(n);
     const std::vector<edge> path = gen_path(len);
     for (const auto* batch : {&path, &chords}) {  // chords stay non-tree
@@ -353,24 +358,38 @@ TEST_P(PieceRule, EveryPieceSearchesWhenTheRestOverflow) {
   }
 }
 
+// The default schedule keeps the bare row name.
+std::string piece_rule_name(
+    const ::testing::TestParamInfo<PieceRule::ParamType>& info) {
+  const auto& [search, cfg] = info.param;
+  if (search == level_search_kind::interleaved) return row_name(cfg);
+  return std::string(search_name(search)) + "_" + row_name(cfg);
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Rows, PieceRule, ::testing::ValuesIn(kEngineConfigs),
-    [](const ::testing::TestParamInfo<sub_config>& info) {
-      return row_name(info.param);
-    });
+    Rows, PieceRule,
+    ::testing::Combine(::testing::Values(level_search_kind::interleaved,
+                                         level_search_kind::simple,
+                                         level_search_kind::scan_all),
+                       ::testing::ValuesIn(kEngineConfigs)),
+    piece_rule_name);
 
 // Seeded multi-piece sweep: a path plus grid edges plus random chords on
 // 16-316 vertices; each round deletes 1-48 edges, most of them tree
 // edges, so components split into many pieces of every size mix, and
 // puts back as many. Invariants and the oracle's labels are checked
 // after every batch. Marking the largest piece passive without the size
-// test fails here on Invariant 2.
+// test fails here on Invariant 2. The other fetch schedules run the
+// 1-worker slice.
 class PieceSweep
-    : public ::testing::TestWithParam<std::tuple<uint64_t, unsigned>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<uint64_t, unsigned, level_search_kind>> {};
 
 TEST_P(PieceSweep, OracleAfterEveryBatch) {
   const uint64_t seed = std::get<0>(GetParam());
   worker_pool_guard pool(std::get<1>(GetParam()));
+  options o;
+  o.search = std::get<2>(GetParam());
   random_stream rs(seed);
   const vertex_id n = 16 + static_cast<vertex_id>(rs.next(301));
   vertex_id side = 1;
@@ -380,7 +399,7 @@ TEST_P(PieceSweep, OracleAfterEveryBatch) {
   for (vertex_id c = 0; c < n / 3; ++c)
     graph.push_back({static_cast<vertex_id>(rs.next(n)),
                      static_cast<vertex_id>(rs.next(n))});
-  batch_dynamic_connectivity dc(n);
+  batch_dynamic_connectivity dc(n, o);
   stream_oracle oracle(n);
   auto check = [&](const std::string& where) {
     auto rep = dc.check_invariants();
@@ -428,15 +447,30 @@ TEST_P(PieceSweep, OracleAfterEveryBatch) {
   }
 }
 
+// The default schedule keeps the bare seed name.
+std::string piece_sweep_name(
+    const ::testing::TestParamInfo<PieceSweep::ParamType>& info) {
+  const auto& [seed, workers, search] = info.param;
+  std::string name =
+      "seed" + std::to_string(seed) + "_w" + std::to_string(workers);
+  if (search == level_search_kind::interleaved) return name;
+  return std::string(search_name(search)) + "_" + name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Seeds, PieceSweep,
     ::testing::Combine(::testing::Range<uint64_t>(1, 13),
-                       ::testing::Values(1u, 4u)),
-    [](const ::testing::TestParamInfo<std::tuple<uint64_t, unsigned>>&
-           info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_w" +
-             std::to_string(std::get<1>(info.param));
-    });
+                       ::testing::Values(1u, 4u),
+                       ::testing::Values(level_search_kind::interleaved)),
+    piece_sweep_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedules, PieceSweep,
+    ::testing::Combine(::testing::Range<uint64_t>(1, 13),
+                       ::testing::Values(1u),
+                       ::testing::Values(level_search_kind::simple,
+                                         level_search_kind::scan_all)),
+    piece_sweep_name);
 
 // Bulk load: one batch_insert of an ER(2^13, 2^15) graph with duplicates,
 // reversed edges and self-loops mixed in, into a fresh structure (the

@@ -44,6 +44,7 @@ namespace bdc {
 namespace {
 
 using ::bdc::testing::kSubConfigs;
+using ::bdc::testing::search_name;
 using ::bdc::testing::sub_config;
 using ::bdc::testing::worker_pool_guard;
 
@@ -66,16 +67,10 @@ void expect_snapshot_fresh(batch_dynamic_connectivity& dc,
   }
 }
 
-// The level searches find replacements in different rounds and orders,
+// The fetch schedules find replacements in different rounds and orders,
 // so a delete batch's relinks, and the publish delta they leave, differ
-// per search.
-const char* search_name(level_search_kind k) {
-  return k == level_search_kind::interleaved ? "interleaved"
-         : k == level_search_kind::simple    ? "simple"
-                                             : "scanall";
-}
-
-// The default search (interleaved) keeps the bare config name.
+// per schedule. The default search (interleaved) keeps the bare config
+// name.
 std::string publish_name(const sub_config& sc, level_search_kind search) {
   std::string name = sc.name;
   if (search != level_search_kind::interleaved)

@@ -55,6 +55,13 @@ inline constexpr sub_config kEngineConfigs[] = {
     {"blocked_serve", 0, true},
 };
 
+/// Test-name part of a level search's fetch schedule.
+inline const char* search_name(level_search_kind k) {
+  return k == level_search_kind::interleaved ? "interleaved"
+         : k == level_search_kind::simple    ? "simple"
+                                             : "scanall";
+}
+
 /// When `dc` serves reads, asserts its published snapshot labels equal a
 /// from-scratch components() walk. No-op otherwise.
 inline void expect_snapshot_matches(const batch_dynamic_connectivity& dc,

@@ -2,6 +2,7 @@
 """Diff two Google Benchmark JSON artifacts and flag regressions.
 
     tools/bench_diff.py OLD.json NEW.json [--threshold PCT] [--no-fail]
+    tools/bench_diff.py OLD.jsonl NEW.jsonl --counters [--gate]
 
 CI diffs a fresh ``bench_micro`` run against the committed ledger,
 ``BENCH_micro.json`` at the repository root, with ``--no-fail``.
@@ -10,15 +11,19 @@ CI diffs a fresh ``bench_micro`` run against the committed ledger,
 ``stream_runner --metrics=FILE`` (one ``{"label":...,"metric":...}``
 object per line) instead of Google Benchmark JSON; CI diffs the
 telemetry smoke's snapshot against the committed
-``BENCH_counters.jsonl``. Counter diffs are ALWAYS advisory (exit 0):
-pipeline counters like publishes_full or edges_fetched are workload
-truth, not timing noise, so a change beyond the threshold in EITHER
-direction is flagged ``CHANGED`` for a human to read — a dropped fetch
-count and a doubled full-walk count both deserve eyes, but neither
-should gate a merge on its own. The ``sched.*`` (forks, steals) and
-``replay.*`` (wall times) rows depend on the host and its load, not on
-the code: they are listed in a separate "host-dependent, not compared"
-section and never flagged. Keyed by ``label/metric``; histograms
+``BENCH_counters.jsonl``. Pipeline counters like publishes_full or
+edges_fetched are workload truth, not timing noise, so a change beyond
+the threshold in EITHER direction is flagged ``CHANGED`` for a human to
+read — a dropped fetch count and a doubled full-walk count both deserve
+eyes — and a compared row present in only one snapshot is flagged
+``MISSING``. Counter diffs are advisory (exit 0) unless ``--gate`` is
+given: then any flagged row exits 1. The work ledger CTest
+(``smoke.counters_ledger``) gates the telemetry smoke's snapshot
+against the committed ledger at ``--threshold 0``, so any change to
+the work a replay does must re-record the ledger. The ``sched.*``
+(forks, steals) and ``replay.*`` (wall times) rows depend on the host
+and its load, not on the code: they are listed in a separate
+"host-dependent, not compared" section and never flagged. Keyed by ``label/metric``; histograms
 compare their ``count``. Gauges flow through unchanged, which makes the
 memory footprint gauges (``levels.materialized`` /
 ``levels.active_vertices`` / ``levels.bytes``, plus the ``pool.*``
@@ -28,7 +33,7 @@ the committed trace.
 
 Exit status is 0 when clean, 1 on regression (with ``--no-fail`` the
 report still prints but the exit status stays 0 — useful on noisy shared
-runners).
+runners), and 1 on a flagged counter row with ``--counters --gate``.
 """
 
 import argparse
@@ -96,15 +101,18 @@ def host_dependent(key):
 
 
 def diff_counters(old, new, threshold):
-    """Direction-agnostic: returns (common, changed, host) where changed
-    is [(key, old, new, pct)] for moves beyond the threshold either way,
-    over the work counters only, and host lists the host-dependent keys
-    the two snapshots share. A counter moving off or onto zero is always
-    a change worth seeing.
+    """Direction-agnostic: returns (common, changed, host, missing) where
+    changed is [(key, old, new, pct)] for moves beyond the threshold
+    either way, over the work counters only, host lists the
+    host-dependent keys the two snapshots share, and missing the work
+    counters only one snapshot has. A counter moving off or onto zero is
+    always a change worth seeing.
     """
     shared = sorted(set(old) & set(new))
     common = [k for k in shared if not host_dependent(k)]
     host = [k for k in shared if host_dependent(k)]
+    missing = sorted(k for k in set(old) ^ set(new)
+                     if not host_dependent(k))
     changed = []
     for key in common:
         if old[key] == 0 and new[key] == 0:
@@ -115,7 +123,7 @@ def diff_counters(old, new, threshold):
         pct = 100.0 * (new[key] - old[key]) / old[key]
         if abs(pct) > threshold:
             changed.append((key, old[key], new[key], pct))
-    return common, changed, host
+    return common, changed, host, missing
 
 
 def diff(old, new, threshold):
@@ -155,7 +163,13 @@ def main():
         "--counters",
         action="store_true",
         help="artifacts are stream_runner --metrics JSONL snapshots; "
-             "flag counter changes in either direction, always exit 0",
+             "flag counter changes in either direction (exit 0 unless "
+             "--gate)",
+    )
+    parser.add_argument(
+        "--gate",
+        action="store_true",
+        help="with --counters: exit 1 on any flagged work counter",
     )
     args = parser.parse_args()
 
@@ -165,20 +179,25 @@ def main():
     new = loader(args.new)
 
     if args.counters:
-        common, changed, host = diff_counters(old, new, args.threshold)
+        common, changed, host, missing = diff_counters(old, new,
+                                                       args.threshold)
+        mode = ("gate: exit 1 on any flagged row" if args.gate
+                else "advisory: always exit 0")
         print(f"bench_diff: {len(common)} comparable counters vs "
-              f"{args.old}, threshold {args.threshold:.1f}% "
-              f"(advisory: always exit 0)")
+              f"{args.old}, threshold {args.threshold:.1f}% ({mode})")
         for key, o, n, pct in changed:
             arrow = "inf" if pct == float("inf") else f"{pct:+.1f}%"
             print(f"  CHANGED {key}: {o:.0f} -> {n:.0f} ({arrow})")
-        if not changed:
+        for key in missing:
+            side = args.new if key in old else args.old
+            print(f"  MISSING {key}: not in {side}")
+        if not changed and not missing:
             print("  no counter changes beyond threshold")
         if host:
             print(f"  host-dependent, not compared ({len(host)}):")
             for key in host:
                 print(f"    {key}: {old[key]:.0f} -> {new[key]:.0f}")
-        return 0
+        return 1 if args.gate and (changed or missing) else 0
 
     common, only_old, only_new, regressions, improvements = diff(
         old, new, args.threshold)

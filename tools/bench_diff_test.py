@@ -141,6 +141,39 @@ def main():
               rc == 0 and "CHANGED dynamic/blocked/publish.full_walks"
               in out, out)
 
+        # --gate (the work ledger CTest, at threshold 0): any moved work
+        # row exits 1, and so does a work row one snapshot lacks; moved
+        # host-dependent rows still pass.
+        def gate(old_path, new_path):
+            return run(old_path, new_path, "--counters", "--gate",
+                       "--threshold", "0")
+
+        rc, out = gate(cold, cold)
+        check("gate.clean", rc == 0 and "no counter changes" in out, out)
+        gmoved = os.path.join(tmp, "gmoved.jsonl")
+        write_counters(gmoved, {"publish.full_walks": 10,
+                                "core.edges_fetched": 1001,
+                                "span.batch.delete.us": ("histogram", 20)})
+        rc, out = gate(cold, gmoved)
+        check("gate.moved_work_row_fails",
+              rc == 1 and "CHANGED dynamic/blocked/core.edges_fetched"
+              in out, out)
+        rc, out = gate(hold, hnew)
+        check("gate.moved_replay_row_passes",
+              rc == 0 and "CHANGED" not in out
+              and "dynamic/blocked/replay.insert_us: 1000 -> 0" in out, out)
+        gdropped = os.path.join(tmp, "gdropped.jsonl")
+        write_counters(gdropped, {"publish.full_walks": 10,
+                                  "span.batch.delete.us": ("histogram", 20)})
+        rc, out = gate(cold, gdropped)
+        check("gate.missing_work_row_fails",
+              rc == 1 and "MISSING dynamic/blocked/core.edges_fetched"
+              in out, out)
+        rc, out = run(cold, gdropped, "--counters")
+        check("counters.missing_row_advisory",
+              rc == 0 and "MISSING dynamic/blocked/core.edges_fetched"
+              in out, out)
+
     # The committed ledgers: each must load, and diffing it against
     # itself must compare at least one row.
     rc, out = run(os.path.join(REPO, "BENCH_micro.json"),
